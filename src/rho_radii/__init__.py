@@ -46,6 +46,7 @@ from .radii import (
     numerical_radius,
     sample_commuting_tuple,
     sample_commuting_tuples,
+    substitute,
     torus_pencil_sup,
     tuple_numerical_radius,
     tuple_spectral_radius,

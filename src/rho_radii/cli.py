@@ -29,7 +29,7 @@ from .radii import (
     w_rho_tuple,
 )
 from .repro import EXPERIMENTS
-from .serialize import embedding_from_json, load_operator_input, matrix_from_json, tuple_from_json
+from .serialize import embedding_from_json, load_operator_input, matrix_from_json
 
 
 def _configure_threads() -> None:
@@ -49,16 +49,6 @@ def _configure_threads() -> None:
 def _load_embedding(path):
     with open(path) as fh:
         return embedding_from_json(json.load(fh))
-
-
-def _load_tuple(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    if "mats" in obj:
-        return tuple_from_json(obj)
-    from .pencil import OperatorTuple
-
-    return OperatorTuple((matrix_from_json(obj),))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -105,8 +95,8 @@ def _cmd_numrad(args) -> int:
 
 
 def _cmd_verify_dilation(args) -> int:
-    small = _load_tuple(args.small)
-    big = _load_tuple(args.big)
+    small = load_operator_input(args.small)
+    big = load_operator_input(args.big)
     e = _load_embedding(args.embedding)
     if args.mode == "sym":
         wit = verify_rho_dilation(small, big, e, args.rho, t_max=args.nmax)

@@ -3,9 +3,10 @@
 The single-operator test evaluates the positivity kernel
 k(z, z) = rho*I - (rho-1)(zA + (zA)*) + (rho-2)(zA)*(zA) over the closed
 unit disk; membership holds iff its smallest eigenvalue stays nonnegative.
-The radius w_rho is the smallest u such that A/u passes, located by
-bisection.  Tuple variants work through the pencil transform phi on the
-polydisk and through substitution of sampled commuting strict contractions.
+The radius w_rho is the smallest u such that A/u passes, read off a
+quadratic eigenproblem in the scaling and confirmed by the kernel test.
+Tuple variants work through the pencil transform phi on the polydisk and
+through substitution of sampled commuting strict contractions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, InternalError
-from .linalg import as_matrix, op_norm, spectral_radius
+from .linalg import as_matrix, op_norm
 from .pencil import OperatorTuple, eval_pencil
 
 IN = "In"
@@ -37,6 +38,31 @@ NORM_CAP = 1 - 1e-6
 #: Radius used for "scalar polydisk point" samples; any value < 1 is a
 #: valid member of the strict-contraction family.
 SCALAR_POINT_RADIUS = 1 - 1e-12
+
+#: Angles of the single-operator theta grids: the disk kernel minimum, the
+#: psi / phi boundary rings, and the quadratic eigenproblem of w_rho.
+THETA_POINTS = 512
+#: Interior grid of the disk kernel minimum for rho > 2: radii and angles.
+INTERIOR_R_POINTS = 64
+INTERIOR_THETA_POINTS = 128
+
+#: Bidisk grid of the pair supremum: angles per variable and radii.
+PAIR_THETA_POINTS = 128
+PAIR_R_VALUES = (0.9, 0.99, 1 - 1e-4)
+#: Coarser angle grid of the pair test inside the pair radius bisection.
+PAIR_RADIUS_THETA_POINTS = 64
+
+#: Local theta refinements of the quadratic eigenproblem: rounds, and angles
+#: per round spanning +- one spacing of the previous grid.
+QEP_REFINE_ROUNDS = 3
+QEP_REFINE_POINTS = 17
+#: Angles per batched companion eigen-solve, so that memory stays at
+#: QEP_CHUNK (2d)^2 entries whatever the grid size.
+QEP_CHUNK = 64
+#: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
+QEP_REAL_TOL = 1e-7
+
+QEP_METHOD = "qep-theta-max+kernel-check"
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -144,7 +170,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = 40):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _kernel_disk_min(a: np.ndarray, rho: float, n_theta: int = 512, refine_rounds: int = 3):
+def _kernel_disk_min(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, refine_rounds: int = 3):
     """Minimum of lambda_min(k(z, z)) over the closed disk, with witness.
 
     For rho <= 2 the per-direction profile in r is concave with positive
@@ -163,8 +189,8 @@ def _kernel_disk_min(a: np.ndarray, rho: float, n_theta: int = 512, refine_round
     witness = complex(np.exp(1j * best_theta))
 
     if rho > 2:
-        rs = np.linspace(1.0 / 64, 1.0, 64)
-        th = np.linspace(0, 2 * np.pi, 128, endpoint=False)
+        rs = np.linspace(1.0 / INTERIOR_R_POINTS, 1.0, INTERIOR_R_POINTS)
+        th = np.linspace(0, 2 * np.pi, INTERIOR_THETA_POINTS, endpoint=False)
         rr, tt = np.meshgrid(rs, th, indexing="ij")
         zs = (rr * np.exp(1j * tt)).ravel()
         vals = _kernel_lambda_min(a, rho, zs)
@@ -172,8 +198,9 @@ def _kernel_disk_min(a: np.ndarray, rho: float, n_theta: int = 512, refine_round
         if float(vals[j]) < best_val:
             r0, t0 = float(rr.ravel()[j]), float(tt.ravel()[j])
             # one local refinement round around the interior minimizer
-            rloc = np.clip(np.linspace(r0 - 1 / 64, r0 + 1 / 64, 17), 0, 1)
-            tloc = np.linspace(t0 - 2 * np.pi / 128, t0 + 2 * np.pi / 128, 17)
+            rloc = np.clip(np.linspace(r0 - 1 / INTERIOR_R_POINTS, r0 + 1 / INTERIOR_R_POINTS, 17), 0, 1)
+            tloc = np.linspace(t0 - 2 * np.pi / INTERIOR_THETA_POINTS,
+                               t0 + 2 * np.pi / INTERIOR_THETA_POINTS, 17)
             rr2, tt2 = np.meshgrid(rloc, tloc, indexing="ij")
             zs2 = (rr2 * np.exp(1j * tt2)).ravel()
             vals2 = _kernel_lambda_min(a, rho, zs2)
@@ -185,7 +212,7 @@ def _kernel_disk_min(a: np.ndarray, rho: float, n_theta: int = 512, refine_round
     return best_val, witness
 
 
-def _psi_boundary_min(a: np.ndarray, rho: float, n_theta: int = 512, r: float = 1 - 1e-6):
+def _psi_boundary_min(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, r: float = 1 - 1e-6):
     """min over the ring |z| = r of lambda_min(Re psi(z)); -inf past a pole."""
     d = a.shape[0]
     zs = r * np.exp(1j * np.linspace(0, 2 * np.pi, n_theta, endpoint=False))
@@ -201,7 +228,7 @@ def _psi_boundary_min(a: np.ndarray, rho: float, n_theta: int = 512, r: float = 
     return float(np.linalg.eigvalsh(re)[:, 0].min())
 
 
-def _phi_boundary_sup(a: np.ndarray, rho: float, n_theta: int = 512, r: float = 1 - 1e-6):
+def _phi_boundary_sup(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, r: float = 1 - 1e-6):
     """sup over the ring |z| = r of ||phi(z)||; +inf past a pole."""
     d = a.shape[0]
     zs = r * np.exp(1j * np.linspace(0, 2 * np.pi, n_theta, endpoint=False))
@@ -246,8 +273,8 @@ def membership_single(a, rho: float, tol: float = DEFAULT_TOL, cross_check: bool
     decision = IN if margin >= -tol else OUT
     certificate = {
         "method": "kernel-disk-grid",
-        "theta_points": 512,
-        "interior_r_points": 64 if rho > 2 else 0,
+        "theta_points": THETA_POINTS,
+        "interior_r_points": INTERIOR_R_POINTS if rho > 2 else 0,
         "witness_z": [witness.real, witness.imag],
         "kernel_margin": margin,
         "tol": tol,
@@ -313,29 +340,110 @@ def _bisect_radius(norm, lo, hi, feasible, width, method, grid_spec) -> RadiusRe
     return RadiusReport(lo, hi, method, grid_spec, time.perf_counter() - start)
 
 
+def _qep_top_roots(a: np.ndarray, rho: float, thetas: np.ndarray) -> np.ndarray:
+    """Largest real root mu*(theta) of the quadratic pencil
+    rho mu^2 I - (rho-1) mu (e^{i theta} A + e^{-i theta} A*) + (rho-2) A*A
+    at each angle (-inf where no root is real), from batched eigenvalues of
+    its 2d x 2d companion matrix [[0, I], [-(rho-2)/rho A*A, (rho-1)/rho H]]."""
+    d = a.shape[0]
+    ah = a.conj().T
+    comp = np.zeros((min(QEP_CHUNK, len(thetas)), 2 * d, 2 * d), dtype=complex)
+    comp[:, :d, d:] = np.eye(d)
+    comp[:, d:, :d] = -(rho - 2) / rho * (ah @ a)
+    out = np.empty(len(thetas))
+    for i in range(0, len(thetas), QEP_CHUNK):
+        phases = np.exp(1j * thetas[i:i + QEP_CHUNK])[:, None, None]
+        n = len(phases)
+        comp[:n, d:, d:] = (rho - 1) / rho * (phases * a + phases.conj() * ah)
+        roots = np.linalg.eigvals(comp[:n])
+        real = np.abs(roots.imag) <= QEP_REAL_TOL * (1 + np.abs(roots.real))
+        out[i:i + n] = np.where(real, roots.real, -np.inf).max(axis=1)
+    return out
+
+
+def _qep_theta_max(a: np.ndarray, rho: float):
+    """(max over theta of mu*(theta), theta points, refinement rounds).
+
+    A grid of THETA_POINTS angles, then QEP_REFINE_ROUNDS local grids
+    around the best angle, each spanning +- one spacing of the grid before.
+    At rho = 1 the pencil mu^2 I - A*A does not depend on theta.
+    """
+    if rho == 1:
+        return float(_qep_top_roots(a, rho, np.zeros(1))[0]), 1, 0
+    thetas = np.linspace(0, 2 * np.pi, THETA_POINTS, endpoint=False)
+    vals = _qep_top_roots(a, rho, thetas)
+    i = int(np.argmax(vals))
+    best, best_theta = float(vals[i]), float(thetas[i])
+    span = 2 * np.pi / THETA_POINTS
+    for _ in range(QEP_REFINE_ROUNDS):
+        local = best_theta + np.linspace(-span, span, QEP_REFINE_POINTS)
+        vals = _qep_top_roots(a, rho, local)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, best_theta = float(vals[j]), float(local[j])
+        span *= 2 / (QEP_REFINE_POINTS - 1)
+    return best, THETA_POINTS, QEP_REFINE_ROUNDS
+
+
 def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL) -> RadiusReport:
     """Operator radius w_rho(A) = inf{u > 0 : A/u passes membership at rho}.
 
-    Bracketed by ||A||/rho and the spectral radius from below, and by
-    ||A|| * max(1, 2/rho - 1) from above, then bisected.
+    Scaling A -> A/u moves the kernel at a disk point z = r e^{i theta}
+    only through s = r/u, so w_rho(A) is the maximum over theta of the
+    largest real root mu*(theta) of the quadratic pencil
+    rho mu^2 I - (rho-1) mu (e^{i theta} A + e^{-i theta} A*) + (rho-2) A*A
+    (the norm at rho = 1, the numerical radius at rho = 2).  The bracket
+    [mu - width/2, mu + width/2], floored at the lower bound ||A||/rho, is
+    confirmed at both ends by the kernel disk minimum: below zero at lo
+    (A/lo is not a member) unless lo is that lower bound, at least -tol at
+    hi.  If either end fails, the kernel test is bisected between the
+    nearest confirmed ends instead.
     """
     m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise InputError("radius input must be square")
     if rho <= 0:
         raise InputError("rho must be positive")
+    if width <= 0:
+        raise InputError("width must be positive")
+    start = time.perf_counter()
     norm = op_norm(m)
-    grid_spec = {"theta_points": 512, "tol": tol, "width": width}
+    grid_spec = {"theta_points": 0, "refine_rounds": 0, "kernel_checks": 0, "fallback_steps": 0,
+                 "tol": tol, "width": width}
     if norm == 0.0:
-        return RadiusReport(0.0, 0.0, "kernel-bisection", grid_spec, 0.0)
-    lo = max(spectral_radius(m), norm / rho)
-    hi = norm * max(1.0, 2.0 / rho - 1.0)
+        return RadiusReport(0.0, 0.0, QEP_METHOD, grid_spec, 0.0)
+    mu, grid_spec["theta_points"], grid_spec["refine_rounds"] = _qep_theta_max(m / norm, rho)
+    floor = norm / rho
+    centre = max(mu * norm, floor)
+    lo, hi = max(floor, centre - width / 2), centre + width / 2
+    while hi - lo > width:  # rounding of centre +- width/2
+        hi = math.nextafter(hi, lo)
+
+    def margin(u):
+        grid_spec["kernel_checks"] += 1
+        return kernel_margin(m / u, rho)
 
     def feasible(u):
-        return kernel_margin(m / u, rho) >= -tol
+        return margin(u) >= -tol
 
-    return _bisect_radius(norm, lo, hi, feasible, width, "kernel-bisection", grid_spec)
+    method, fallback = QEP_METHOD, None
+    lo_margin = margin(lo)
+    if lo == floor and lo_margin >= -tol:
+        hi = lo  # w_rho attains its lower bound ||A||/rho
+    elif lo_margin >= 0:
+        fallback = (floor, lo)
+    elif not feasible(hi):
+        fallback = (hi, norm * max(1.0, 2.0 / rho - 1.0))
+    if fallback is not None:
+        checks = grid_spec["kernel_checks"]
+        method = QEP_METHOD + "+kernel-bisection"
+        rep = _bisect_radius(norm, *fallback, feasible, width, method, grid_spec)
+        lo, hi = rep.lo, rep.hi
+        grid_spec["fallback_steps"] = grid_spec["kernel_checks"] - checks
+    return RadiusReport(lo, hi, method, grid_spec, time.perf_counter() - start)
 
 
-def numerical_radius(a, n_theta: int = 512) -> float:
+def numerical_radius(a, n_theta: int = THETA_POINTS) -> float:
     """w(A) = max over directions theta of lambda_max(Re(e^{i theta} A))."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -411,21 +519,32 @@ def sample_commuting_tuples(n_vars: int, budget: int, seed: int = 0, dims=(1, 2,
     return out
 
 
-def _scalar_torus_points(n_vars: int, count: int, radius: float = SCALAR_POINT_RADIUS):
-    """Deterministic spread of torus-scaled scalar points in the polydisk."""
-    pts = []
-    for i in range(count):
-        angles = [2 * np.pi * ((i * (k + 1) * 0.6180339887498949) % 1.0) for k in range(n_vars)]
-        pts.append(np.array([radius * np.exp(1j * t) for t in angles]))
-    return pts
+def _scalar_torus_points(n_vars: int, count: int, radius: float = SCALAR_POINT_RADIUS) -> np.ndarray:
+    """Deterministic spread of torus-scaled scalar points in the polydisk,
+    one point per row."""
+    i = np.arange(count)[:, None]
+    k = np.arange(1, n_vars + 1)[None, :]
+    return radius * np.exp(1j * (2 * np.pi * ((i * k * 0.6180339887498949) % 1.0)))
+
+
+def substitute(a: OperatorTuple, c: OperatorTuple) -> np.ndarray:
+    """The substitution A(C) = sum_k A_k (x) C_k of a tuple C into the pencil."""
+    if c.n_vars != a.n_vars:
+        raise InputError(f"substituted tuple has {c.n_vars} variables, pencil has {a.n_vars}")
+    return sum(np.kron(ak, ck) for ak, ck in zip(a.mats, c.mats))
+
+
+def _pencils(a: OperatorTuple, points: np.ndarray) -> np.ndarray:
+    """zA for every row z of ``points``, stacked."""
+    return np.einsum("pk,kij->pij", points, np.stack(a.mats))
 
 
 # ---------------------------------------------------------------------------
 # tuple membership and radii
 
 
-def _phi_polydisk_sup_pair(a: OperatorTuple, rho: float, n_theta: int = 128,
-                           r_values=(0.9, 0.99, 1 - 1e-4), refine_rounds: int = 2):
+def _phi_polydisk_sup_pair(a: OperatorTuple, rho: float, n_theta: int = PAIR_THETA_POINTS,
+                           r_values=PAIR_R_VALUES, refine_rounds: int = 2):
     """sup over a refined closed-bidisk grid of ||phi(z)|| for a 2-tuple."""
     d = a.dim
     eye = np.eye(d)
@@ -471,23 +590,20 @@ def _phi_polydisk_sup_pair(a: OperatorTuple, rho: float, n_theta: int = 128,
     return best, witness
 
 
-def _phi_sampled_sup(a: OperatorTuple, rho: float, points):
-    """sup of ||phi(z)|| over explicit polydisk points (any N)."""
-    best, witness = -math.inf, None
-    eye = np.eye(a.dim)
-    for z in points:
-        za = eval_pencil(a, z)
-        res = (rho - 1) * za - rho * eye
-        smin = float(np.linalg.svd(res, compute_uv=False)[-1])
-        if smin <= 1e-12:
-            return math.inf, z
-        val = float(np.linalg.norm(za @ np.linalg.inv(res), 2))
-        if val > best:
-            best, witness = val, z
-    return best, witness
+def _phi_sampled_sup(a: OperatorTuple, rho: float, points: np.ndarray):
+    """sup of ||phi(z)|| over the rows of ``points`` (any N), with the first
+    maximizing point; (inf, z) at the first point z that is a pole."""
+    za = _pencils(a, points)
+    res = (rho - 1) * za - rho * np.eye(a.dim)
+    poles = np.flatnonzero(np.linalg.svd(res, compute_uv=False)[:, -1] <= 1e-12)
+    if poles.size:
+        return math.inf, points[poles[0]]
+    vals = np.linalg.svd(za @ np.linalg.inv(res), compute_uv=False)[:, 0]
+    j = int(np.argmax(vals))
+    return float(vals[j]), points[j]
 
 
-def tuple_membership_margin(a: OperatorTuple, rho: float, n_theta: int = 128) -> float:
+def tuple_membership_margin(a: OperatorTuple, rho: float, n_theta: int = PAIR_THETA_POINTS) -> float:
     """Fast polydisk-sup margin (1 - sup||phi||) for a 2-tuple."""
     sup, _ = _phi_polydisk_sup_pair(a, rho, n_theta=n_theta)
     return 1 - sup
@@ -513,8 +629,8 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         decision = IN if margin >= -tol else OUT
         cert = {
             "method": "phi-bidisk-sup",
-            "theta_points": 128,
-            "r_values": [0.9, 0.99, 1 - 1e-4],
+            "theta_points": PAIR_THETA_POINTS,
+            "r_values": list(PAIR_R_VALUES),
             "sup_phi": sup if math.isfinite(sup) else "inf",
             "witness_z": [[z.real, z.imag] for z in np.atleast_1d(np.asarray(witness, dtype=complex))],
             "tol": tol,
@@ -536,8 +652,7 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         return MembershipVerdict(OUT, margin, cert, CERTIFIED)
     worst = margin
     for sample in sample_commuting_tuples(a.n_vars, budget):
-        big = sum(np.kron(ak, ck) for ak, ck in zip(a.mats, sample.base.mats))
-        km = kernel_margin(big, rho)
+        km = kernel_margin(substitute(a, sample.base), rho)
         if km < worst:
             worst = km
         if km < -tol:
@@ -548,10 +663,8 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
 
 def torus_pencil_sup(a: OperatorTuple, n_points: int = 64) -> float:
     """max ||zeta A|| over sampled torus points."""
-    best = 0.0
-    for z in _scalar_torus_points(a.n_vars, n_points, radius=1.0):
-        best = max(best, float(np.linalg.norm(eval_pencil(a, z), 2)))
-    return best
+    za = _pencils(a, _scalar_torus_points(a.n_vars, n_points, radius=1.0))
+    return float(np.linalg.svd(za, compute_uv=False)[:, 0].max())
 
 
 def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
@@ -564,6 +677,8 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
     """
     if rho <= 0:
         raise InputError("rho must be positive")
+    if width <= 0:
+        raise InputError("width must be positive")
     start = time.perf_counter()
     if a.n_vars == 1:
         return w_rho(a.mats[0], rho, width, tol)
@@ -578,12 +693,12 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
         rep = w_rho(eval_pencil(a, z), rho, width, tol)
         lower = max(lower, rep.lo)
     for sample in sample_commuting_tuples(a.n_vars, budget, dims=(2, 3)):
-        big = sum(np.kron(ak, ck) for ak, ck in zip(a.mats, sample.base.mats))
-        rep = w_rho(big, rho, width, tol)
+        rep = w_rho(substitute(a, sample.base), rho, width, tol)
         lower = max(lower, rep.lo)
 
     if a.n_vars == 2:
-        feasible = lambda u: tuple_membership_margin(a.scale(1.0 / u), rho, n_theta=64) >= -tol
+        feasible = lambda u: tuple_membership_margin(a.scale(1.0 / u), rho,
+                                                     n_theta=PAIR_RADIUS_THETA_POINTS) >= -tol
         method = "tuple-bisection-phi-sup"
     else:
         points = _scalar_torus_points(a.n_vars, max(budget * 4, 128))
@@ -595,8 +710,7 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
             if 1 - sup < -tol:
                 return False
             for sample in samples:
-                big = sum(np.kron(ak, ck) for ak, ck in zip(scaled.mats, sample.base.mats))
-                if kernel_margin(big, rho) < -tol:
+                if kernel_margin(substitute(scaled, sample.base), rho) < -tol:
                     return False
             return True
 
@@ -614,8 +728,7 @@ def tuple_numerical_radius(a: OperatorTuple, budget: int = DEFAULT_BUDGET) -> fl
     for z in _scalar_torus_points(a.n_vars, max(16, budget // 2)):
         best = max(best, numerical_radius(eval_pencil(a, z)))
     for sample in sample_commuting_tuples(a.n_vars, budget):
-        big = sum(np.kron(ak, ck) for ak, ck in zip(a.mats, sample.base.mats))
-        best = max(best, numerical_radius(big))
+        best = max(best, numerical_radius(substitute(a, sample.base)))
     return best
 
 
@@ -629,8 +742,7 @@ def tuple_spectral_radius(a: OperatorTuple, n_max: int = 32, budget: int = DEFAU
         nrm = float(np.linalg.norm(p, 2))
         best = max(best, nrm ** (1.0 / n_max) if nrm > 0 else 0.0)
     for sample in sample_commuting_tuples(a.n_vars, budget):
-        big = sum(np.kron(ak, ck) for ak, ck in zip(a.mats, sample.base.mats))
-        p = np.linalg.matrix_power(big, n_max)
+        p = np.linalg.matrix_power(substitute(a, sample.base), n_max)
         nrm = float(np.linalg.norm(p, 2))
         best = max(best, nrm ** (1.0 / n_max) if nrm > 0 else 0.0)
     return best

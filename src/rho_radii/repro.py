@@ -38,6 +38,7 @@ from .radii import (
     membership_single,
     membership_tuple,
     sample_commuting_tuples,
+    substitute,
     tuple_membership_margin,
     w_rho,
 )
@@ -308,7 +309,7 @@ def repro_von_neumann(rho: float, trials: int = 100, seed: int = 0) -> Experimen
     worst_tuple_slack = math.inf
     samples = sample_commuting_tuples(2, 8, seed=seed + 1)
     for sample in samples:
-        big = sum(np.kron(ak, ck) for ak, ck in zip(pair.mats, sample.base.mats))
+        big = substitute(pair, sample.base)
         for _ in range(4):
             deg = int(rng.integers(1, 6))
             coeffs = (rng.uniform(0, 1, deg + 1) ** 0.5) * np.exp(
@@ -439,7 +440,7 @@ def radius_property_suite(seeds: int = 50, dims=(2, 3, 4), rho_set=(0.25, 0.5, 1
         if tuple_membership_margin(t, r, n_theta=64) < -tol:
             continue
         for sample in sample_commuting_tuples(2, 4, seed=s + 1, dims=(2, 3)):
-            big = sum(np.kron(ak, ck) for ak, ck in zip(t.mats, sample.base.mats))
+            big = substitute(t, sample.base)
             p = np.eye(big.shape[0], dtype=complex)
             for _ in range(8):
                 p = p @ big

@@ -8,10 +8,8 @@ from rho_radii.linalg import (
     Embedding,
     as_matrix,
     compress,
-    kron,
     min_eig_hermitian,
     op_norm,
-    power_limit_radius,
     spectral_radius,
 )
 
@@ -79,18 +77,6 @@ def test_spectral_radius_triangular():
     assert spectral_radius(t) == pytest.approx(0.7, abs=1e-12)
     n = np.array([[0, 1], [0, 0]])
     assert spectral_radius(n) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_power_limit_agrees_with_spectral_radius():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 4))
-    assert power_limit_radius(a, 512) == pytest.approx(spectral_radius(a), rel=0.02)
-
-
-def test_kron_mixed_product_identity():
-    rng = np.random.default_rng(5)
-    a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-    np.testing.assert_allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
 
 
 def test_embedding_orthonormality_enforced():

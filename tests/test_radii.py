@@ -1,14 +1,19 @@
 """Membership decisions and radius computations."""
 
+import math
+
 import numpy as np
 import pytest
 
+from rho_radii import radii
 from rho_radii.errors import InputError
 from rho_radii.linalg import op_norm, spectral_radius
-from rho_radii.pencil import OperatorTuple
+from rho_radii.pencil import OperatorTuple, eval_pencil
 from rho_radii.radii import (
     IN,
     OUT,
+    _phi_sampled_sup,
+    _scalar_torus_points,
     kernel_margin,
     membership_single,
     membership_single_all_conditions,
@@ -16,6 +21,7 @@ from rho_radii.radii import (
     numerical_radius,
     sample_commuting_tuple,
     sample_commuting_tuples,
+    substitute,
     torus_pencil_sup,
     tuple_numerical_radius,
     tuple_spectral_radius,
@@ -53,6 +59,14 @@ def test_scalar_boundary_cases():
 def test_membership_rejects_bad_rho():
     with pytest.raises(InputError):
         membership_single(NILP, 0.0)
+
+
+def test_radii_reject_nonpositive_width():
+    # with a zero width the bisection could never stop
+    with pytest.raises(InputError):
+        w_rho(NILP, 2.0, width=0.0)
+    with pytest.raises(InputError):
+        w_rho_tuple(OperatorTuple((NILP, NILP)), 2.0, width=0.0)
 
 
 def test_kernel_margin_matches_verdict_margin():
@@ -211,3 +225,116 @@ def test_torus_pencil_sup_unitary_pair():
     from rho_radii.dilation import unitary_pencil_pair
 
     assert torus_pencil_sup(unitary_pencil_pair(4)) == pytest.approx(1.0, abs=1e-9)
+
+
+def _shift(n):
+    s = np.zeros((n, n))
+    s[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return s
+
+
+def _random_matrix(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _assert_bracket_confirmed(a, rho, rep, tol=1e-9):
+    """hi passes the kernel test; the kernel is negative somewhere at lo,
+    unless lo is the lower bound ||A||/rho."""
+    assert rep.hi - rep.lo <= 1e-6
+    assert kernel_margin(a / rep.hi, rho) >= -tol
+    assert rep.lo == op_norm(a) / rho or kernel_margin(a / rep.lo, rho) < 0
+
+
+def test_w_rho_bracket_ends_confirmed_by_kernel():
+    rng = np.random.default_rng(11)
+    for d in range(1, 9):
+        a = _random_matrix(rng, d)
+        for rho in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
+            rep = w_rho(a, rho)
+            _assert_bracket_confirmed(a, rho, rep)
+            spec = rep.grid_spec
+            assert spec["fallback_steps"] == 0, (d, rho, spec)
+            assert spec["kernel_checks"] <= 2
+            assert spec["theta_points"] == (1 if rho == 1.0 else radii.THETA_POINTS)
+            assert rep.method == radii.QEP_METHOD
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_w_rho_fallback_bisection_on_wrong_theta_max(monkeypatch, factor):
+    # A theta maximum that is too low fails the check at hi, one that is
+    # too high fails it at lo; either way the kernel test is bisected.
+    rng = np.random.default_rng(12)
+    a = _random_matrix(rng, 3)
+    exact = {rho: w_rho(a, rho) for rho in (0.5, 2.0, 3.0)}
+    qep = radii._qep_theta_max
+    monkeypatch.setattr(radii, "_qep_theta_max",
+                        lambda m, rho: (factor * qep(m, rho)[0],) + qep(m, rho)[1:])
+    for rho, ref in exact.items():
+        rep = w_rho(a, rho)
+        _assert_bracket_confirmed(a, rho, rep)
+        assert rep.grid_spec["fallback_steps"] > 0
+        assert rep.method.endswith("+kernel-bisection")
+        assert rep.mid == pytest.approx(ref.mid, abs=1e-6)
+
+
+def test_w_rho_shift_above_dim_64():
+    # w_2 of the n x n shift is cos(pi / (n + 1)), below its spectral bound 1
+    s = _shift(65)
+    rep = w_rho(s, 2.0)
+    assert rep.mid == pytest.approx(numerical_radius(s), abs=1e-6)
+    assert rep.mid == pytest.approx(math.cos(math.pi / 66), abs=1e-6)
+
+
+def _phi_sup_point_loop(a, rho, points):
+    """Per-point reference for the sampled supremum of ||phi||."""
+    best, witness = -math.inf, None
+    eye = np.eye(a.dim)
+    for z in points:
+        za = eval_pencil(a, z)
+        res = (rho - 1) * za - rho * eye
+        if np.linalg.svd(res, compute_uv=False)[-1] <= 1e-12:
+            return math.inf, z
+        val = float(np.linalg.norm(za @ np.linalg.inv(res), 2))
+        if val > best:
+            best, witness = val, z
+    return best, witness
+
+
+def test_phi_sampled_sup_matches_point_loop():
+    rng = np.random.default_rng(13)
+    points = _scalar_torus_points(3, 256)
+    for seed in range(8):
+        d = 2 + seed % 3
+        a = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(3)))
+        for rho in (0.5, 2.0, 3.0):
+            val, wit = _phi_sampled_sup(a, rho, points)
+            ref_val, ref_wit = _phi_sup_point_loop(a, rho, points)
+            assert val == pytest.approx(ref_val, rel=1e-12)
+            np.testing.assert_array_equal(wit, ref_wit)
+
+
+def test_phi_sampled_sup_pole_point():
+    # zA has the double eigenvalue 2 z_1 + 0.1 z_3, so (rho-1) zA - rho I is
+    # singular at rho = 2 where z_1 = 1 and z_3 = 0
+    a = OperatorTuple((2.0 * np.eye(2), 0.3 * NILP, 0.1 * np.eye(2)))
+    points = _scalar_torus_points(3, 16, radius=0.9)
+    points[5] = points[11] = (1.0, 0.5j, 0.0)
+    val, wit = _phi_sampled_sup(a, 2.0, points)
+    ref_val, ref_wit = _phi_sup_point_loop(a, 2.0, points)
+    assert val == ref_val == math.inf
+    np.testing.assert_array_equal(wit, points[5])
+    np.testing.assert_array_equal(wit, ref_wit)
+
+
+def test_substitute_mixed_product_identity():
+    rng = np.random.default_rng(5)
+    a, b, c, d = (OperatorTuple((_random_matrix(rng, 2),)) for _ in range(4))
+    ac, bd = OperatorTuple((a[0] @ c[0],)), OperatorTuple((b[0] @ d[0],))
+    np.testing.assert_allclose(substitute(a, b) @ substitute(c, d), substitute(ac, bd), atol=1e-12)
+    # scalar substitutions give the pencil
+    pair = OperatorTuple((_random_matrix(rng, 3), _random_matrix(rng, 3)))
+    z = np.array([0.3 - 0.2j, -0.7j])
+    scalars = OperatorTuple(tuple(np.array([[zk]]) for zk in z))
+    np.testing.assert_allclose(substitute(pair, scalars), eval_pencil(pair, z), atol=1e-15)
+    with pytest.raises(InputError):
+        substitute(pair, OperatorTuple((np.eye(1),)))
