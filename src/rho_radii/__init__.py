@@ -36,7 +36,6 @@ from .pencil import (
     word_product,
 )
 from .radii import (
-    CommutingTuple,
     MembershipVerdict,
     RadiusReport,
     kernel_margin,
@@ -44,6 +43,7 @@ from .radii import (
     membership_single_all_conditions,
     membership_tuple,
     numerical_radius,
+    phi_sup,
     sample_commuting_tuple,
     sample_commuting_tuples,
     substitute,

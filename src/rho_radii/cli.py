@@ -32,20 +32,6 @@ from .repro import EXPERIMENTS
 from .serialize import embedding_from_json, load_operator_input, matrix_from_json
 
 
-def _configure_threads() -> None:
-    """Honor RHO_RADII_THREADS (0 or unset = auto) for BLAS backends."""
-    raw = os.environ.get("RHO_RADII_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"RHO_RADII_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise InputError("RHO_RADII_THREADS must be >= 0")
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def _load_embedding(path):
     with open(path) as fh:
         return embedding_from_json(json.load(fh))
@@ -212,7 +198,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _configure_threads()
         return args.fn(args)
     except InputError as exc:
         sys.stderr.write(json.dumps({"error": "input", "message": str(exc)}) + "\n")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, InternalError
 from .linalg import as_matrix, op_norm
-from .pencil import OperatorTuple, eval_pencil
+from .pencil import COMMUTE_TOL, OperatorTuple, eval_pencil
 
 IN = "In"
 OUT = "Out"
@@ -46,17 +46,15 @@ THETA_POINTS = 512
 INTERIOR_R_POINTS = 64
 INTERIOR_THETA_POINTS = 128
 
-#: Bidisk grid of the pair supremum: angles per variable and radii.
-PAIR_THETA_POINTS = 128
-PAIR_R_VALUES = (0.9, 0.99, 1 - 1e-4)
-#: Coarser angle grid of the pair test inside the pair radius bisection.
-PAIR_RADIUS_THETA_POINTS = 64
+#: Angles per variable of the torus grid that finds the worst slice
+#: A_1 + w A_2 of a pair.
+PAIR_TORUS_POINTS = 64
 
 #: Local theta refinements of the quadratic eigenproblem: rounds, and angles
 #: per round spanning +- one spacing of the previous grid.
 QEP_REFINE_ROUNDS = 3
 QEP_REFINE_POINTS = 17
-#: Angles per batched companion eigen-solve, so that memory stays at
+#: Torus points per batched companion eigen-solve, so that memory stays at
 #: QEP_CHUNK (2d)^2 entries whatever the grid size.
 QEP_CHUNK = 64
 #: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
@@ -111,27 +109,6 @@ class RadiusReport:
             "grid_spec": self.grid_spec,
             "wall_time_s": self.wall_time,
         }
-
-
-@dataclass(frozen=True)
-class CommutingTuple:
-    """An operator tuple with a recorded commutation certificate."""
-
-    base: OperatorTuple
-    commutator_residual: float
-    max_norm: float
-
-    def __post_init__(self):
-        if self.commutator_residual > 1e-10:
-            raise InputError(
-                f"commutator residual {self.commutator_residual:.3e} exceeds 1e-10"
-            )
-        if self.max_norm >= 1:
-            raise InputError("commuting tuple must consist of strict contractions")
-
-    @staticmethod
-    def from_tuple(t: OperatorTuple) -> "CommutingTuple":
-        return CommutingTuple(t, t.commutator_residual(), t.max_norm())
 
 
 # ---------------------------------------------------------------------------
@@ -340,49 +317,63 @@ def _bisect_radius(norm, lo, hi, feasible, width, method, grid_spec) -> RadiusRe
     return RadiusReport(lo, hi, method, grid_spec, time.perf_counter() - start)
 
 
-def _qep_top_roots(a: np.ndarray, rho: float, thetas: np.ndarray) -> np.ndarray:
-    """Largest real root mu*(theta) of the quadratic pencil
-    rho mu^2 I - (rho-1) mu (e^{i theta} A + e^{-i theta} A*) + (rho-2) A*A
-    at each angle (-inf where no root is real), from batched eigenvalues of
-    its 2d x 2d companion matrix [[0, I], [-(rho-2)/rho A*A, (rho-1)/rho H]]."""
-    d = a.shape[0]
-    ah = a.conj().T
-    comp = np.zeros((min(QEP_CHUNK, len(thetas)), 2 * d, 2 * d), dtype=complex)
+def _qep_top_roots(za: np.ndarray, rho: float, gram: np.ndarray | None = None) -> np.ndarray:
+    """Largest real root mu*(zeta) of the quadratic pencil
+    rho mu^2 I - (rho-1) mu (zeta A + (zeta A)*) + (rho-2) (zeta A)*(zeta A)
+    for each pencil value zeta A in the stack ``za`` (-inf where no root is
+    real), from batched eigenvalues of the 2d x 2d companion matrix
+    [[0, I], [-(rho-2)/rho G, (rho-1)/rho H]].  ``gram`` is G when it is
+    the same at every point (A*A for a single operator on the circle);
+    otherwise G is formed per point."""
+    d = za.shape[1]
+    zah = za.conj().transpose(0, 2, 1)
+    comp = np.zeros((len(za), 2 * d, 2 * d), dtype=complex)
     comp[:, :d, d:] = np.eye(d)
-    comp[:, d:, :d] = -(rho - 2) / rho * (ah @ a)
-    out = np.empty(len(thetas))
-    for i in range(0, len(thetas), QEP_CHUNK):
-        phases = np.exp(1j * thetas[i:i + QEP_CHUNK])[:, None, None]
-        n = len(phases)
-        comp[:n, d:, d:] = (rho - 1) / rho * (phases * a + phases.conj() * ah)
-        roots = np.linalg.eigvals(comp[:n])
-        real = np.abs(roots.imag) <= QEP_REAL_TOL * (1 + np.abs(roots.real))
-        out[i:i + n] = np.where(real, roots.real, -np.inf).max(axis=1)
-    return out
+    comp[:, d:, :d] = -(rho - 2) / rho * (zah @ za if gram is None else gram)
+    comp[:, d:, d:] = (rho - 1) / rho * (za + zah)
+    roots = np.linalg.eigvals(comp)
+    real = np.abs(roots.imag) <= QEP_REAL_TOL * (1 + np.abs(roots.real))
+    return np.where(real, roots.real, -np.inf).max(axis=1)
 
 
-def _qep_theta_max(a: np.ndarray, rho: float):
-    """(max over theta of mu*(theta), theta points, refinement rounds).
+def _qep_theta_max(a: OperatorTuple, rho: float):
+    """Maximum over the torus of mu*(zeta) for N = 1 or 2.
 
-    A grid of THETA_POINTS angles, then QEP_REFINE_ROUNDS local grids
-    around the best angle, each spanning +- one spacing of the grid before.
-    At rho = 1 the pencil mu^2 I - A*A does not depend on theta.
+    Returns (maximum, slice phase w* = zeta_2/zeta_1 at the maximiser (1 for
+    N = 1), grid points per axis, refinement rounds, companion solves).  The
+    grid has THETA_POINTS angles for N = 1 and PAIR_TORUS_POINTS per axis
+    for N = 2; QEP_REFINE_ROUNDS local grids of QEP_REFINE_POINTS per axis
+    follow around the best point, each spanning +- one spacing of the grid
+    before.  At rho = 1 the pencil mu^2 I - (zeta A)*(zeta A) does not see
+    the phase of zeta_1, so the first axis is the single angle 0.
     """
-    if rho == 1:
-        return float(_qep_top_roots(a, rho, np.zeros(1))[0]), 1, 0
-    thetas = np.linspace(0, 2 * np.pi, THETA_POINTS, endpoint=False)
-    vals = _qep_top_roots(a, rho, thetas)
-    i = int(np.argmax(vals))
-    best, best_theta = float(vals[i]), float(thetas[i])
-    span = 2 * np.pi / THETA_POINTS
-    for _ in range(QEP_REFINE_ROUNDS):
-        local = best_theta + np.linspace(-span, span, QEP_REFINE_POINTS)
-        vals = _qep_top_roots(a, rho, local)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best, best_theta = float(vals[j]), float(local[j])
+    n = THETA_POINTS if a.n_vars == 1 else PAIR_TORUS_POINTS
+    grid = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    axes = [np.zeros(1) if rho == 1 else grid] + [grid] * (a.n_vars - 1)
+    gram = a[0].conj().T @ a[0] if a.n_vars == 1 else None
+
+    def grid_max(axes):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.exp(1j * np.stack([m.ravel() for m in mesh], axis=1))
+        vals = np.concatenate([_qep_top_roots(_pencils(a, points[i:i + QEP_CHUNK]), rho, gram)
+                               for i in range(0, len(points), QEP_CHUNK)])
+        i = int(np.argmax(vals))
+        idx = np.unravel_index(i, [len(ax) for ax in axes])
+        return float(vals[i]), [float(ax[j]) for ax, j in zip(axes, idx)], len(points)
+
+    best, best_angles, solves = grid_max(axes)
+    rounds = QEP_REFINE_ROUNDS if any(len(ax) > 1 for ax in axes) else 0
+    span = 2 * np.pi / n
+    for _ in range(rounds):
+        local = [t + np.linspace(-span, span, QEP_REFINE_POINTS) if len(ax) > 1 else ax
+                 for t, ax in zip(best_angles, axes)]
+        val, angles, count = grid_max(local)
+        solves += count
+        if val > best:
+            best, best_angles = val, angles
         span *= 2 / (QEP_REFINE_POINTS - 1)
-    return best, THETA_POINTS, QEP_REFINE_ROUNDS
+    w = complex(np.exp(1j * (best_angles[1] - best_angles[0]))) if a.n_vars == 2 else 1.0
+    return best, w, [len(ax) for ax in axes], rounds, solves
 
 
 def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL) -> RadiusReport:
@@ -412,7 +403,8 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL)
                  "tol": tol, "width": width}
     if norm == 0.0:
         return RadiusReport(0.0, 0.0, QEP_METHOD, grid_spec, 0.0)
-    mu, grid_spec["theta_points"], grid_spec["refine_rounds"] = _qep_theta_max(m / norm, rho)
+    mu, _, (grid_spec["theta_points"],), grid_spec["refine_rounds"], _ = _qep_theta_max(
+        OperatorTuple((m / norm,)), rho)
     floor = norm / rho
     centre = max(mu * norm, floor)
     lo, hi = max(floor, centre - width / 2), centre + width / 2
@@ -467,7 +459,7 @@ def numerical_radius(a, n_theta: int = THETA_POINTS) -> float:
 # sampling of commuting tuples
 
 
-def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = NORM_CAP) -> CommutingTuple:
+def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = NORM_CAP) -> OperatorTuple:
     """One deterministic commuting tuple of strict contractions.
 
     Even seeds draw from the simultaneously-diagonalizable (normal) family;
@@ -507,7 +499,13 @@ def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = N
         if nrm > norm_cap:
             m = m * (norm_cap / nrm)
         capped.append(m)
-    return CommutingTuple.from_tuple(OperatorTuple(tuple(capped)))
+    t = OperatorTuple(tuple(capped))
+    residual = t.commutator_residual()
+    if residual > COMMUTE_TOL:
+        raise InternalError(f"sampled tuple has commutator residual {residual:.3e}")
+    if t.max_norm() >= 1:
+        raise InternalError("sampled tuple is not a strict contraction")
+    return t
 
 
 def sample_commuting_tuples(n_vars: int, budget: int, seed: int = 0, dims=(1, 2, 3, 4), norm_cap: float = NORM_CAP):
@@ -535,64 +533,18 @@ def substitute(a: OperatorTuple, c: OperatorTuple) -> np.ndarray:
 
 
 def _pencils(a: OperatorTuple, points: np.ndarray) -> np.ndarray:
-    """zA for every row z of ``points``, stacked."""
-    return np.einsum("pk,kij->pij", points, np.stack(a.mats))
+    """zA for every row z of ``points``, stacked, summed in the order of
+    eval_pencil (so that one variable gives exactly z A_1)."""
+    return sum(points[:, k, None, None] * m for k, m in enumerate(a.mats))
 
 
 # ---------------------------------------------------------------------------
 # tuple membership and radii
 
 
-def _phi_polydisk_sup_pair(a: OperatorTuple, rho: float, n_theta: int = PAIR_THETA_POINTS,
-                           r_values=PAIR_R_VALUES, refine_rounds: int = 2):
-    """sup over a refined closed-bidisk grid of ||phi(z)|| for a 2-tuple."""
-    d = a.dim
-    eye = np.eye(d)
-    m1, m2 = a.mats
-
-    def sup_on(z1s, z2s):
-        zz1, zz2 = np.meshgrid(z1s, z2s, indexing="ij")
-        za = zz1.ravel()[:, None, None] * m1 + zz2.ravel()[:, None, None] * m2
-        res = (rho - 1) * za - rho * eye
-        try:
-            phi = za @ np.linalg.inv(res)
-        except np.linalg.LinAlgError:
-            return math.inf, (0.0, 0.0)
-        if not np.all(np.isfinite(phi)):
-            return math.inf, (0.0, 0.0)
-        s = np.linalg.svd(phi, compute_uv=False)[:, 0]
-        j = int(np.argmax(s))
-        return float(s[j]), (complex(zz1.ravel()[j]), complex(zz2.ravel()[j]))
-
-    thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
-    best, witness = -math.inf, (0.0, 0.0)
-    for r in r_values:
-        val, wit = sup_on(r * np.exp(1j * thetas), r * np.exp(1j * thetas))
-        if val > best:
-            best, witness = val, wit
-    if not math.isfinite(best):
-        return best, witness
-    # refine near the maximizer, pushing the radius toward the torus
-    span = 2 * np.pi / n_theta
-    t1 = float(np.angle(witness[0]))
-    t2 = float(np.angle(witness[1]))
-    for _ in range(refine_rounds):
-        loc1 = t1 + np.linspace(-span, span, 17)
-        loc2 = t2 + np.linspace(-span, span, 17)
-        r = 1 - 1e-6
-        val, wit = sup_on(r * np.exp(1j * loc1), r * np.exp(1j * loc2))
-        if val > best:
-            best, witness = val, wit
-        if not math.isfinite(best):
-            return best, witness
-        t1, t2 = float(np.angle(witness[0])), float(np.angle(witness[1]))
-        span *= 0.15
-    return best, witness
-
-
-def _phi_sampled_sup(a: OperatorTuple, rho: float, points: np.ndarray):
-    """sup of ||phi(z)|| over the rows of ``points`` (any N), with the first
-    maximizing point; (inf, z) at the first point z that is a pole."""
+def phi_sup(a: OperatorTuple, rho: float, points: np.ndarray):
+    """sup of ||phi(zA)|| over the rows z of ``points`` (any N), with the
+    first maximizing point; (inf, z) at the first point z that is a pole."""
     za = _pencils(a, points)
     res = (rho - 1) * za - rho * np.eye(a.dim)
     poles = np.flatnonzero(np.linalg.svd(res, compute_uv=False)[:, -1] <= 1e-12)
@@ -603,10 +555,14 @@ def _phi_sampled_sup(a: OperatorTuple, rho: float, points: np.ndarray):
     return float(vals[j]), points[j]
 
 
-def tuple_membership_margin(a: OperatorTuple, rho: float, n_theta: int = PAIR_THETA_POINTS) -> float:
-    """Fast polydisk-sup margin (1 - sup||phi||) for a 2-tuple."""
-    sup, _ = _phi_polydisk_sup_pair(a, rho, n_theta=n_theta)
-    return 1 - sup
+def _worst_slice(a: OperatorTuple, rho: float):
+    """The slice A_1 + w A_2 of a pair whose w_rho is largest on the torus
+    grid of the quadratic eigenproblem, and how it was found."""
+    scale = sum(op_norm(m) for m in a.mats) or 1.0
+    _, w, axes, rounds, solves = _qep_theta_max(a.scale(1 / scale), rho)
+    spec = {"torus_points": axes, "torus_refine_rounds": rounds, "qep_solves": solves,
+            "slice_w": [w.real, w.imag]}
+    return a[0] + w * a[1], spec
 
 
 def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
@@ -614,32 +570,33 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     """Decide membership of an operator tuple at level rho.
 
     N = 1 delegates to the single-operator test.  N = 2 is decided by the
-    polydisk supremum of ||phi|| (exact for pairs: the two-variable von
-    Neumann inequality makes the polydisk sup control all commuting
-    substitutions).  N >= 3 combines the polydisk sup (necessary) with
-    sampled commuting tuples; a passing verdict is then NecessaryOnly.
+    single-operator test of its worst torus slice A_1 + w A_2, |w| = 1.
+    This is exact for pairs: by the two-variable von Neumann inequality
+    (Ando) membership is sup ||phi(zA)|| <= 1 on the closed bidisk, and by
+    the maximum principle that holds iff every slice is a member.  If every
+    slice is, the spectral radius of zA is at most 1 on the torus, hence on
+    the bidisk (it is plurisubharmonic), while a pole of phi needs the
+    eigenvalue rho/(rho-1) of zA, of modulus above 1 for rho > 1.  For
+    rho < 1 member slices have ||zA|| <= rho, which excludes poles the same
+    way; at rho = 1, phi = -zA has none.  N >= 3 combines the polydisk sup
+    (necessary) with sampled commuting tuples; a passing verdict is then
+    NecessaryOnly.
     """
     if rho <= 0:
         raise InputError("rho must be positive")
     if a.n_vars == 1:
         return membership_single(a.mats[0], rho, tol)
     if a.n_vars == 2:
-        sup, witness = _phi_polydisk_sup_pair(a, rho)
-        margin = 1 - sup
-        decision = IN if margin >= -tol else OUT
-        cert = {
-            "method": "phi-bidisk-sup",
-            "theta_points": PAIR_THETA_POINTS,
-            "r_values": list(PAIR_R_VALUES),
-            "sup_phi": sup if math.isfinite(sup) else "inf",
-            "witness_z": [[z.real, z.imag] for z in np.atleast_1d(np.asarray(witness, dtype=complex))],
-            "tol": tol,
-        }
-        return MembershipVerdict(decision, margin, cert, CERTIFIED)
+        b, spec = _worst_slice(a, rho)
+        v = membership_single(b, rho, tol)
+        z, w = complex(*v.certificate["witness_z"]), complex(*spec["slice_w"])
+        cert = {**v.certificate, **spec, "method": "torus-slice+" + v.certificate["method"],
+                "witness_z": [[z.real, z.imag], [(z * w).real, (z * w).imag]]}
+        return MembershipVerdict(v.decision, v.margin, cert, CERTIFIED)
 
     # N >= 3: polydisk sampling is necessary-only; Out is still certified
     points = _scalar_torus_points(a.n_vars, max(budget * 4, 128))
-    sup, witness = _phi_sampled_sup(a, rho, points)
+    sup, witness = phi_sup(a, rho, points)
     margin = 1 - sup
     cert = {
         "method": "phi-polydisk-sample+commuting-substitution",
@@ -652,11 +609,11 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         return MembershipVerdict(OUT, margin, cert, CERTIFIED)
     worst = margin
     for sample in sample_commuting_tuples(a.n_vars, budget):
-        km = kernel_margin(substitute(a, sample.base), rho)
+        km = kernel_margin(substitute(a, sample), rho)
         if km < worst:
             worst = km
         if km < -tol:
-            cert["witness_sample_dim"] = sample.base.dim
+            cert["witness_sample_dim"] = sample.dim
             return MembershipVerdict(OUT, km, cert, CERTIFIED)
     return MembershipVerdict(IN, worst, cert, NECESSARY_ONLY)
 
@@ -669,11 +626,13 @@ def torus_pencil_sup(a: OperatorTuple, n_points: int = 64) -> float:
 
 def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
                 budget: int = 16, tol: float = DEFAULT_TOL) -> RadiusReport:
-    """Tuple radius bracket via sup over commuting substitutions.
+    """Tuple radius bracket.
 
-    Lower bound: max of w_rho over sampled substitutions (scalar polydisk
-    points always included).  Upper bound: bisection over the tuple
-    membership test; certified for N <= 2, necessary-only for N >= 3.
+    N = 2: w_rho of the worst torus slice A_1 + w A_2 (see membership_tuple).
+    Its lo is proven, since a slice that is not a member makes the pair not
+    a member; its hi rests on the torus grid.  N >= 3: a lower bound from
+    w_rho of sampled substitutions (scalar polydisk points always included),
+    then bisection over the necessary-only tuple test.
     """
     if rho <= 0:
         raise InputError("rho must be positive")
@@ -682,6 +641,11 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
     start = time.perf_counter()
     if a.n_vars == 1:
         return w_rho(a.mats[0], rho, width, tol)
+    if a.n_vars == 2:
+        b, spec = _worst_slice(a, rho)
+        rep = w_rho(b, rho, width, tol)
+        return RadiusReport(rep.lo, rep.hi, "torus-slice+" + rep.method, {**rep.grid_spec, **spec},
+                            time.perf_counter() - start)
 
     norm_sum = sum(op_norm(m) for m in a.mats)
     grid_spec = {"budget": budget, "width": width, "tol": tol}
@@ -692,30 +656,24 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
     for z in _scalar_torus_points(a.n_vars, max(8, budget)):
         rep = w_rho(eval_pencil(a, z), rho, width, tol)
         lower = max(lower, rep.lo)
-    for sample in sample_commuting_tuples(a.n_vars, budget, dims=(2, 3)):
-        rep = w_rho(substitute(a, sample.base), rho, width, tol)
+    samples = sample_commuting_tuples(a.n_vars, budget, dims=(2, 3))
+    for sample in samples:
+        rep = w_rho(substitute(a, sample), rho, width, tol)
         lower = max(lower, rep.lo)
 
-    if a.n_vars == 2:
-        feasible = lambda u: tuple_membership_margin(a.scale(1.0 / u), rho,
-                                                     n_theta=PAIR_RADIUS_THETA_POINTS) >= -tol
-        method = "tuple-bisection-phi-sup"
-    else:
-        points = _scalar_torus_points(a.n_vars, max(budget * 4, 128))
-        samples = sample_commuting_tuples(a.n_vars, budget, dims=(2, 3))
+    points = _scalar_torus_points(a.n_vars, max(budget * 4, 128))
 
-        def feasible(u):
-            scaled = a.scale(1.0 / u)
-            sup, _ = _phi_sampled_sup(scaled, rho, points)
-            if 1 - sup < -tol:
+    def feasible(u):
+        scaled = a.scale(1.0 / u)
+        sup, _ = phi_sup(scaled, rho, points)
+        if 1 - sup < -tol:
+            return False
+        for sample in samples:
+            if kernel_margin(substitute(scaled, sample), rho) < -tol:
                 return False
-            for sample in samples:
-                if kernel_margin(substitute(scaled, sample.base), rho) < -tol:
-                    return False
-            return True
+        return True
 
-        method = "tuple-bisection-necessary-only"
-
+    method = "tuple-bisection-necessary-only"
     lo = max(lower, torus_pencil_sup(a) / rho)
     hi = max(lo * (1 + 1e-12), norm_sum * max(1.0, 2.0 / rho - 1.0))
     rep = _bisect_radius(norm_sum, lo, hi, feasible, width, method, grid_spec)
@@ -728,7 +686,7 @@ def tuple_numerical_radius(a: OperatorTuple, budget: int = DEFAULT_BUDGET) -> fl
     for z in _scalar_torus_points(a.n_vars, max(16, budget // 2)):
         best = max(best, numerical_radius(eval_pencil(a, z)))
     for sample in sample_commuting_tuples(a.n_vars, budget):
-        best = max(best, numerical_radius(substitute(a, sample.base)))
+        best = max(best, numerical_radius(substitute(a, sample)))
     return best
 
 
@@ -742,7 +700,7 @@ def tuple_spectral_radius(a: OperatorTuple, n_max: int = 32, budget: int = DEFAU
         nrm = float(np.linalg.norm(p, 2))
         best = max(best, nrm ** (1.0 / n_max) if nrm > 0 else 0.0)
     for sample in sample_commuting_tuples(a.n_vars, budget):
-        p = np.linalg.matrix_power(substitute(a, sample.base), n_max)
+        p = np.linalg.matrix_power(substitute(a, sample), n_max)
         nrm = float(np.linalg.norm(p, 2))
         best = max(best, nrm ** (1.0 / n_max) if nrm > 0 else 0.0)
     return best

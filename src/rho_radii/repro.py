@@ -33,13 +33,12 @@ from .pencil import OperatorTuple, eval_pencil, k_rho_kernel
 from .radii import (
     IN,
     OUT,
-    _phi_polydisk_sup_pair,
     kernel_margin,
     membership_single,
     membership_tuple,
+    phi_sup,
     sample_commuting_tuples,
     substitute,
-    tuple_membership_margin,
     w_rho,
 )
 
@@ -171,8 +170,11 @@ def repro_nonsimilar_pair(rho: float, eps: float | None = None) -> ExperimentRep
             worst_cube = max(worst_cube, float(np.abs(cube(za)).max()))
     report.add("pencil cube vanishes exactly", 0.0, worst_cube, 0.0, worst_cube == 0.0, "PAPER")
 
-    # (2) the eps = 0 transform sup over the closed bidisk
-    sup0, _ = _phi_polydisk_sup_pair(pair0, rho)
+    # (2) the eps = 0 transform sup over the closed bidisk, reached on the
+    # torus (maximum principle; the pencil is nilpotent, so phi has no pole)
+    angles = 2 * np.pi * np.arange(128) / 128
+    t1, t2 = np.meshgrid(angles, angles, indexing="ij")
+    sup0, _ = phi_sup(pair0, rho, np.exp(1j * np.stack([t1.ravel(), t2.ravel()], axis=1)))
     bound = (2 * rho - 1) / rho**2
     report.add_le("phi sup over bidisk, eps = 0", sup0, bound, 1e-9, "PAPER")
 
@@ -309,7 +311,7 @@ def repro_von_neumann(rho: float, trials: int = 100, seed: int = 0) -> Experimen
     worst_tuple_slack = math.inf
     samples = sample_commuting_tuples(2, 8, seed=seed + 1)
     for sample in samples:
-        big = substitute(pair, sample.base)
+        big = substitute(pair, sample)
         for _ in range(4):
             deg = int(rng.integers(1, 6))
             coeffs = (rng.uniform(0, 1, deg + 1) ** 0.5) * np.exp(
@@ -437,10 +439,10 @@ def radius_property_suite(seeds: int = 50, dims=(2, 3, 4), rho_set=(0.25, 0.5, 1
         r = rho_set[s % len(rho_set)]
         cap = sum(op_norm(x) for x in t.mats) * max(1.0, 2.0 / r - 1.0)
         t = t.scale(0.98 / cap)
-        if tuple_membership_margin(t, r, n_theta=64) < -tol:
+        if membership_tuple(t, r, tol).decision == OUT:
             continue
         for sample in sample_commuting_tuples(2, 4, seed=s + 1, dims=(2, 3)):
-            big = substitute(t, sample.base)
+            big = substitute(t, sample)
             p = np.eye(big.shape[0], dtype=complex)
             for _ in range(8):
                 p = p @ big

@@ -148,15 +148,3 @@ def test_exit_code_bad_sweep_range(nilp, capsys):
         "sweep", "--rho-from", "2", "--rho-to", "1", "--steps", "3", "--input", nilp,
     ])
     assert code == 2
-
-
-def test_threads_env_rejected_when_malformed(nilp, capsys, monkeypatch):
-    monkeypatch.setenv("RHO_RADII_THREADS", "lots")
-    code, _, err = _run(capsys, ["numrad", "--input", nilp])
-    assert code == 2
-
-
-def test_threads_env_accepted(nilp, capsys, monkeypatch):
-    monkeypatch.setenv("RHO_RADII_THREADS", "1")
-    code, out, _ = _run(capsys, ["numrad", "--input", nilp])
-    assert code == 0

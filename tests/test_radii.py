@@ -12,13 +12,13 @@ from rho_radii.pencil import OperatorTuple, eval_pencil
 from rho_radii.radii import (
     IN,
     OUT,
-    _phi_sampled_sup,
     _scalar_torus_points,
     kernel_margin,
     membership_single,
     membership_single_all_conditions,
     membership_tuple,
     numerical_radius,
+    phi_sup,
     sample_commuting_tuple,
     sample_commuting_tuples,
     substitute,
@@ -148,15 +148,15 @@ def test_all_conditions_agree():
 def test_sampled_tuples_commute_and_contract():
     for seed in range(6):
         ct = sample_commuting_tuple(3, 2, seed)
-        assert ct.commutator_residual < 1e-10
-        assert ct.max_norm < 1.0
+        assert ct.commutator_residual() < 1e-10
+        assert ct.max_norm() < 1.0
 
 
 def test_sample_batch_deterministic():
     b1 = sample_commuting_tuples(2, 5, seed=9)
     b2 = sample_commuting_tuples(2, 5, seed=9)
     for x, y in zip(b1, b2):
-        for mx, my in zip(x.base.mats, y.base.mats):
+        for mx, my in zip(x.mats, y.mats):
             np.testing.assert_array_equal(mx, my)
 
 
@@ -307,7 +307,7 @@ def test_phi_sampled_sup_matches_point_loop():
         d = 2 + seed % 3
         a = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(3)))
         for rho in (0.5, 2.0, 3.0):
-            val, wit = _phi_sampled_sup(a, rho, points)
+            val, wit = phi_sup(a, rho, points)
             ref_val, ref_wit = _phi_sup_point_loop(a, rho, points)
             assert val == pytest.approx(ref_val, rel=1e-12)
             np.testing.assert_array_equal(wit, ref_wit)
@@ -319,7 +319,7 @@ def test_phi_sampled_sup_pole_point():
     a = OperatorTuple((2.0 * np.eye(2), 0.3 * NILP, 0.1 * np.eye(2)))
     points = _scalar_torus_points(3, 16, radius=0.9)
     points[5] = points[11] = (1.0, 0.5j, 0.0)
-    val, wit = _phi_sampled_sup(a, 2.0, points)
+    val, wit = phi_sup(a, 2.0, points)
     ref_val, ref_wit = _phi_sup_point_loop(a, 2.0, points)
     assert val == ref_val == math.inf
     np.testing.assert_array_equal(wit, points[5])
@@ -338,3 +338,52 @@ def test_substitute_mixed_product_identity():
     np.testing.assert_allclose(substitute(pair, scalars), eval_pencil(pair, z), atol=1e-15)
     with pytest.raises(InputError):
         substitute(pair, OperatorTuple((np.eye(1),)))
+
+
+@pytest.mark.parametrize("a", [5.0, 10.0])
+def test_pair_with_interior_pole_is_out(a):
+    # the slice a I alone has w_3 = a; phi has its pole at |z| = 3 / (2a),
+    # deep inside the bidisk, so a grid near the torus never meets it
+    pair = OperatorTuple((a * np.eye(2), 0.01 * NILP))
+    v = membership_tuple(pair, 3.0)
+    assert v.decision == OUT and v.exactness == "Certified"
+    assert w_rho_tuple(pair, 3.0).lo >= a
+
+
+def test_w_rho_tuple_scalar_pairs():
+    # the worst slice of a scalar pair is a + w b with |a + w b| = |a| + |b|
+    for a, b in ((0.3, 0.5j), (-1.2 + 0.4j, 0.7 - 0.1j), (2.0, 0.0)):
+        pair = OperatorTuple((np.array([[a]]), np.array([[b]])))
+        for rho in (0.5, 1.0, 2.0, 3.0):
+            rep = w_rho_tuple(pair, rho)
+            exact = (abs(a) + abs(b)) * max(1.0, 2.0 / rho - 1.0)
+            assert rep.lo - 1e-9 <= exact <= rep.hi + 1e-6 * exact, (a, b, rho, rep)
+
+
+def _random_pairs():
+    rng = np.random.default_rng(14)
+    for d in (2, 3, 2, 3):
+        yield OperatorTuple((_random_matrix(rng, d), _random_matrix(rng, d)))
+
+
+def test_pair_verdict_agrees_with_radius():
+    for pair in _random_pairs():
+        for rho in (0.5, 2.0, 3.0):
+            rep = w_rho_tuple(pair, rho)
+            spec = rep.grid_spec
+            assert spec["torus_points"] == [radii.PAIR_TORUS_POINTS] * 2
+            assert spec["fallback_steps"] == 0 and spec["kernel_checks"] <= 2
+            v_in = membership_tuple(pair.scale(1 / (rep.hi * (1 + 1e-6))), rho)
+            v_out = membership_tuple(pair.scale(1 / (rep.lo * (1 - 1e-6))), rho)
+            assert (v_in.decision, v_out.decision) == (IN, OUT), (rho, rep, v_in, v_out)
+            assert v_out.certificate["qep_solves"] == spec["qep_solves"]
+
+
+def test_pair_radius_above_commuting_substitutions():
+    # commuting strict contractions substituted into a member give members
+    samples = sample_commuting_tuples(2, 16, dims=(2, 3))
+    for pair in _random_pairs():
+        for rho in (0.5, 2.0, 3.0):
+            rep = w_rho_tuple(pair, rho)
+            for c in samples:
+                assert rep.hi >= w_rho(substitute(pair, c), rho).lo - rep.width, (rho, rep)
