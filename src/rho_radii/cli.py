@@ -22,7 +22,6 @@ from .radii import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
     DEFAULT_WIDTH,
-    membership_single,
     membership_tuple,
     numerical_radius,
     w_rho,
@@ -65,10 +64,7 @@ def _cmd_radius(args) -> int:
 
 def _cmd_membership(args) -> int:
     t = load_operator_input(args.input)
-    if t.n_vars == 1:
-        verdict = membership_single(t.mats[0], args.rho, tol=args.tol)
-    else:
-        verdict = membership_tuple(t, args.rho, tol=args.tol, budget=args.budget)
+    verdict = membership_tuple(t, args.rho, tol=args.tol, budget=args.budget)
     _emit_json(verdict.to_json(), args.output)
     return 0
 

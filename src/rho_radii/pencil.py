@@ -64,15 +64,14 @@ class OperatorTuple:
 
     def commutator_residual(self) -> float:
         """max over pairs of || A_k A_j - A_j A_k || (spectral norm)."""
-        worst = 0.0
-        for k in range(self.n_vars):
-            for j in range(k + 1, self.n_vars):
-                comm = self.mats[k] @ self.mats[j] - self.mats[j] @ self.mats[k]
-                worst = max(worst, float(np.linalg.norm(comm, 2)))
-        return worst
+        comms = [self.mats[k] @ self.mats[j] - self.mats[j] @ self.mats[k]
+                 for k in range(self.n_vars) for j in range(k + 1, self.n_vars)]
+        if not comms:
+            return 0.0
+        return float(np.linalg.norm(np.stack(comms), 2, axis=(1, 2)).max())
 
     def max_norm(self) -> float:
-        return max(float(np.linalg.norm(m, 2)) for m in self.mats)
+        return float(np.linalg.norm(np.stack(self.mats), 2, axis=(1, 2)).max())
 
 
 def eval_pencil(a: OperatorTuple, z) -> np.ndarray:

@@ -42,6 +42,12 @@ SCALAR_POINT_RADIUS = 1 - 1e-12
 #: Angles of the single-operator theta grids: the disk kernel minimum, the
 #: psi / phi boundary rings, and the quadratic eigenproblem of w_rho.
 THETA_POINTS = 512
+#: Angles of the coarse circle grid that screens commuting substitutions
+#: (N >= 3) before their full disk minimum.
+SCREEN_POINTS = 64
+#: Rounding guard of the screen's floor, per unit of dimension, relative to
+#: the bound rho + 2|rho-1| ||S|| + |rho-2| ||S||^2 on the kernel's norm.
+SCREEN_ROUND_GUARD = 1e-13
 #: Interior grid of the disk kernel minimum for rho > 2: radii and angles.
 INTERIOR_R_POINTS = 64
 INTERIOR_THETA_POINTS = 128
@@ -228,6 +234,40 @@ def kernel_margin(a, rho: float) -> float:
     return _kernel_disk_min(m, rho)[0]
 
 
+def _kernel_circle_floor(subs, rho: float) -> np.ndarray:
+    """Lower bounds on the values _kernel_disk_min returns for a sequence of
+    square matrices S (any mix of sizes), as an array.
+
+    For rho <= 2 that value is lambda_min k at a point of the unit circle,
+    and lambda_min k(e^{i theta}) is Lipschitz in theta with constant
+    2|rho-1| ||S|| (Weyl; dk/dtheta has at most that norm).  So the minimum
+    over SCREEN_POINTS angles, less |rho-1| ||S|| 2 pi/SCREEN_POINTS and a
+    rounding guard proportional to ||k||, lies below it.  For rho > 2 the
+    disk minimum may lie inside the disk, and the floors are -inf.  Matrices
+    of one size run as stacks of at most THETA_POINTS kernels per eigvalsh.
+    """
+    floors = np.full(len(subs), -np.inf)
+    if rho > 2:
+        return floors
+    zeta = np.exp(1j * np.linspace(0, 2 * np.pi, SCREEN_POINTS, endpoint=False))[:, None, None]
+    per_call = THETA_POINTS // SCREEN_POINTS
+    for d in {s.shape[0] for s in subs}:
+        idx = [i for i, s in enumerate(subs) if s.shape[0] == d]
+        stack = np.stack([subs[i] for i in idx])
+        lam = np.empty(len(idx))
+        for j in range(0, len(idx), per_call):
+            s = stack[j:j + per_call, None]
+            sh = s.conj().swapaxes(-1, -2)
+            k = rho * np.eye(d) - (rho - 1) * (zeta * s + zeta.conj() * sh) + (rho - 2) * (sh @ s)
+            k = (k + k.conj().swapaxes(-1, -2)) / 2
+            lam[j:j + per_call] = np.linalg.eigvalsh(k)[..., 0].min(axis=1)
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+        k_bound = rho + 2 * abs(rho - 1) * norms + abs(rho - 2) * norms ** 2
+        floors[idx] = (lam - abs(rho - 1) * norms * (2 * np.pi / SCREEN_POINTS)
+                       - SCREEN_ROUND_GUARD * d * k_bound)
+    return floors
+
+
 # ---------------------------------------------------------------------------
 # single-operator membership and radii
 
@@ -397,6 +437,8 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL)
         raise InputError("rho must be positive")
     if width <= 0:
         raise InputError("width must be positive")
+    if tol <= 0:
+        raise InputError("tol must be positive")
     start = time.perf_counter()
     norm = op_norm(m)
     grid_spec = {"theta_points": 0, "refine_rounds": 0, "kernel_checks": 0, "fallback_steps": 0,
@@ -493,13 +535,8 @@ def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = N
             coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             coeffs[0] *= 0.3  # keep the constant part from dominating
             mats.append(sum(c * p for c, p in zip(coeffs, powers)))
-    capped = []
-    for m in mats:
-        nrm = float(np.linalg.norm(m, 2))
-        if nrm > norm_cap:
-            m = m * (norm_cap / nrm)
-        capped.append(m)
-    t = OperatorTuple(tuple(capped))
+    norms = np.linalg.norm(np.stack(mats), 2, axis=(1, 2))
+    t = OperatorTuple(tuple(m * (norm_cap / nrm) if nrm > norm_cap else m for m, nrm in zip(mats, norms)))
     residual = t.commutator_residual()
     if residual > COMMUTE_TOL:
         raise InternalError(f"sampled tuple has commutator residual {residual:.3e}")
@@ -565,6 +602,15 @@ def _worst_slice(a: OperatorTuple, rho: float):
     return a[0] + w * a[1], spec
 
 
+def _check_tuple_knobs(rho: float, tol: float, budget: int) -> None:
+    if rho <= 0:
+        raise InputError("rho must be positive")
+    if tol <= 0:
+        raise InputError("tol must be positive")
+    if budget < 1:
+        raise InputError("budget must be at least 1")
+
+
 def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
                      budget: int = DEFAULT_BUDGET) -> MembershipVerdict:
     """Decide membership of an operator tuple at level rho.
@@ -579,11 +625,13 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     eigenvalue rho/(rho-1) of zA, of modulus above 1 for rho > 1.  For
     rho < 1 member slices have ||zA|| <= rho, which excludes poles the same
     way; at rho = 1, phi = -zA has none.  N >= 3 combines the polydisk sup
-    (necessary) with sampled commuting tuples; a passing verdict is then
-    NecessaryOnly.
+    (necessary) with the disk minima of budget substitutions A(C) of sampled
+    commuting tuples; a passing verdict is then NecessaryOnly.  A disk
+    minimum runs only where the substitution's _kernel_circle_floor leaves
+    it able to set the verdict or the margin, so both are those of running
+    every one.
     """
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    _check_tuple_knobs(rho, tol, budget)
     if a.n_vars == 1:
         return membership_single(a.mats[0], rho, tol)
     if a.n_vars == 2:
@@ -603,18 +651,38 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         "polydisk_points": len(points),
         "budget": budget,
         "tol": tol,
+        "screen_points": SCREEN_POINTS if rho <= 2 else 0,
+        "substitutions": 0,
+        "disk_minima": 0,
     }
     if margin < -tol:
         cert["witness_z"] = [[z.real, z.imag] for z in np.asarray(witness, dtype=complex)]
         return MembershipVerdict(OUT, margin, cert, CERTIFIED)
-    worst = margin
-    for sample in sample_commuting_tuples(a.n_vars, budget):
-        km = kernel_margin(substitute(a, sample), rho)
-        if km < worst:
-            worst = km
-        if km < -tol:
-            cert["witness_sample_dim"] = sample.dim
-            return MembershipVerdict(OUT, km, cert, CERTIFIED)
+    samples = sample_commuting_tuples(a.n_vars, budget)
+    subs = [substitute(a, sample) for sample in samples]
+    floors = _kernel_circle_floor(subs, rho)
+    cert["substitutions"] = len(subs)
+    minima = {}
+
+    def disk_min(i):
+        cert["disk_minima"] += 1
+        minima[i] = kernel_margin(subs[i], rho)
+        return minima[i]
+
+    # the witness is the first sample whose disk minimum is below -tol; a
+    # floor at or above -tol rules a sample out
+    for i in np.flatnonzero(floors < -tol).tolist():
+        if disk_min(i) < -tol:
+            cert["witness_sample_dim"] = samples[i].dim
+            return MembershipVerdict(OUT, minima[i], cert, CERTIFIED)
+    # the smallest disk minimum: samples in increasing order of floor, until
+    # the floor reaches the smallest minimum found
+    worst = min([margin, *minima.values()])
+    for i in np.argsort(floors, kind="stable").tolist():
+        if floors[i] >= worst:
+            break
+        if i not in minima:
+            worst = min(worst, disk_min(i))
     return MembershipVerdict(IN, worst, cert, NECESSARY_ONLY)
 
 
@@ -632,10 +700,11 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
     Its lo is proven, since a slice that is not a member makes the pair not
     a member; its hi rests on the torus grid.  N >= 3: a lower bound from
     w_rho of sampled substitutions (scalar polydisk points always included),
-    then bisection over the necessary-only tuple test.
+    then bisection over the necessary-only tuple test, in which a
+    substitution whose _kernel_circle_floor is at least -tol passes without
+    its disk minimum.
     """
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    _check_tuple_knobs(rho, tol, budget)
     if width <= 0:
         raise InputError("width must be positive")
     start = time.perf_counter()
@@ -648,7 +717,7 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
                             time.perf_counter() - start)
 
     norm_sum = sum(op_norm(m) for m in a.mats)
-    grid_spec = {"budget": budget, "width": width, "tol": tol}
+    grid_spec = {"budget": budget, "width": width, "tol": tol, "disk_minima": 0}
     if norm_sum == 0.0:
         return RadiusReport(0.0, 0.0, "tuple-bisection", grid_spec, time.perf_counter() - start)
 
@@ -657,8 +726,9 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
         rep = w_rho(eval_pencil(a, z), rho, width, tol)
         lower = max(lower, rep.lo)
     samples = sample_commuting_tuples(a.n_vars, budget, dims=(2, 3))
-    for sample in samples:
-        rep = w_rho(substitute(a, sample), rho, width, tol)
+    subs = [substitute(a, sample) for sample in samples]
+    for s in subs:
+        rep = w_rho(s, rho, width, tol)
         lower = max(lower, rep.lo)
 
     points = _scalar_torus_points(a.n_vars, max(budget * 4, 128))
@@ -668,9 +738,13 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
         sup, _ = phi_sup(scaled, rho, points)
         if 1 - sup < -tol:
             return False
-        for sample in samples:
-            if kernel_margin(substitute(scaled, sample), rho) < -tol:
-                return False
+        # a floor at or above -tol passes a sample without its disk minimum
+        floors = _kernel_circle_floor([s / u for s in subs], rho)
+        for sample, floor in zip(samples, floors):
+            if floor < -tol:
+                grid_spec["disk_minima"] += 1
+                if kernel_margin(substitute(scaled, sample), rho) < -tol:
+                    return False
         return True
 
     method = "tuple-bisection-necessary-only"

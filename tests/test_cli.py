@@ -121,6 +121,16 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("knob", [["--tol", "-1"], ["--tol", "0"], ["--budget", "0"], ["--budget", "-5"]])
+@pytest.mark.parametrize("n_vars", [1, 3])
+def test_exit_code_bad_membership_knobs(tmp_path, capsys, knob, n_vars):
+    p = tmp_path / "tuple.json"
+    p.write_text(json.dumps(tuple_to_json(OperatorTuple(tuple(0.1 * np.eye(2) for _ in range(n_vars))))))
+    code, out, err = _run(capsys, ["membership", "--rho", "2", "--input", str(p), *knob])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = _run(capsys, ["numrad", "--input", "/nonexistent.json"])
     assert code == 2

@@ -10,8 +10,13 @@ from rho_radii.errors import InputError
 from rho_radii.linalg import op_norm, spectral_radius
 from rho_radii.pencil import OperatorTuple, eval_pencil
 from rho_radii.radii import (
+    CERTIFIED,
+    DEFAULT_TOL,
     IN,
+    NECESSARY_ONLY,
     OUT,
+    MembershipVerdict,
+    _kernel_circle_floor,
     _scalar_torus_points,
     kernel_margin,
     membership_single,
@@ -387,3 +392,111 @@ def test_pair_radius_above_commuting_substitutions():
             rep = w_rho_tuple(pair, rho)
             for c in samples:
                 assert rep.hi >= w_rho(substitute(pair, c), rho).lo - rep.width, (rho, rep)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
+def test_tuple_knobs_rejected(n_vars):
+    t = OperatorTuple(tuple(0.1 * np.eye(2) for _ in range(n_vars)))
+    for kwargs in ({"tol": 0.0}, {"tol": -1.0}, {"budget": 0}, {"budget": -5}):
+        with pytest.raises(InputError):
+            membership_tuple(t, 2.0, **kwargs)
+        with pytest.raises(InputError):
+            w_rho_tuple(t, 2.0, **kwargs)
+    with pytest.raises(InputError):
+        w_rho(NILP, 2.0, tol=0.0)
+
+
+def test_kernel_circle_floor_below_disk_minimum():
+    rng = np.random.default_rng(21)
+    mats = []
+    for i, norm in enumerate(np.logspace(-2, 2, 15)):
+        s = _random_matrix(rng, 1 + i % 6)
+        mats.append(s * (norm / op_norm(s)))
+    mats.append(np.diag([0.9, -0.5j]))
+    for rho in (0.05, 0.5, 1.0, 1.5, 1.99, 2.0):
+        floors = _kernel_circle_floor(mats, rho)
+        for s, floor in zip(mats, floors):
+            assert floor <= kernel_margin(s, rho), (rho, s.shape, floor)
+            assert floor == _kernel_circle_floor([s], rho)[0]
+    # inside the disk lies the minimum for rho > 2: no floor
+    assert np.all(_kernel_circle_floor(mats, 2.5) == -np.inf)
+
+
+def _membership_tuple_loop(a, rho, tol=DEFAULT_TOL, budget=radii.DEFAULT_BUDGET):
+    """Unscreened reference for N >= 3: the disk minimum of every
+    substitution, in sample order."""
+    points = _scalar_torus_points(a.n_vars, max(budget * 4, 128))
+    sup, witness = phi_sup(a, rho, points)
+    margin = 1 - sup
+    cert = {"method": "phi-polydisk-sample+commuting-substitution", "polydisk_points": len(points),
+            "budget": budget, "tol": tol}
+    if margin < -tol:
+        cert["witness_z"] = [[z.real, z.imag] for z in np.asarray(witness, dtype=complex)]
+        return MembershipVerdict(OUT, margin, cert, CERTIFIED)
+    worst = margin
+    for sample in sample_commuting_tuples(a.n_vars, budget):
+        km = kernel_margin(substitute(a, sample), rho)
+        worst = min(worst, km)
+        if km < -tol:
+            cert["witness_sample_dim"] = sample.dim
+            return MembershipVerdict(OUT, km, cert, CERTIFIED)
+    return MembershipVerdict(IN, worst, cert, NECESSARY_ONLY)
+
+
+def _triple(seed, d):
+    rng = np.random.default_rng(seed)
+    return OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(3)))
+
+
+def _screened_triples():
+    """(triple, rho, budget, outcome): In and Out at a polydisk point for
+    every rho and d, and pinned triples that fail at a substitution."""
+    for i, rho in enumerate((0.3, 0.5, 1.0, 1.5, 2.0, 3.0)):
+        for d in (1, 2, 3):
+            budget = 16 if rho > 2 else (16, 64)[(i + d) % 2]
+            a = _triple(10 * i + d, d)
+            base = 1 / (sum(op_norm(m) for m in a.mats) * max(1.0, 2.0 / rho - 1.0))
+            yield a.scale(0.9 * base), rho, budget, "in"
+            yield a.scale(3.0 * base), rho, budget, "polydisk"
+    for seed, d, rho, scale, budget in ((2, 3, 0.3, 0.0317, 16), (4, 2, 0.5, 0.0674, 64),
+                                        (10, 2, 1.5, 0.302, 16), (29, 3, 1.5, 0.153, 64),
+                                        (12, 1, 2.0, 0.419, 16), (33, 1, 3.0, 0.486, 16)):
+        yield _triple(seed, d).scale(scale), rho, budget, "substitution"
+
+
+def test_screened_membership_equals_unscreened_loop():
+    for a, rho, budget, outcome in _screened_triples():
+        v = membership_tuple(a, rho, budget=budget).to_json()
+        cert = v["certificate"]
+        counters = {k: cert.pop(k) for k in ("screen_points", "substitutions", "disk_minima")}
+        assert v == _membership_tuple_loop(a, rho, budget=budget).to_json(), (rho, budget, outcome)
+        got = "in" if v["decision"] == IN else "polydisk" if "witness_z" in cert else "substitution"
+        assert got == outcome, (rho, a.dim, budget)
+        assert counters["screen_points"] == (radii.SCREEN_POINTS if rho <= 2 else 0)
+        assert counters["substitutions"] == (0 if outcome == "polydisk" else budget)
+        assert 0 <= counters["disk_minima"] <= counters["substitutions"]
+
+
+def test_screen_exact_under_any_valid_floor(monkeypatch):
+    # floors that are valid but loose, and ordered unlike the disk minima,
+    # still give the verdict and the margin of the unscreened loop
+    rng = np.random.default_rng(22)
+    monkeypatch.setattr(radii, "_kernel_circle_floor", lambda subs, rho: np.array(
+        [kernel_margin(s, rho) - rng.uniform(0, 0.3) for s in subs]))
+    for a, rho, _, outcome in _screened_triples():
+        if outcome != "polydisk" and rho <= 2:
+            for b in (a,) if outcome == "in" else (a, a.scale(0.7)):
+                v = membership_tuple(b, rho, budget=16).to_json()
+                for k in ("screen_points", "substitutions", "disk_minima"):
+                    v["certificate"].pop(k)
+                assert v == _membership_tuple_loop(b, rho, budget=16).to_json()
+
+
+def test_screened_radius_equals_unscreened(monkeypatch):
+    triples = [(_triple(3, 2).scale(0.2), 0.5), (_triple(5, 2).scale(0.2), 2.0)]
+    screened = [w_rho_tuple(a, rho, budget=8) for a, rho in triples]
+    monkeypatch.setattr(radii, "_kernel_circle_floor", lambda subs, rho: np.full(len(subs), -np.inf))
+    for (a, rho), rep in zip(triples, screened):
+        ref = w_rho_tuple(a, rho, budget=8)
+        assert (rep.lo, rep.hi, rep.method) == (ref.lo, ref.hi, ref.method)
+        assert rep.grid_spec["disk_minima"] < ref.grid_spec["disk_minima"]
