@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -114,8 +115,8 @@ def _cmd_repro(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise InputError("sweep needs at least 2 steps")
-    if not 0 < args.rho_from <= args.rho_to:
-        raise InputError("need 0 < rho-from <= rho-to")
+    if not 0 < args.rho_from <= args.rho_to < math.inf:
+        raise InputError("need 0 < rho-from <= rho-to, both finite")
     t = load_operator_input(args.input)
     buf = io.StringIO()
     buf.write("rho,w_rho\n")

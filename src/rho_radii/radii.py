@@ -65,6 +65,9 @@ QEP_REFINE_POINTS = 17
 QEP_CHUNK = 64
 #: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
 QEP_REAL_TOL = 1e-7
+#: Rounding allowance of the tests that let the theta maximiser skip a
+#: point: they must put every root below best - QEP_BOUND_GUARD (1 + |best|).
+QEP_BOUND_GUARD = 1e-9
 
 QEP_METHOD = "qep-theta-max+kernel-check"
 
@@ -272,6 +275,13 @@ def _kernel_circle_floor(subs, rho: float) -> np.ndarray:
 # single-operator membership and radii
 
 
+def _check_positive(**knobs: float) -> None:
+    """Raise InputError unless every knob is finite and positive."""
+    for name, value in knobs.items():
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{name} must be finite and positive")
+
+
 def membership_single(a, rho: float, tol: float = DEFAULT_TOL, cross_check: bool = True) -> MembershipVerdict:
     """Decide membership of a single operator at level rho.
 
@@ -282,10 +292,7 @@ def membership_single(a, rho: float, tol: float = DEFAULT_TOL, cross_check: bool
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InputError("membership input must be square")
-    if rho <= 0:
-        raise InputError("rho must be positive")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    _check_positive(rho=rho, tol=tol)
     margin, witness = _kernel_disk_min(m, rho)
     decision = IN if margin >= -tol else OUT
     certificate = {
@@ -376,6 +383,51 @@ def _qep_top_roots(za: np.ndarray, rho: float, gram: np.ndarray | None = None) -
     return np.where(real, roots.real, -np.inf).max(axis=1)
 
 
+def _qep_upper_bound(za: np.ndarray, rho: float, gram_max: float | None = None) -> np.ndarray:
+    """Upper bound on every real root, and on the real part of every complex
+    root, of the pencil of _qep_top_roots, for each pencil value in ``za``.
+
+    A root mu with unit eigenvector x solves the scalar quadratic
+    rho mu^2 - (rho-1) h mu + (rho-2) g = 0, h = x*Hx, g = x*Gx, where
+    H = zeta A + (zeta A)* and G = (zeta A)*(zeta A), and g >= h^2/4.  For
+    rho >= 2 that gives Re mu <= max(h, 0)/2.  For rho < 2 the roots are real
+    and mu <= f(h, g) = [(rho-1)h + sqrt((rho-1)^2 h^2 + 4 rho (2-rho) g)]/(2 rho),
+    which increases in g and in (rho-1)h; so h is lambda_max(H) for rho >= 1,
+    lambda_min(H) for rho < 1, and g is lambda_max(G) (``gram_max`` when it
+    is the same at every point).  The bound is exact at rho = 1 and 2.
+    """
+    zah = za.conj().transpose(0, 2, 1)
+    lam = np.linalg.eigvalsh(za + zah)
+    if rho >= 2:
+        return np.maximum(lam[:, -1], 0) / 2
+    h = lam[:, -1] if rho >= 1 else lam[:, 0]
+    g = np.linalg.eigvalsh(zah @ za)[:, -1] if gram_max is None else gram_max
+    disc = (rho - 1) ** 2 * h ** 2 + 4 * rho * (2 - rho) * np.maximum(g, 0)
+    return ((rho - 1) * h + np.sqrt(disc)) / (2 * rho)
+
+
+def _qep_roots_below(za: np.ndarray, rho: float, level: float, gram: np.ndarray | None = None) -> np.ndarray:
+    """True where every root of the pencil of _qep_top_roots has real part
+    below ``level``, for pencil values with ||zeta A|| <= 1.
+
+    With mu = level + s the pencil is rho s^2 I + s C + P, where
+    C = 2 rho level I - (rho-1) H and P is the pencil at mu = level.  If C
+    and P are positive definite, a root s with unit eigenvector x solves
+    rho s^2 + (x*Cx) s + x*Px = 0 with positive coefficients, so Re s < 0.
+    Their smallest eigenvalues must exceed QEP_BOUND_GUARD times a bound on
+    their norms, so that rounding cannot pass them.
+    """
+    zah = za.conj().transpose(0, 2, 1)
+    h = za + zah
+    eye = np.eye(za.shape[1])
+    c = 2 * rho * level * eye - (rho - 1) * h
+    p = level * (rho * level * eye - (rho - 1) * h) + (rho - 2) * (zah @ za if gram is None else gram)
+    lam = np.linalg.eigvalsh(np.concatenate([c, p]))[:, 0]
+    norm_c = 2 * rho * abs(level) + 2 * abs(rho - 1)
+    norm_p = abs(level) * (rho * abs(level) + 2 * abs(rho - 1)) + abs(rho - 2)
+    return (lam[:len(za)] > QEP_BOUND_GUARD * norm_c) & (lam[len(za):] > QEP_BOUND_GUARD * norm_p)
+
+
 def _qep_theta_max(a: OperatorTuple, rho: float):
     """Maximum over the torus of mu*(zeta) for N = 1 or 2.
 
@@ -386,20 +438,51 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
     follow around the best point, each spanning +- one spacing of the grid
     before.  At rho = 1 the pencil mu^2 I - (zeta A)*(zeta A) does not see
     the phase of zeta_1, so the first axis is the single angle 0.
+
+    A grid of more than QEP_CHUNK points is solved in chunks of QEP_CHUNK
+    in decreasing order of _qep_upper_bound (stable in the point index).
+    After the first chunk, with level = best root so far less
+    QEP_BOUND_GUARD (1 + |best|), a point is skipped if its bound is below
+    level or if _qep_roots_below puts every root below level (not run at
+    rho = 2, where the bound is exact), and the pass stops at the first
+    chunk whose bounds are all below level.  A skipped point cannot reach
+    the best root, so the maximum and its first maximiser are those of
+    solving every point.  The callers pass tuples with ||zeta A|| <= 1 on
+    the torus.
     """
     n = THETA_POINTS if a.n_vars == 1 else PAIR_TORUS_POINTS
     grid = np.linspace(0, 2 * np.pi, n, endpoint=False)
     axes = [np.zeros(1) if rho == 1 else grid] + [grid] * (a.n_vars - 1)
     gram = a[0].conj().T @ a[0] if a.n_vars == 1 else None
+    gram_max = None if gram is None else float(np.linalg.eigvalsh(gram)[-1])
 
     def grid_max(axes):
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.exp(1j * np.stack([m.ravel() for m in mesh], axis=1))
-        vals = np.concatenate([_qep_top_roots(_pencils(a, points[i:i + QEP_CHUNK]), rho, gram)
-                               for i in range(0, len(points), QEP_CHUNK)])
+        chunks = range(0, len(points), QEP_CHUNK)
+        prune = len(points) > QEP_CHUNK
+        order = np.arange(len(points))
+        if prune:
+            bound = np.concatenate([_qep_upper_bound(_pencils(a, points[i:i + QEP_CHUNK]), rho, gram_max)
+                                    for i in chunks])
+            order = np.argsort(-bound, kind="stable")
+        vals = np.full(len(points), -np.inf)
+        best, solves = -np.inf, 0
+        for i in chunks:
+            idx = order[i:i + QEP_CHUNK]
+            if prune and best > -np.inf:
+                level = best - QEP_BOUND_GUARD * (1 + abs(best))
+                idx = idx[bound[idx] >= level]
+                if not idx.size:
+                    break
+                if rho != 2:
+                    idx = idx[~_qep_roots_below(_pencils(a, points[idx]), rho, level, gram)]
+            if idx.size:
+                vals[idx] = _qep_top_roots(_pencils(a, points[idx]), rho, gram)
+                best, solves = max(best, vals[idx].max()), solves + idx.size
         i = int(np.argmax(vals))
         idx = np.unravel_index(i, [len(ax) for ax in axes])
-        return float(vals[i]), [float(ax[j]) for ax, j in zip(axes, idx)], len(points)
+        return float(vals[i]), [float(ax[j]) for ax, j in zip(axes, idx)], solves
 
     best, best_angles, solves = grid_max(axes)
     rounds = QEP_REFINE_ROUNDS if any(len(ax) > 1 for ax in axes) else 0
@@ -433,20 +516,15 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL)
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InputError("radius input must be square")
-    if rho <= 0:
-        raise InputError("rho must be positive")
-    if width <= 0:
-        raise InputError("width must be positive")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    _check_positive(rho=rho, width=width, tol=tol)
     start = time.perf_counter()
     norm = op_norm(m)
-    grid_spec = {"theta_points": 0, "refine_rounds": 0, "kernel_checks": 0, "fallback_steps": 0,
-                 "tol": tol, "width": width}
+    grid_spec = {"theta_points": 0, "refine_rounds": 0, "theta_solves": 0, "kernel_checks": 0,
+                 "fallback_steps": 0, "tol": tol, "width": width}
     if norm == 0.0:
         return RadiusReport(0.0, 0.0, QEP_METHOD, grid_spec, 0.0)
-    mu, _, (grid_spec["theta_points"],), grid_spec["refine_rounds"], _ = _qep_theta_max(
-        OperatorTuple((m / norm,)), rho)
+    mu, _, (grid_spec["theta_points"],), grid_spec["refine_rounds"], grid_spec["theta_solves"] = (
+        _qep_theta_max(OperatorTuple((m / norm,)), rho))
     floor = norm / rho
     centre = max(mu * norm, floor)
     lo, hi = max(floor, centre - width / 2), centre + width / 2
@@ -603,10 +681,7 @@ def _worst_slice(a: OperatorTuple, rho: float):
 
 
 def _check_tuple_knobs(rho: float, tol: float, budget: int) -> None:
-    if rho <= 0:
-        raise InputError("rho must be positive")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    _check_positive(rho=rho, tol=tol)
     if budget < 1:
         raise InputError("budget must be at least 1")
 
@@ -705,8 +780,7 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
     its disk minimum.
     """
     _check_tuple_knobs(rho, tol, budget)
-    if width <= 0:
-        raise InputError("width must be positive")
+    _check_positive(width=width)
     start = time.perf_counter()
     if a.n_vars == 1:
         return w_rho(a.mats[0], rho, width, tol)

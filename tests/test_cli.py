@@ -131,6 +131,19 @@ def test_exit_code_bad_membership_knobs(tmp_path, capsys, knob, n_vars):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("argv", [
+    ["radius", "--rho", "nan"], ["radius", "--rho", "inf"], ["radius", "--rho", "2", "--width", "nan"],
+    ["membership", "--rho", "nan"], ["membership", "--rho", "2", "--tol", "nan"],
+    ["membership", "--rho", "2", "--tol", "inf"],
+    ["sweep", "--rho-from", "1", "--rho-to", "inf", "--steps", "3"],
+    ["sweep", "--rho-from", "nan", "--rho-to", "2", "--steps", "3"],
+])
+def test_exit_code_non_finite_knobs(nilp, capsys, argv):
+    code, out, err = _run(capsys, [*argv, "--input", nilp])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = _run(capsys, ["numrad", "--input", "/nonexistent.json"])
     assert code == 2

@@ -261,6 +261,7 @@ def test_w_rho_bracket_ends_confirmed_by_kernel():
             assert spec["fallback_steps"] == 0, (d, rho, spec)
             assert spec["kernel_checks"] <= 2
             assert spec["theta_points"] == (1 if rho == 1.0 else radii.THETA_POINTS)
+            assert spec["theta_solves"] <= spec["theta_points"] + spec["refine_rounds"] * radii.QEP_REFINE_POINTS
             assert rep.method == radii.QEP_METHOD
 
 
@@ -406,6 +407,18 @@ def test_tuple_knobs_rejected(n_vars):
         w_rho(NILP, 2.0, tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_knobs_rejected(bad):
+    pair = OperatorTuple((0.1 * NILP, 0.1 * np.eye(2)))
+    for fn, a in ((w_rho, NILP), (membership_single, NILP), (membership_tuple, pair), (w_rho_tuple, pair)):
+        for kwargs in ({"rho": bad}, {"rho": 2.0, "tol": bad}):
+            with pytest.raises(InputError):
+                fn(a, **kwargs)
+    for fn, a in ((w_rho, NILP), (w_rho_tuple, pair)):
+        with pytest.raises(InputError):
+            fn(a, 2.0, width=bad)
+
+
 def test_kernel_circle_floor_below_disk_minimum():
     rng = np.random.default_rng(21)
     mats = []
@@ -500,3 +513,137 @@ def test_screened_radius_equals_unscreened(monkeypatch):
         ref = w_rho_tuple(a, rho, budget=8)
         assert (rep.lo, rep.hi, rep.method) == (ref.lo, ref.hi, ref.method)
         assert rep.grid_spec["disk_minima"] < ref.grid_spec["disk_minima"]
+
+
+QEP_RHOS = (0.05, 0.5, 0.99, 1.0, 1.01, 1.5, 1.99, 2.0, 2.01, 3.0, 10.0)
+
+
+def _unit(a):
+    n = op_norm(a)
+    return a / n if n else a
+
+
+def _kinds(rng, d):
+    """Random, nilpotent, normal, zero and shift d x d matrices of norm at
+    most 1.  mu* of the shift is flat on the circle (e^{i theta} S is
+    unitarily similar to S), so its grid maxima are rounding ties."""
+    g = _random_matrix(rng, d)
+    q, _ = np.linalg.qr(_random_matrix(rng, d))
+    normal = q @ np.diag(_random_matrix(rng, d)[0]) @ q.conj().T
+    return [_unit(g), _unit(np.triu(g, 1)), _unit(normal), np.zeros((d, d)), _shift(d)]
+
+
+def _all_qep_roots(za, rho):
+    d = za.shape[1]
+    zah = za.conj().transpose(0, 2, 1)
+    comp = np.zeros((len(za), 2 * d, 2 * d), dtype=complex)
+    comp[:, :d, d:] = np.eye(d)
+    comp[:, d:, :d] = -(rho - 2) / rho * (zah @ za)
+    comp[:, d:, d:] = (rho - 1) / rho * (za + zah)
+    return np.linalg.eigvals(comp)
+
+
+def _near_collision(rho):
+    """zeta just past the angle where the two real roots of the 1x1 pencil
+    zeta * 1 meet (rho > 2): complex roots with tiny imaginary parts."""
+    theta = math.acos(math.sqrt(rho * (rho - 2)) / (rho - 1)) + np.logspace(-14, -9, 21)
+    return np.exp(1j * theta)[:, None, None]
+
+
+def test_qep_upper_bound_holds():
+    # U(zeta) >= mu*(zeta) on circles of single operators (G fixed), on a
+    # pair's torus grid (G per point), and where complex roots count as real
+    # (rho > 2); exactly at rho = 1 and 2
+    rng = np.random.default_rng(23)
+    zeta = np.exp(1j * np.linspace(0, 2 * np.pi, 97, endpoint=False))[:, None, None]
+    torus = np.exp(1j * np.linspace(0, 2 * np.pi, 12, endpoint=False))
+    torus = np.stack(np.meshgrid(torus, torus, indexing="ij"), axis=-1).reshape(-1, 2)
+    nearly_real = set()
+    for d in range(1, 7):
+        for a in _kinds(rng, d):
+            pair = radii._pencils(OperatorTuple((a / 2, _kinds(rng, d)[0] / 2)), torus)
+            gram_max = float(np.linalg.eigvalsh(a.conj().T @ a)[-1])
+            for rho in QEP_RHOS:
+                stacks = [(zeta * a, gram_max), (pair, None)]
+                if rho > 2:
+                    near = _near_collision(rho)
+                    # in exact arithmetic these roots are complex
+                    assert np.all((rho - 1) ** 2 * near.real.ravel() ** 2 < rho * (rho - 2))
+                    if np.any(np.isfinite(radii._qep_top_roots(near * np.eye(d), rho))):
+                        nearly_real.add(rho)
+                    stacks.append((near * np.eye(d), 1.0))
+                for za, g in stacks:
+                    top = radii._qep_top_roots(za, rho)
+                    bound = radii._qep_upper_bound(za, rho, g)
+                    real = np.isfinite(top)
+                    guard = radii.QEP_BOUND_GUARD * (1 + np.abs(top[real]))
+                    assert np.all(bound[real] >= top[real] - guard), (d, rho)
+                    if rho in (1.0, 2.0):
+                        np.testing.assert_allclose(bound, top, rtol=0, atol=1e-12)
+    assert nearly_real == {2.01, 3.0, 10.0}
+
+
+def test_qep_roots_below_is_sound():
+    # where _qep_roots_below says so, every root has real part below level
+    rng = np.random.default_rng(24)
+    zeta = np.exp(1j * np.linspace(0, 2 * np.pi, 41, endpoint=False))[:, None, None]
+    for d in range(1, 7):
+        for a in _kinds(rng, d):
+            za = zeta * a
+            for rho in QEP_RHOS:
+                roots = _all_qep_roots(za, rho)
+                top = roots.real.max(axis=1)
+                for level in (*np.quantile(top, [0.1, 0.5, 0.9, 1.0]), top.max() + 1e-6, 0.0, -1.0):
+                    below = radii._qep_roots_below(za, rho, level)
+                    assert np.all(top[below] < level), (d, rho, level)
+                if rho < 2:
+                    # there the pencil is overdamped and the test is exact:
+                    # it passes every point a little below level
+                    assert np.all(radii._qep_roots_below(za, rho, top.max() * 1.01 + 1e-3)), (d, rho)
+
+
+def _qep_theta_max_full(a, rho):
+    """Full-grid reference for the pruned maximiser: every grid point of
+    every round solved."""
+    n = radii.THETA_POINTS if a.n_vars == 1 else radii.PAIR_TORUS_POINTS
+    grid = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    axes = [np.zeros(1) if rho == 1 else grid] + [grid] * (a.n_vars - 1)
+    gram = a[0].conj().T @ a[0] if a.n_vars == 1 else None
+
+    def grid_max(axes):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.exp(1j * np.stack([m.ravel() for m in mesh], axis=1))
+        vals = np.concatenate([radii._qep_top_roots(radii._pencils(a, points[i:i + radii.QEP_CHUNK]), rho, gram)
+                               for i in range(0, len(points), radii.QEP_CHUNK)])
+        i = int(np.argmax(vals))
+        idx = np.unravel_index(i, [len(ax) for ax in axes])
+        return float(vals[i]), [float(ax[j]) for ax, j in zip(axes, idx)]
+
+    best, best_angles = grid_max(axes)
+    rounds = radii.QEP_REFINE_ROUNDS if any(len(ax) > 1 for ax in axes) else 0
+    span = 2 * np.pi / n
+    for _ in range(rounds):
+        local = [t + np.linspace(-span, span, radii.QEP_REFINE_POINTS) if len(ax) > 1 else ax
+                 for t, ax in zip(best_angles, axes)]
+        val, angles = grid_max(local)
+        if val > best:
+            best, best_angles = val, angles
+        span *= 2 / (radii.QEP_REFINE_POINTS - 1)
+    w = complex(np.exp(1j * (best_angles[1] - best_angles[0]))) if a.n_vars == 2 else 1.0
+    return best, w, [len(ax) for ax in axes], rounds
+
+
+def test_pruned_theta_max_equals_full_grid():
+    rng = np.random.default_rng(25)
+    cases = 0
+    for d in range(1, 7):
+        kinds = _kinds(rng, d)
+        pair = OperatorTuple((kinds[d % 3] / 2, kinds[(d + 1) % 3] / 2))
+        for a in [OperatorTuple((m,)) for m in kinds] + [pair]:
+            for rho in QEP_RHOS:
+                got = radii._qep_theta_max(a, rho)
+                assert got[:4] == _qep_theta_max_full(a, rho), (a.n_vars, d, rho)
+                points = np.prod(got[2]) + got[3] * radii.QEP_REFINE_POINTS ** sum(n > 1 for n in got[2])
+                assert got[4] <= points
+                cases += 1
+    assert cases == 396
