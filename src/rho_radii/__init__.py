@@ -48,8 +48,6 @@ from .radii import (
     sample_commuting_tuples,
     substitute,
     torus_pencil_sup,
-    tuple_numerical_radius,
-    tuple_spectral_radius,
     w_rho,
     w_rho_tuple,
 )

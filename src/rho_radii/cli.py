@@ -9,6 +9,7 @@ on stdout or --output, except sweep which emits CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -191,9 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later main call
+    (parse_args leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

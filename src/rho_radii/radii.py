@@ -11,6 +11,7 @@ through substitution of sampled commuting strict contractions.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,6 +35,11 @@ DEFAULT_BUDGET = 64
 
 #: Strict-contraction cap for sampled commuting tuples.
 NORM_CAP = 1 - 1e-6
+#: Sizes of the commuting tuples that N >= 3 membership samples, in turn.
+SAMPLE_DIMS = (1, 2, 3, 4)
+#: Sampled tuples kept by sample_commuting_tuple (least recently used out);
+#: at the library's sample sizes one holds at most N 4 x 4 complex matrices.
+SAMPLE_CACHE_SIZE = 1024
 
 #: Radius used for "scalar polydisk point" samples; any value < 1 is a
 #: valid member of the strict-contraction family.
@@ -48,6 +54,10 @@ SCREEN_POINTS = 64
 #: Rounding guard of the screen's floor, per unit of dimension, relative to
 #: the bound rho + 2|rho-1| ||S|| + |rho-2| ||S||^2 on the kernel's norm.
 SCREEN_ROUND_GUARD = 1e-13
+#: Substitutions screened at a time, in sample order, before the witness
+#: search moves on: THETA_POINTS // SCREEN_POINTS of each sample size, so
+#: that every eigvalsh stack of the circle floor holds THETA_POINTS kernels.
+SCREEN_CHUNK = len(SAMPLE_DIMS) * (THETA_POINTS // SCREEN_POINTS)
 #: Interior grid of the disk kernel minimum for rho > 2: radii and angles.
 INTERIOR_R_POINTS = 64
 INTERIOR_THETA_POINTS = 128
@@ -254,9 +264,7 @@ def _kernel_circle_floor(subs, rho: float) -> np.ndarray:
         return floors
     zeta = np.exp(1j * np.linspace(0, 2 * np.pi, SCREEN_POINTS, endpoint=False))[:, None, None]
     per_call = THETA_POINTS // SCREEN_POINTS
-    for d in {s.shape[0] for s in subs}:
-        idx = [i for i, s in enumerate(subs) if s.shape[0] == d]
-        stack = np.stack([subs[i] for i in idx])
+    for d, idx, stack in _by_size(subs):
         lam = np.empty(len(idx))
         for j in range(0, len(idx), per_call):
             s = stack[j:j + per_call, None]
@@ -265,10 +273,67 @@ def _kernel_circle_floor(subs, rho: float) -> np.ndarray:
             k = (k + k.conj().swapaxes(-1, -2)) / 2
             lam[j:j + per_call] = np.linalg.eigvalsh(k)[..., 0].min(axis=1)
         norms = np.linalg.norm(stack, 2, axis=(1, 2))
-        k_bound = rho + 2 * abs(rho - 1) * norms + abs(rho - 2) * norms ** 2
         floors[idx] = (lam - abs(rho - 1) * norms * (2 * np.pi / SCREEN_POINTS)
-                       - SCREEN_ROUND_GUARD * d * k_bound)
+                       - _screen_guard(norms, d, rho))
     return floors
+
+
+def _kernel_norm_floor(subs, rho: float) -> np.ndarray:
+    """Lower bounds from the norm s = ||S|| alone on the values
+    _kernel_disk_min returns, for the matrices of _kernel_circle_floor.
+
+    On the closed disk ||zS + (zS)*|| <= 2s, and for rho <= 2 the term
+    (rho-2)|z|^2 S*S is at least -(2-rho) s^2, so lambda_min k is at least
+    rho - 2|rho-1| s - (2-rho) s^2; the floor is that less the rounding
+    guard of _kernel_circle_floor.  For rho > 2 the floors are -inf.
+    """
+    floors = np.full(len(subs), -np.inf)
+    if rho > 2:
+        return floors
+    for d, idx, stack in _by_size(subs):
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+        floors[idx] = (rho - 2 * abs(rho - 1) * norms - (2 - rho) * norms ** 2
+                       - _screen_guard(norms, d, rho))
+    return floors
+
+
+def _by_size(mats):
+    """(size d, indices, stack) for each size among the square ``mats``."""
+    for d in {m.shape[0] for m in mats}:
+        idx = [i for i, m in enumerate(mats) if m.shape[0] == d]
+        yield d, idx, np.stack([mats[i] for i in idx])
+
+
+def _screen_guard(norms: np.ndarray, d: int, rho: float) -> np.ndarray:
+    """Rounding guard of the screen floors of d x d matrices of these norms:
+    SCREEN_ROUND_GUARD d times a bound on the kernel's norm."""
+    return SCREEN_ROUND_GUARD * d * (rho + 2 * abs(rho - 1) * norms + abs(rho - 2) * norms ** 2)
+
+
+def _screen_witness(subs, rho: float, tol: float, level: float, disk_min):
+    """Screen the substitutions ``subs`` in sample order and find the first
+    whose disk minimum is below -tol.
+
+    Works through chunks of SCREEN_CHUNK samples.  In each, a sample whose
+    _kernel_norm_floor is at least ``level`` keeps that floor; the others get
+    their _kernel_circle_floor.  Then ``disk_min(i)`` runs on every sample of
+    the chunk with a floor below -tol, in order, until one returns a value
+    below -tol.  Returns (floors, index of that sample or None); floors of
+    chunks after the witness are nan.  With level >= -tol the witness is
+    the first failing sample of the unscreened loop.
+    """
+    floors = np.full(len(subs), np.nan)
+    for start in range(0, len(subs), SCREEN_CHUNK):
+        stop = min(start + SCREEN_CHUNK, len(subs))
+        floors[start:stop] = _kernel_norm_floor(subs[start:stop], rho)
+        chunk = range(start, stop)
+        grid = [i for i in chunk if floors[i] < level]
+        if grid:
+            floors[grid] = _kernel_circle_floor([subs[i] for i in grid], rho)
+        for i in chunk:
+            if floors[i] < -tol and disk_min(i) < -tol:
+                return floors, i
+    return floors, None
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +644,15 @@ def numerical_radius(a, n_theta: int = THETA_POINTS) -> float:
 # sampling of commuting tuples
 
 
+@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
 def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = NORM_CAP) -> OperatorTuple:
     """One deterministic commuting tuple of strict contractions.
 
     Even seeds draw from the simultaneously-diagonalizable (normal) family;
     odd seeds from polynomials in a single nilpotent Jordan-type matrix.
+    Draws are memoised per argument list (the last SAMPLE_CACHE_SIZE), and
+    every caller shares them, so their matrices are read-only; the
+    commutator and norm checks run on each first draw.
     """
     if dim < 1:
         raise InputError("dim must be >= 1")
@@ -620,10 +689,12 @@ def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = N
         raise InternalError(f"sampled tuple has commutator residual {residual:.3e}")
     if t.max_norm() >= 1:
         raise InternalError("sampled tuple is not a strict contraction")
+    for m in t.mats:
+        m.setflags(write=False)
     return t
 
 
-def sample_commuting_tuples(n_vars: int, budget: int, seed: int = 0, dims=(1, 2, 3, 4), norm_cap: float = NORM_CAP):
+def sample_commuting_tuples(n_vars: int, budget: int, seed: int = 0, dims=SAMPLE_DIMS, norm_cap: float = NORM_CAP):
     """Deterministic batch of samples, alternating both families and dims."""
     out = []
     for i in range(budget):
@@ -644,7 +715,29 @@ def substitute(a: OperatorTuple, c: OperatorTuple) -> np.ndarray:
     """The substitution A(C) = sum_k A_k (x) C_k of a tuple C into the pencil."""
     if c.n_vars != a.n_vars:
         raise InputError(f"substituted tuple has {c.n_vars} variables, pencil has {a.n_vars}")
-    return sum(np.kron(ak, ck) for ak, ck in zip(a.mats, c.mats))
+    return _substitute_stack(a, np.array([c.mats]))[0]
+
+
+def _substitute_stack(a: OperatorTuple, c: np.ndarray) -> np.ndarray:
+    """A(C) for a stack ``c`` of n tuples of m x m matrices, shape
+    (n, N, m, m), as an (n, dm, dm) stack.  The terms A_k (x) C_k are
+    broadcast products summed in k order, which is bitwise
+    sum(np.kron(A_k, C_k)); einsum would change the last ulp."""
+    n, _, m, _ = c.shape
+    d = a.dim
+    terms = (ak[None, :, None, :, None] * c[:, k, None, :, None, :] for k, ak in enumerate(a.mats))
+    return sum(terms).reshape(n, d * m, d * m)
+
+
+def _substitutions(a: OperatorTuple, samples) -> list:
+    """A(C) for every sample C, in sample order: one _substitute_stack per
+    sample size."""
+    subs = [None] * len(samples)
+    for m in {c.dim for c in samples}:
+        idx = [i for i, c in enumerate(samples) if c.dim == m]
+        for i, s in zip(idx, _substitute_stack(a, np.array([samples[i].mats for i in idx]))):
+            subs[i] = s
+    return subs
 
 
 def _pencils(a: OperatorTuple, points: np.ndarray) -> np.ndarray:
@@ -699,12 +792,20 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     the bidisk (it is plurisubharmonic), while a pole of phi needs the
     eigenvalue rho/(rho-1) of zA, of modulus above 1 for rho > 1.  For
     rho < 1 member slices have ||zA|| <= rho, which excludes poles the same
-    way; at rho = 1, phi = -zA has none.  N >= 3 combines the polydisk sup
-    (necessary) with the disk minima of budget substitutions A(C) of sampled
-    commuting tuples; a passing verdict is then NecessaryOnly.  A disk
-    minimum runs only where the substitution's _kernel_circle_floor leaves
-    it able to set the verdict or the margin, so both are those of running
-    every one.
+    way; at rho = 1, phi = -zA has none.
+
+    N >= 3 combines the polydisk sup (necessary) with the disk minima of
+    budget substitutions A(C) of sampled commuting tuples (drawn once per
+    process, see sample_commuting_tuple); a passing verdict is then
+    NecessaryOnly.  All budget substitutions are formed (certificate
+    ``substitutions``) and screened by _screen_witness in sample-order
+    chunks, which stops at the Out witness: a substitution whose norm floor
+    is at least the polydisk margin 1 - sup ||phi|| is settled without an
+    eigensolve, the others get their _kernel_circle_floor, and a disk
+    minimum (``disk_minima``) runs only where a floor is below -tol.  An In
+    margin is the smaller of 1 - sup ||phi|| and the smallest disk minimum,
+    found in increasing order of floor until the floor reaches it.  Verdict
+    and margin are those of running every disk minimum.
     """
     _check_tuple_knobs(rho, tol, budget)
     if a.n_vars == 1:
@@ -734,8 +835,7 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         cert["witness_z"] = [[z.real, z.imag] for z in np.asarray(witness, dtype=complex)]
         return MembershipVerdict(OUT, margin, cert, CERTIFIED)
     samples = sample_commuting_tuples(a.n_vars, budget)
-    subs = [substitute(a, sample) for sample in samples]
-    floors = _kernel_circle_floor(subs, rho)
+    subs = _substitutions(a, samples)
     cert["substitutions"] = len(subs)
     minima = {}
 
@@ -744,12 +844,12 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         minima[i] = kernel_margin(subs[i], rho)
         return minima[i]
 
-    # the witness is the first sample whose disk minimum is below -tol; a
-    # floor at or above -tol rules a sample out
-    for i in np.flatnonzero(floors < -tol).tolist():
-        if disk_min(i) < -tol:
-            cert["witness_sample_dim"] = samples[i].dim
-            return MembershipVerdict(OUT, minima[i], cert, CERTIFIED)
+    # a floor at or above the polydisk margin can neither be the witness nor
+    # lower the margin below it
+    floors, i = _screen_witness(subs, rho, tol, margin, disk_min)
+    if i is not None:
+        cert["witness_sample_dim"] = samples[i].dim
+        return MembershipVerdict(OUT, minima[i], cert, CERTIFIED)
     # the smallest disk minimum: samples in increasing order of floor, until
     # the floor reaches the smallest minimum found
     worst = min([margin, *minima.values()])
@@ -775,9 +875,10 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
     Its lo is proven, since a slice that is not a member makes the pair not
     a member; its hi rests on the torus grid.  N >= 3: a lower bound from
     w_rho of sampled substitutions (scalar polydisk points always included),
-    then bisection over the necessary-only tuple test, in which a
-    substitution whose _kernel_circle_floor is at least -tol passes without
-    its disk minimum.
+    then bisection over the necessary-only tuple test.  That test forms the
+    substitutions of A/u with the cached samples and screens them with
+    _screen_witness at level -tol: a substitution whose norm floor or
+    _kernel_circle_floor is at least -tol passes without its disk minimum.
     """
     _check_tuple_knobs(rho, tol, budget)
     _check_positive(width=width)
@@ -800,8 +901,7 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
         rep = w_rho(eval_pencil(a, z), rho, width, tol)
         lower = max(lower, rep.lo)
     samples = sample_commuting_tuples(a.n_vars, budget, dims=(2, 3))
-    subs = [substitute(a, sample) for sample in samples]
-    for s in subs:
+    for s in _substitutions(a, samples):
         rep = w_rho(s, rho, width, tol)
         lower = max(lower, rep.lo)
 
@@ -812,43 +912,16 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
         sup, _ = phi_sup(scaled, rho, points)
         if 1 - sup < -tol:
             return False
-        # a floor at or above -tol passes a sample without its disk minimum
-        floors = _kernel_circle_floor([s / u for s in subs], rho)
-        for sample, floor in zip(samples, floors):
-            if floor < -tol:
-                grid_spec["disk_minima"] += 1
-                if kernel_margin(substitute(scaled, sample), rho) < -tol:
-                    return False
-        return True
+        subs = _substitutions(scaled, samples)
+
+        def disk_min(i):
+            grid_spec["disk_minima"] += 1
+            return kernel_margin(subs[i], rho)
+
+        return _screen_witness(subs, rho, tol, -tol, disk_min)[1] is None
 
     method = "tuple-bisection-necessary-only"
     lo = max(lower, torus_pencil_sup(a) / rho)
     hi = max(lo * (1 + 1e-12), norm_sum * max(1.0, 2.0 / rho - 1.0))
     rep = _bisect_radius(norm_sum, lo, hi, feasible, width, method, grid_spec)
     return RadiusReport(rep.lo, rep.hi, method, grid_spec, time.perf_counter() - start)
-
-
-def tuple_numerical_radius(a: OperatorTuple, budget: int = DEFAULT_BUDGET) -> float:
-    """Lower bound on sup over commuting substitutions of w(A (x) C)."""
-    best = 0.0
-    for z in _scalar_torus_points(a.n_vars, max(16, budget // 2)):
-        best = max(best, numerical_radius(eval_pencil(a, z)))
-    for sample in sample_commuting_tuples(a.n_vars, budget):
-        best = max(best, numerical_radius(substitute(a, sample)))
-    return best
-
-
-def tuple_spectral_radius(a: OperatorTuple, n_max: int = 32, budget: int = DEFAULT_BUDGET) -> float:
-    """Estimate of the tuple spectral radius via n_max-th norm roots."""
-    if n_max < 8:
-        raise InputError("n_max must be >= 8")
-    best = 0.0
-    for z in _scalar_torus_points(a.n_vars, max(16, budget // 2)):
-        p = np.linalg.matrix_power(eval_pencil(a, z), n_max)
-        nrm = float(np.linalg.norm(p, 2))
-        best = max(best, nrm ** (1.0 / n_max) if nrm > 0 else 0.0)
-    for sample in sample_commuting_tuples(a.n_vars, budget):
-        p = np.linalg.matrix_power(substitute(a, sample), n_max)
-        nrm = float(np.linalg.norm(p, 2))
-        best = max(best, nrm ** (1.0 / n_max) if nrm > 0 else 0.0)
-    return best

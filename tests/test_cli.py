@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rho_radii import cli
 from rho_radii.cli import main
 from rho_radii.dilation import build_shift_unitary_rho_dilation, nilpotent_jump
 from rho_radii.pencil import OperatorTuple
@@ -171,3 +172,37 @@ def test_exit_code_bad_sweep_range(nilp, capsys):
         "sweep", "--rho-from", "2", "--rho-to", "1", "--steps", "3", "--input", nilp,
     ])
     assert code == 2
+
+
+def test_parser_reused_across_calls(nilp, capsys, monkeypatch):
+    # consecutive calls on the one parser answer as calls on fresh parsers
+    commands = [
+        ["radius", "--rho", "2", "--input", nilp],
+        ["membership", "--rho", "1", "--input", nilp],
+        ["membership", "--rho", "1"],  # no --input: argparse exits with 2
+        ["sweep", "--rho-from", "1", "--rho-to", "2", "--steps", "3", "--input", nilp],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        text = out.out
+        if argv[0] == "radius":
+            text = json.loads(text)
+            text.pop("wall_time_s")
+        return code, text, out.err
+
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in commands] == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert len(builds) == 1

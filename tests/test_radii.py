@@ -28,8 +28,6 @@ from rho_radii.radii import (
     sample_commuting_tuples,
     substitute,
     torus_pencil_sup,
-    tuple_numerical_radius,
-    tuple_spectral_radius,
     w_rho,
     w_rho_tuple,
 )
@@ -202,28 +200,6 @@ def test_w_rho_tuple_scaling():
     r1 = w_rho_tuple(t, 1.5).mid
     r2 = w_rho_tuple(t.scale(2.0), 1.5).mid
     assert r2 == pytest.approx(2 * r1, rel=1e-3)
-
-
-def test_tuple_numerical_radius_single_var():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    got = tuple_numerical_radius(OperatorTuple((a,)))
-    assert got == pytest.approx(numerical_radius(a), rel=1e-3)
-
-
-def test_membership_at_2_bounds_tuple_numrad():
-    t = OperatorTuple((0.3 * NILP, 0.3 * np.eye(2)))
-    assert membership_tuple(t, 2.0).decision == IN
-    assert tuple_numerical_radius(t) <= 1 + 1e-6
-
-
-def test_tuple_spectral_radius_single_var():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((3, 3))
-    got = tuple_spectral_radius(OperatorTuple((a,)))
-    assert got == pytest.approx(spectral_radius(a), abs=0.05 * max(1, spectral_radius(a)))
-    with pytest.raises(InputError):
-        tuple_spectral_radius(OperatorTuple((a,)), n_max=4)
 
 
 def test_torus_pencil_sup_unitary_pair():
@@ -647,3 +623,72 @@ def test_pruned_theta_max_equals_full_grid():
                 assert got[4] <= points
                 cases += 1
     assert cases == 396
+
+
+def test_cached_samples_equal_fresh_draws_and_are_read_only():
+    assert sample_commuting_tuple.cache_info().maxsize == radii.SAMPLE_CACHE_SIZE
+    for n_vars in (2, 3):
+        for dim in (1, 2, 3, 4):
+            for seed in (0, 1, 6, 10007):
+                cached = sample_commuting_tuple(dim, n_vars, seed, radii.NORM_CAP)
+                assert sample_commuting_tuple(dim, n_vars, seed, radii.NORM_CAP) is cached
+                fresh = sample_commuting_tuple.__wrapped__(dim, n_vars, seed, radii.NORM_CAP)
+                for mc, mf in zip(cached.mats, fresh.mats):
+                    assert mc.dtype == mf.dtype and mc.tobytes() == mf.tobytes()
+                    with pytest.raises(ValueError):
+                        mc[0, 0] = 0.5
+    # batches draw through the same cache
+    batch = sample_commuting_tuples(3, 12)
+    for i, c in enumerate(batch):
+        dim = radii.SAMPLE_DIMS[i % len(radii.SAMPLE_DIMS)]
+        assert c is sample_commuting_tuple(dim, 3, i, radii.NORM_CAP)
+
+
+def test_substitutions_bitwise_kron_sums():
+    # the broadcast substitution against the Kronecker-sum definition, with
+    # every sample size in one call
+    rng = np.random.default_rng(31)
+    for n_vars in (2, 3, 4):
+        samples = sample_commuting_tuples(n_vars, 10)
+        for d in (1, 2, 3, 4):
+            a = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(n_vars)))
+            subs = radii._substitutions(a, samples)
+            for c, s in zip(samples, subs):
+                ref = sum(np.kron(ak, ck) for ak, ck in zip(a.mats, c.mats))
+                assert s.shape == ref.shape and s.tobytes() == ref.tobytes(), (n_vars, d, c.dim)
+                assert substitute(a, c).tobytes() == ref.tobytes()
+
+
+def test_kernel_norm_floor_below_disk_minimum():
+    rng = np.random.default_rng(21)
+    mats = []
+    for i, norm in enumerate(np.logspace(-2, 2, 15)):
+        s = _random_matrix(rng, 1 + i % 6)
+        mats.append(s * (norm / op_norm(s)))
+    mats.append(np.diag([0.9, -0.5j]))
+    for rho in (0.05, 0.5, 1.0, 1.5, 1.99, 2.0):
+        floors = radii._kernel_norm_floor(mats, rho)
+        for s, floor in zip(mats, floors):
+            assert floor <= kernel_margin(s, rho), (rho, s.shape, floor)
+        # a positive scalar attains the bound at z = 1 (rho >= 1) or -1
+        s = 0.9
+        exact = rho - 2 * abs(rho - 1) * s - (2 - rho) * s ** 2
+        assert floors[-1] == pytest.approx(exact, abs=1e-12)
+    assert np.all(radii._kernel_norm_floor(mats, 2.5) == -np.inf)
+
+
+def test_out_at_early_substitution_screens_one_chunk(monkeypatch):
+    # a witness among the first samples: later chunks get no circle floor
+    screened = []
+    floor = radii._kernel_circle_floor
+    monkeypatch.setattr(radii, "_kernel_circle_floor",
+                        lambda subs, rho: screened.append(len(subs)) or floor(subs, rho))
+    for a, rho in ((_triple(4, 2).scale(0.0674), 0.5), (_triple(29, 3).scale(0.153), 1.5)):
+        screened.clear()
+        v = membership_tuple(a, rho, budget=256).to_json()
+        cert = v["certificate"]
+        counters = {k: cert.pop(k) for k in ("screen_points", "substitutions", "disk_minima")}
+        assert v == _membership_tuple_loop(a, rho, budget=256).to_json()
+        assert v["decision"] == OUT and "witness_sample_dim" in cert
+        assert counters["substitutions"] == 256
+        assert 0 < sum(screened) <= radii.SCREEN_CHUNK
