@@ -3,10 +3,14 @@
 The single-operator test evaluates the positivity kernel
 k(z, z) = rho*I - (rho-1)(zA + (zA)*) + (rho-2)(zA)*(zA) over the closed
 unit disk; membership holds iff its smallest eigenvalue stays nonnegative.
-The radius w_rho is the smallest u such that A/u passes, read off a
-quadratic eigenproblem in the scaling and confirmed by the kernel test.
-Tuple variants work through the pencil transform phi on the polydisk and
-through substitution of sampled commuting strict contractions.
+The radius w_rho is the smallest u such that A/u passes, the maximum over
+the circle of the largest root of a quadratic eigenproblem in the scaling.
+Both extrema over the circle come from the level-set iteration of Byers
+(SIAM J. Sci. Stat. Comput. 9, 1988) and Boyd & Balakrishnan (Syst.
+Control Lett. 15, 1990): the angles where a level is attained are the
+unimodular roots of a *-palindromic quadratic.  Tuple variants work
+through the pencil transform phi on the polydisk and through substitution
+of sampled commuting strict contractions.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ SAMPLE_CACHE_SIZE = 1024
 #: valid member of the strict-contraction family.
 SCALAR_POINT_RADIUS = 1 - 1e-12
 
-#: Angles of the single-operator theta grids: the disk kernel minimum, the
-#: psi / phi boundary rings, and the quadratic eigenproblem of w_rho.
+#: Angles of the psi / phi boundary rings of the cross-check.
 THETA_POINTS = 512
 #: Angles of the coarse circle grid that screens commuting substitutions
 #: (N >= 3) before their full disk minimum.
@@ -62,11 +65,29 @@ SCREEN_CHUNK = len(SAMPLE_DIMS) * (THETA_POINTS // SCREEN_POINTS)
 INTERIOR_R_POINTS = 64
 INTERIOR_THETA_POINTS = 128
 
+#: Equally spaced angles sampled before a level-set iteration starts.
+LEVELSET_START_POINTS = 16
+#: Iterations (crossing solves) allowed per level-set run; reaching the cap
+#: raises InternalError.
+LEVELSET_MAX_ITERATIONS = 32
+#: Crossings: roots tau with |Im tau| <= LEVELSET_REAL_TOL (1 + (Re tau)^2)
+#: count as real, which errs towards "real": an extra crossing costs one
+#: midpoint, a missed one would certify a wrong level.
+LEVELSET_REAL_TOL = 1e-7
+#: Gap between the best value attained and the next level of the kernel
+#: margin, relative to the kernel's norm bound; it bounds how far the
+#: reported margin can lie above the minimum.
+KERNEL_GAP = 1e-12
+#: Gap of the radius iteration, relative to 1 + max(1, 2/rho - 1) for a
+#: matrix of norm 1 (at most width/4 in absolute terms).  It is also the
+#: rounding guard that puts lo below the attained root.
+RADIUS_GAP = 1e-9
+
 #: Angles per variable of the torus grid that finds the worst slice
 #: A_1 + w A_2 of a pair.
 PAIR_TORUS_POINTS = 64
 
-#: Local theta refinements of the quadratic eigenproblem: rounds, and angles
+#: Local refinements of the pair's torus grid: rounds, and angles per axis
 #: per round spanning +- one spacing of the previous grid.
 QEP_REFINE_ROUNDS = 3
 QEP_REFINE_POINTS = 17
@@ -75,13 +96,18 @@ QEP_REFINE_POINTS = 17
 QEP_CHUNK = 64
 #: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
 QEP_REAL_TOL = 1e-7
-#: Rounding allowance of the tests that let the theta maximiser skip a
+#: Rounding allowance of the tests that let the torus maximiser skip a
 #: point: they must put every root below best - QEP_BOUND_GUARD (1 + |best|).
 QEP_BOUND_GUARD = 1e-9
 
-QEP_METHOD = "qep-theta-max+kernel-check"
+#: Polydisk points per batched SVD of phi_sup's pruned pass.
+PHI_CHUNK = 64
+#: Relative rounding guard of phi_sup's bounds: the pole test runs where
+#: rho - |rho-1| ||zA||_F is below 1e-12 + PHI_GUARD (rho + |rho-1| ||zA||_F),
+#: and the pass stops once ||phi||_F < (1 - PHI_GUARD) sup.
+PHI_GUARD = 1e-8
 
-_GOLDEN = (math.sqrt(5) - 1) / 2
+LEVELSET_METHOD = "levelset"
 
 
 @dataclass(frozen=True)
@@ -149,40 +175,120 @@ def _kernel_lambda_min(a: np.ndarray, rho: float, zs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(k)[:, 0]
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 40):
-    """Golden-section minimization of a unimodal scalar function."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
+    """Sorted angles theta in [0, 2 pi) where the Hermitian matrix
+    k(theta) = e^{i theta} E + M + e^{-i theta} E* is singular, for an angle
+    psi at which k(psi) is positive definite.
 
-
-def _kernel_disk_min(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, refine_rounds: int = 3):
-    """Minimum of lambda_min(k(z, z)) over the closed disk, with witness.
-
-    For rho <= 2 the per-direction profile in r is concave with positive
-    value at r = 0, so the disk minimum sits on the boundary circle.  For
-    rho > 2 an interior r-grid is scanned as well.
+    They are the unimodular roots zeta = e^{i theta} of the *-palindromic
+    quadratic zeta^2 E + zeta M + E* (Mackey, Mackey, Mehl & Mehrmann, SIAM
+    J. Matrix Anal. Appl. 28, 2006).  The Cayley variable
+    zeta = -e^{i psi} (1 + i tau)/(1 - i tau) maps the real tau onto the
+    circle less e^{i psi}, and (1 + tau^2) k turns into the Hermitian
+    quadratic tau^2 k(psi) + tau P_1 + k(psi + pi) with
+    P_1 = 2i (e^{-i psi} E* - e^{i psi} E).  With k(psi) = L L* the roots
+    tau are the eigenvalues of the 2d x 2d companion of the monic quadratic
+    tau^2 I + tau L^{-1} P_1 L^{-*} + L^{-1} k(psi + pi) L^{-*}.
     """
-    thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
-    bvals = _kernel_lambda_min(a, rho, np.exp(1j * thetas))
-    i = int(np.argmin(bvals))
-    best_theta, best_val = float(thetas[i]), float(bvals[i])
-    span = 2 * np.pi / n_theta
-    g = lambda th: float(_kernel_lambda_min(a, rho, np.exp(1j * np.array([th])))[0])
-    for _ in range(refine_rounds):
-        best_theta, best_val = _golden_min(g, best_theta - span, best_theta + span, iters=16)
-        span *= 0.05
-    witness = complex(np.exp(1j * best_theta))
+    d = m.shape[0]
+    f = np.exp(1j * psi) * e
+    fh = f.conj().T
+    try:
+        li = np.linalg.inv(np.linalg.cholesky(m + f + fh))
+    except np.linalg.LinAlgError as exc:
+        raise InternalError(f"level-set pencil not positive definite at its anchor angle {psi}") from exc
+    lih = li.conj().T
+    comp = np.zeros((2 * d, 2 * d), dtype=complex)
+    comp[:d, d:] = np.eye(d)
+    comp[d:, :d] = -li @ (m - f - fh) @ lih
+    comp[d:, d:] = -li @ (2j * (fh - f)) @ lih
+    tau = np.linalg.eigvals(comp)
+    tau = tau.real[np.abs(tau.imag) <= LEVELSET_REAL_TOL * (1 + tau.real ** 2)]
+    return np.sort((psi + np.pi + 2 * np.arctan(tau)) % (2 * np.pi))
+
+
+def _levelset_min(h, pencil, gap: float, bound: float = math.inf,
+                  start_points: int = LEVELSET_START_POINTS) -> dict:
+    """Minimum over the circle of a continuous function h(theta), by the
+    level-set iteration.
+
+    ``h`` evaluates the function on an array of angles.  ``pencil(level)``
+    returns (E, M) such that k(theta) of _circle_crossings is singular where
+    h(theta) = level and positive definite where h(theta) > level (other
+    branches may be singular too).  The iteration starts from
+    ``start_points`` equally spaced angles and the best value, capped at
+    ``bound`` (a value h is known to reach).  At level = best - gap it finds
+    the crossings, evaluates h at the midpoints between consecutive
+    crossings and takes the smallest.  It stops at a level with no
+    crossing, or at one where no midpoint falls below the level.  Then
+    h >= level everywhere: a set where h < level is open, bounded by
+    crossings, so it would hold the midpoint of a gap between two of them.
+
+    Returns {"value", "theta", "level", "iterations"}: the best value, the
+    angle that attains it (None if no sample fell below ``bound``), the
+    certified stop level, and the crossing solves.
+    """
+    thetas = np.linspace(0, 2 * np.pi, start_points, endpoint=False)
+    vals = h(thetas)
+    i = int(np.argmin(vals))
+    best, theta = (float(vals[i]), float(thetas[i])) if vals[i] <= bound else (bound, None)
+    psi = float(thetas[int(np.argmax(vals))])
+    for it in range(1, LEVELSET_MAX_ITERATIONS + 1):
+        level = best - gap
+        cross = _circle_crossings(*pencil(level), psi)
+        if not cross.size:
+            return {"value": best, "theta": theta, "level": level, "iterations": it}
+        mids = (cross + np.append(cross[1:], cross[0] + 2 * np.pi)) / 2
+        vals = h(mids)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, theta = float(vals[j]), float(mids[j] % (2 * np.pi))
+        if vals[j] >= level:
+            return {"value": best, "theta": theta, "level": level, "iterations": it}
+    raise InternalError(f"level-set iteration did not stop in {LEVELSET_MAX_ITERATIONS} crossing solves")
+
+
+def _kernel_scale(norm, rho: float):
+    """Bound rho + 2|rho-1| s + |rho-2| s^2 on the kernel's norm on the
+    closed disk, for any s >= ||A|| (the Frobenius norm will do); s may be
+    an array."""
+    return rho + 2 * abs(rho - 1) * norm + abs(rho - 2) * norm ** 2
+
+
+def _kernel_disk_min(a: np.ndarray, rho: float):
+    """Minimum of lambda_min(k(z, z)) over the closed disk, with witness and
+    the level-set counters.
+
+    On the circle, lambda_min k(theta) = c where c is an eigenvalue of
+    k(theta), the *-palindromic quadratic
+    -(rho-1) A zeta^2 + ((rho-c) I + (rho-2) A*A) zeta - (rho-1) A*, so
+    the boundary minimum is the level-set minimum (_levelset_min) with gap
+    KERNEL_GAP times the kernel's norm bound; ``certified_level`` is its
+    stop level, below lambda_min on the whole circle.  At rho = 1 the kernel
+    on the circle is I - A*A at every angle, so the minimum is the closed
+    form 1 - ||A||^2, read at z = 1.  For rho <= 2 the per-direction profile
+    in r is concave with positive value at r = 0, so the disk minimum sits
+    on the circle.  For rho > 2 it may lie inside: an interior r-grid
+    (INTERIOR_R_POINTS x INTERIOR_THETA_POINTS, with one local round) is
+    scanned as well, and the smaller value is returned (the certified level
+    covers the circle only).
+    """
+    d = a.shape[0]
+    scale = _kernel_scale(float(np.linalg.norm(a)), rho)
+    stats = {"levelset_iterations": 0, "crossing_solves": 0}
+    if rho == 1:
+        best_val = float(_kernel_lambda_min(a, rho, np.ones(1))[0])
+        witness = 1 + 0j
+        stats["certified_level"] = best_val - KERNEL_GAP * scale
+    else:
+        e = -(rho - 1) * a
+        base = (rho - 2) * (a.conj().T @ a)
+        eye = np.eye(d)
+        run = _levelset_min(lambda th: _kernel_lambda_min(a, rho, np.exp(1j * th)),
+                            lambda c: (e, (rho - c) * eye + base), KERNEL_GAP * scale)
+        best_val, witness = run["value"], complex(np.exp(1j * run["theta"]))
+        stats.update(levelset_iterations=run["iterations"], crossing_solves=run["iterations"],
+                     certified_level=run["level"])
 
     if rho > 2:
         rs = np.linspace(1.0 / INTERIOR_R_POINTS, 1.0, INTERIOR_R_POINTS)
@@ -205,7 +311,7 @@ def _kernel_disk_min(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, ref
                 best_val = float(vals2[j2])
                 witness = complex(zs2[j2])
 
-    return best_val, witness
+    return best_val, witness, stats
 
 
 def _psi_boundary_min(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, r: float = 1 - 1e-6):
@@ -241,10 +347,7 @@ def _phi_boundary_sup(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, r:
 
 def kernel_margin(a, rho: float) -> float:
     """Signed disk minimum of the membership kernel (fast path, no report)."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InputError("membership input must be square")
-    return _kernel_disk_min(m, rho)[0]
+    return _kernel_disk_min(_square(a, "membership"), rho)[0]
 
 
 def _kernel_circle_floor(subs, rho: float) -> np.ndarray:
@@ -282,17 +385,16 @@ def _kernel_norm_floor(subs, rho: float) -> np.ndarray:
     """Lower bounds from the norm s = ||S|| alone on the values
     _kernel_disk_min returns, for the matrices of _kernel_circle_floor.
 
-    On the closed disk ||zS + (zS)*|| <= 2s, and for rho <= 2 the term
-    (rho-2)|z|^2 S*S is at least -(2-rho) s^2, so lambda_min k is at least
-    rho - 2|rho-1| s - (2-rho) s^2; the floor is that less the rounding
-    guard of _kernel_circle_floor.  For rho > 2 the floors are -inf.
+    On the closed disk ||zS + (zS)*|| <= 2s, and the term (rho-2)|z|^2 S*S
+    is at least -(2-rho) s^2 for rho <= 2 and positive semidefinite for
+    rho > 2, so lambda_min k is at least rho - 2|rho-1| s - max(2-rho, 0) s^2
+    at every disk point; the floor is that less the rounding guard of
+    _kernel_circle_floor.
     """
     floors = np.full(len(subs), -np.inf)
-    if rho > 2:
-        return floors
     for d, idx, stack in _by_size(subs):
         norms = np.linalg.norm(stack, 2, axis=(1, 2))
-        floors[idx] = (rho - 2 * abs(rho - 1) * norms - (2 - rho) * norms ** 2
+        floors[idx] = (rho - 2 * abs(rho - 1) * norms - max(2 - rho, 0) * norms ** 2
                        - _screen_guard(norms, d, rho))
     return floors
 
@@ -307,7 +409,7 @@ def _by_size(mats):
 def _screen_guard(norms: np.ndarray, d: int, rho: float) -> np.ndarray:
     """Rounding guard of the screen floors of d x d matrices of these norms:
     SCREEN_ROUND_GUARD d times a bound on the kernel's norm."""
-    return SCREEN_ROUND_GUARD * d * (rho + 2 * abs(rho - 1) * norms + abs(rho - 2) * norms ** 2)
+    return SCREEN_ROUND_GUARD * d * _kernel_scale(norms, rho)
 
 
 def _screen_witness(subs, rho: float, tol: float, level: float, disk_min):
@@ -347,23 +449,35 @@ def _check_positive(**knobs: float) -> None:
             raise InputError(f"{name} must be finite and positive")
 
 
+def _square(a, what: str) -> np.ndarray:
+    """``a`` as a finite complex matrix; InputError unless it is square with
+    at least one row."""
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise InputError(f"{what} input must be square")
+    if m.shape[0] == 0:
+        raise InputError(f"{what} input must have at least one row")
+    return m
+
+
 def membership_single(a, rho: float, tol: float = DEFAULT_TOL, cross_check: bool = True) -> MembershipVerdict:
     """Decide membership of a single operator at level rho.
 
-    The decision comes from the kernel condition on the closed disk; the
+    The decision is the kernel disk minimum (_kernel_disk_min) against -tol;
+    the certificate records the witness point, the level-set counters and
+    the certified level below lambda_min on the circle.  The
     Herglotz-transform condition is evaluated on a near-boundary ring as a
     cross-check and recorded in the certificate.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InputError("membership input must be square")
+    m = _square(a, "membership")
     _check_positive(rho=rho, tol=tol)
-    margin, witness = _kernel_disk_min(m, rho)
+    margin, witness, stats = _kernel_disk_min(m, rho)
     decision = IN if margin >= -tol else OUT
     certificate = {
-        "method": "kernel-disk-grid",
-        "theta_points": THETA_POINTS,
+        "method": "kernel-levelset",
+        "theta_points": LEVELSET_START_POINTS if rho != 1 else 1,
         "interior_r_points": INTERIOR_R_POINTS if rho > 2 else 0,
+        **stats,
         "witness_z": [witness.real, witness.imag],
         "kernel_margin": margin,
         "tol": tol,
@@ -383,9 +497,9 @@ def membership_single_all_conditions(a, rho: float, tol: float = DEFAULT_TOL) ->
     Boundary-band cases (|margin| within the grid slack) are reported as
     Borderline so callers can treat them as wildcards.
     """
-    m = as_matrix(a)
+    m = _square(a, "membership")
     band = max(tol, 1e-6)
-    kmargin, _ = _kernel_disk_min(m, rho)
+    kmargin = _kernel_disk_min(m, rho)[0]
     pmargin = _psi_boundary_min(m, rho)
     fsup = _phi_boundary_sup(m, rho)
     fmargin = 1 - fsup
@@ -471,7 +585,7 @@ def _qep_upper_bound(za: np.ndarray, rho: float, gram_max: float | None = None) 
     return ((rho - 1) * h + np.sqrt(disc)) / (2 * rho)
 
 
-def _qep_roots_below(za: np.ndarray, rho: float, level: float, gram: np.ndarray | None = None) -> np.ndarray:
+def _qep_roots_below(za: np.ndarray, rho: float, level: float) -> np.ndarray:
     """True where every root of the pencil of _qep_top_roots has real part
     below ``level``, for pencil values with ||zeta A|| <= 1.
 
@@ -486,7 +600,7 @@ def _qep_roots_below(za: np.ndarray, rho: float, level: float, gram: np.ndarray 
     h = za + zah
     eye = np.eye(za.shape[1])
     c = 2 * rho * level * eye - (rho - 1) * h
-    p = level * (rho * level * eye - (rho - 1) * h) + (rho - 2) * (zah @ za if gram is None else gram)
+    p = level * (rho * level * eye - (rho - 1) * h) + (rho - 2) * (zah @ za)
     lam = np.linalg.eigvalsh(np.concatenate([c, p]))[:, 0]
     norm_c = 2 * rho * abs(level) + 2 * abs(rho - 1)
     norm_p = abs(level) * (rho * abs(level) + 2 * abs(rho - 1)) + abs(rho - 2)
@@ -494,15 +608,15 @@ def _qep_roots_below(za: np.ndarray, rho: float, level: float, gram: np.ndarray 
 
 
 def _qep_theta_max(a: OperatorTuple, rho: float):
-    """Maximum over the torus of mu*(zeta) for N = 1 or 2.
+    """Maximum over the torus of mu*(zeta) for a pair.
 
-    Returns (maximum, slice phase w* = zeta_2/zeta_1 at the maximiser (1 for
-    N = 1), grid points per axis, refinement rounds, companion solves).  The
-    grid has THETA_POINTS angles for N = 1 and PAIR_TORUS_POINTS per axis
-    for N = 2; QEP_REFINE_ROUNDS local grids of QEP_REFINE_POINTS per axis
-    follow around the best point, each spanning +- one spacing of the grid
-    before.  At rho = 1 the pencil mu^2 I - (zeta A)*(zeta A) does not see
-    the phase of zeta_1, so the first axis is the single angle 0.
+    Returns (maximum, slice phase w* = zeta_2/zeta_1 at the maximiser, grid
+    points per axis, refinement rounds, companion solves).  The grid has
+    PAIR_TORUS_POINTS angles per axis; QEP_REFINE_ROUNDS local grids of
+    QEP_REFINE_POINTS per axis follow around the best point, each spanning
+    +- one spacing of the grid before.  At rho = 1 the pencil
+    mu^2 I - (zeta A)*(zeta A) does not see the phase of zeta_1, so the
+    first axis is the single angle 0.
 
     A grid of more than QEP_CHUNK points is solved in chunks of QEP_CHUNK
     in decreasing order of _qep_upper_bound (stable in the point index).
@@ -515,11 +629,9 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
     solving every point.  The callers pass tuples with ||zeta A|| <= 1 on
     the torus.
     """
-    n = THETA_POINTS if a.n_vars == 1 else PAIR_TORUS_POINTS
+    n = PAIR_TORUS_POINTS
     grid = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    axes = [np.zeros(1) if rho == 1 else grid] + [grid] * (a.n_vars - 1)
-    gram = a[0].conj().T @ a[0] if a.n_vars == 1 else None
-    gram_max = None if gram is None else float(np.linalg.eigvalsh(gram)[-1])
+    axes = [np.zeros(1) if rho == 1 else grid, grid]
 
     def grid_max(axes):
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -528,7 +640,7 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
         prune = len(points) > QEP_CHUNK
         order = np.arange(len(points))
         if prune:
-            bound = np.concatenate([_qep_upper_bound(_pencils(a, points[i:i + QEP_CHUNK]), rho, gram_max)
+            bound = np.concatenate([_qep_upper_bound(_pencils(a, points[i:i + QEP_CHUNK]), rho)
                                     for i in chunks])
             order = np.argsort(-bound, kind="stable")
         vals = np.full(len(points), -np.inf)
@@ -541,16 +653,16 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
                 if not idx.size:
                     break
                 if rho != 2:
-                    idx = idx[~_qep_roots_below(_pencils(a, points[idx]), rho, level, gram)]
+                    idx = idx[~_qep_roots_below(_pencils(a, points[idx]), rho, level)]
             if idx.size:
-                vals[idx] = _qep_top_roots(_pencils(a, points[idx]), rho, gram)
+                vals[idx] = _qep_top_roots(_pencils(a, points[idx]), rho)
                 best, solves = max(best, vals[idx].max()), solves + idx.size
         i = int(np.argmax(vals))
         idx = np.unravel_index(i, [len(ax) for ax in axes])
         return float(vals[i]), [float(ax[j]) for ax, j in zip(axes, idx)], solves
 
     best, best_angles, solves = grid_max(axes)
-    rounds = QEP_REFINE_ROUNDS if any(len(ax) > 1 for ax in axes) else 0
+    rounds = QEP_REFINE_ROUNDS
     span = 2 * np.pi / n
     for _ in range(rounds):
         local = [t + np.linspace(-span, span, QEP_REFINE_POINTS) if len(ax) > 1 else ax
@@ -560,8 +672,36 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
         if val > best:
             best, best_angles = val, angles
         span *= 2 / (QEP_REFINE_POINTS - 1)
-    w = complex(np.exp(1j * (best_angles[1] - best_angles[0]))) if a.n_vars == 2 else 1.0
+    w = complex(np.exp(1j * (best_angles[1] - best_angles[0])))
     return best, w, [len(ax) for ax in axes], rounds, solves
+
+
+def _mu_star_max(a: np.ndarray, rho: float, gap: float, start_points: int = LEVELSET_START_POINTS) -> dict:
+    """Level-set maximum over the circle of mu*(theta), the largest real
+    root of P_theta(mu) = rho mu^2 I - (rho-1) mu H(theta) + (rho-2) A*A,
+    H(theta) = e^{i theta} A + e^{-i theta} A*, for a matrix of norm 1.
+
+    u is a root of P_theta where the *-palindromic quadratic
+    -(rho-1) u A zeta^2 + (rho u^2 I + (rho-2) A*A) zeta - (rho-1) u A* has
+    the unimodular root zeta = e^{i theta}; P_theta(u) is positive definite
+    where mu*(theta) < u.  So this is _levelset_min of -mu*, floored at the
+    lower bound 1/rho.  Returns {"value", "theta", "level", "iterations"}
+    with value the best root attained (or 1/rho, theta None, if no sample
+    reached it) and level the stop level above it.
+    """
+    gram = a.conj().T @ a
+    e = -(rho - 1) * a
+    base = (rho - 2) * gram
+    eye = np.eye(a.shape[0])
+
+    def h(thetas):
+        return -_qep_top_roots(np.exp(1j * thetas)[:, None, None] * a, rho, gram)
+
+    def pencil(level):
+        return -level * e, rho * level ** 2 * eye + base
+
+    run = _levelset_min(h, pencil, gap, -1 / rho, start_points)
+    return {**run, "value": -run["value"], "level": -run["level"]}
 
 
 def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL) -> RadiusReport:
@@ -571,73 +711,57 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL)
     only through s = r/u, so w_rho(A) is the maximum over theta of the
     largest real root mu*(theta) of the quadratic pencil
     rho mu^2 I - (rho-1) mu (e^{i theta} A + e^{-i theta} A*) + (rho-2) A*A
-    (the norm at rho = 1, the numerical radius at rho = 2).  The bracket
-    [mu - width/2, mu + width/2], floored at the lower bound ||A||/rho, is
-    confirmed at both ends by the kernel disk minimum: below zero at lo
-    (A/lo is not a member) unless lo is that lower bound, at least -tol at
-    hi.  If either end fails, the kernel test is bisected between the
-    nearest confirmed ends instead.
+    (the norm at rho = 1, the numerical radius at rho = 2), found by the
+    level-set iteration (_mu_star_max) on A/||A||.  hi is its stop level:
+    no root reaches it at any angle.  lo is the best root attained less the
+    gap, floored at the lower bound ||A||/rho, so that A/lo fails the
+    kernel test at the witness angle.  The gap is RADIUS_GAP (1 + bound)
+    relative, and at most width/4, so hi - lo <= width/2.
+
+    For rho <= 2 the pencil is hyperbolic and mu* is continuous, so hi is
+    certified (``certified_level``).  For rho > 2 real roots can appear in
+    pairs away from the level (mu* jumps); hi is certified there when also
+    2 rho hi >= (rho-1) lambda_max H(theta) at every angle, which holds if
+    rho hi >= (rho-1) w(A), w(A) from the rho = 2 iteration: then every
+    root has real part below hi.  Otherwise the iteration is rerun from
+    THETA_POINTS starting angles and ``certified_level`` is None.  ``tol``
+    is checked and recorded; the kernel test does not enter the radius.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InputError("radius input must be square")
+    m = _square(a, "radius")
     _check_positive(rho=rho, width=width, tol=tol)
     start = time.perf_counter()
     norm = op_norm(m)
-    grid_spec = {"theta_points": 0, "refine_rounds": 0, "theta_solves": 0, "kernel_checks": 0,
-                 "fallback_steps": 0, "tol": tol, "width": width}
+    grid_spec = {"start_points": LEVELSET_START_POINTS, "levelset_iterations": 0, "crossing_solves": 0,
+                 "certified_level": 0.0, "tol": tol, "width": width}
     if norm == 0.0:
-        return RadiusReport(0.0, 0.0, QEP_METHOD, grid_spec, 0.0)
-    mu, _, (grid_spec["theta_points"],), grid_spec["refine_rounds"], grid_spec["theta_solves"] = (
-        _qep_theta_max(OperatorTuple((m / norm,)), rho))
-    floor = norm / rho
-    centre = max(mu * norm, floor)
-    lo, hi = max(floor, centre - width / 2), centre + width / 2
-    while hi - lo > width:  # rounding of centre +- width/2
-        hi = math.nextafter(hi, lo)
-
-    def margin(u):
-        grid_spec["kernel_checks"] += 1
-        return kernel_margin(m / u, rho)
-
-    def feasible(u):
-        return margin(u) >= -tol
-
-    method, fallback = QEP_METHOD, None
-    lo_margin = margin(lo)
-    if lo == floor and lo_margin >= -tol:
-        hi = lo  # w_rho attains its lower bound ||A||/rho
-    elif lo_margin >= 0:
-        fallback = (floor, lo)
-    elif not feasible(hi):
-        fallback = (hi, norm * max(1.0, 2.0 / rho - 1.0))
-    if fallback is not None:
-        checks = grid_spec["kernel_checks"]
-        method = QEP_METHOD + "+kernel-bisection"
-        rep = _bisect_radius(norm, *fallback, feasible, width, method, grid_spec)
-        lo, hi = rep.lo, rep.hi
-        grid_spec["fallback_steps"] = grid_spec["kernel_checks"] - checks
-    return RadiusReport(lo, hi, method, grid_spec, time.perf_counter() - start)
+        return RadiusReport(0.0, 0.0, LEVELSET_METHOD, grid_spec, 0.0)
+    unit = m / norm
+    gap = min(RADIUS_GAP * (1 + max(1.0, 2.0 / rho - 1.0)), width / (4 * norm))
+    run = _mu_star_max(unit, rho, gap)
+    solves, certified = run["iterations"], True
+    if rho > 2:
+        numrad = _mu_star_max(unit, 2.0, gap)
+        solves += numrad["iterations"]
+        if rho * run["level"] < (rho - 1) * numrad["level"]:
+            run, certified = _mu_star_max(unit, rho, gap, THETA_POINTS), False
+            grid_spec["start_points"] = THETA_POINTS
+            solves += run["iterations"]
+    grid_spec.update(levelset_iterations=run["iterations"], crossing_solves=solves,
+                     certified_level=run["level"] * norm if certified else None)
+    lo = max(norm / rho, (run["value"] - gap) * norm)
+    hi = run["level"] * norm
+    return RadiusReport(lo, hi, LEVELSET_METHOD, grid_spec, time.perf_counter() - start)
 
 
-def numerical_radius(a, n_theta: int = THETA_POINTS) -> float:
-    """w(A) = max over directions theta of lambda_max(Re(e^{i theta} A))."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InputError("numerical radius input must be square")
-    thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
-    phases = np.exp(1j * thetas)[:, None, None]
-    re = (phases * m + (phases * m).conj().transpose(0, 2, 1)) / 2
-    vals = np.linalg.eigvalsh(re)[:, -1]
-    i = int(np.argmax(vals))
-
-    def g(th):
-        rot = np.exp(1j * th) * m
-        return -float(np.linalg.eigvalsh((rot + rot.conj().T) / 2)[-1])
-
-    span = 2 * np.pi / n_theta
-    _, neg = _golden_min(g, float(thetas[i]) - span, float(thetas[i]) + span, iters=40)
-    return max(float(vals[i]), -neg)
+def numerical_radius(a) -> float:
+    """w(A) = max over theta of lambda_max(Re(e^{i theta} A)), the rho = 2
+    case of w_rho: the largest value attained by its level-set iteration,
+    within the gap below the certified level."""
+    m = _square(a, "numerical radius")
+    norm = op_norm(m)
+    if norm == 0.0:
+        return 0.0
+    return _mu_star_max(m / norm, 2.0, 2 * RADIUS_GAP)["value"] * norm
 
 
 # ---------------------------------------------------------------------------
@@ -752,15 +876,48 @@ def _pencils(a: OperatorTuple, points: np.ndarray) -> np.ndarray:
 
 def phi_sup(a: OperatorTuple, rho: float, points: np.ndarray):
     """sup of ||phi(zA)|| over the rows z of ``points`` (any N), with the
-    first maximizing point; (inf, z) at the first point z that is a pole."""
+    first maximizing point; (inf, z) at the first point z that is a pole.
+
+    A pole is a point where sigma_min((rho-1) zA - rho I) <= 1e-12.  Since
+    that is at least rho - |rho-1| ||zA||_F, the SVD runs only on points
+    where this bound, less the PHI_GUARD rounding allowance, is not above
+    1e-12 (never at rho = 1).  Then phi = zA ((rho-1) zA - rho I)^{-1} is
+    formed for every point, and the points are taken in decreasing order of
+    ||phi||_F >= ||phi||_2 (stable in the point index), in chunks of
+    PHI_CHUNK per batched SVD, until ||phi||_F falls below the best value
+    found by the rounding guard PHI_GUARD.  A point left out cannot reach
+    the best value, so the sup and the first maximizer are those of taking
+    the SVD of every point.
+    """
     za = _pencils(a, points)
     res = (rho - 1) * za - rho * np.eye(a.dim)
-    poles = np.flatnonzero(np.linalg.svd(res, compute_uv=False)[:, -1] <= 1e-12)
-    if poles.size:
-        return math.inf, points[poles[0]]
-    vals = np.linalg.svd(za @ np.linalg.inv(res), compute_uv=False)[:, 0]
-    j = int(np.argmax(vals))
-    return float(vals[j]), points[j]
+    if rho != 1:
+        size = abs(rho - 1) * _frobenius(za)
+        near = np.flatnonzero(rho - size <= 1e-12 + PHI_GUARD * (rho + size))
+        if near.size:
+            poles = near[np.linalg.svd(res[near], compute_uv=False)[:, -1] <= 1e-12]
+            if poles.size:
+                return math.inf, points[poles[0]]
+    phi = za @ np.linalg.inv(res)
+    bound = _frobenius(phi)
+    order = np.argsort(-bound, kind="stable")
+    best, idx, vals = -math.inf, [], []
+    for i in range(0, len(order), PHI_CHUNK):
+        if bound[order[i]] < best * (1 - PHI_GUARD):
+            break
+        chunk = order[i:i + PHI_CHUNK]
+        vals.append(np.linalg.svd(phi[chunk], compute_uv=False)[:, 0])
+        idx.append(chunk)
+        best = max(best, float(vals[-1].max()))
+    idx, vals = np.concatenate(idx), np.concatenate(vals)
+    j = int(idx[vals == vals.max()].min())
+    return float(vals.max()), points[j]
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a complex stack, without a copy."""
+    flat = stack.reshape(len(stack), -1).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def _worst_slice(a: OperatorTuple, rho: float):
@@ -801,7 +958,8 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     ``substitutions``) and screened by _screen_witness in sample-order
     chunks, which stops at the Out witness: a substitution whose norm floor
     is at least the polydisk margin 1 - sup ||phi|| is settled without an
-    eigensolve, the others get their _kernel_circle_floor, and a disk
+    eigensolve, the others get their _kernel_circle_floor (-inf for
+    rho > 2), and a disk
     minimum (``disk_minima``) runs only where a floor is below -tol.  An In
     margin is the smaller of 1 - sup ||phi|| and the smallest disk minimum,
     found in increasing order of floor until the floor reaches it.  Verdict

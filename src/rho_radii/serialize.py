@@ -28,6 +28,8 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
+    if rows < 1 or cols < 1:
+        raise InputError(f"matrix must have at least one row and one column, got {rows} x {cols}")
     if len(data) != rows * cols:
         raise InputError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
     flat = np.array([complex(re, im) for re, im in data], dtype=complex)

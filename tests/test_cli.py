@@ -145,6 +145,17 @@ def test_exit_code_non_finite_knobs(nilp, capsys, argv):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("argv", [["radius", "--rho", "2"], ["membership", "--rho", "2"], ["numrad"],
+                                  ["sweep", "--rho-from", "0.5", "--rho-to", "2", "--steps", "3"]])
+def test_exit_code_empty_matrix(tmp_path, capsys, argv):
+    # a 0 x 0 matrix is an input error for every command that reads one
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"rows": 0, "cols": 0, "data": []}))
+    code, out, err = _run(capsys, argv + ["--input", str(p)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = _run(capsys, ["numrad", "--input", "/nonexistent.json"])
     assert code == 2

@@ -234,29 +234,11 @@ def test_w_rho_bracket_ends_confirmed_by_kernel():
             rep = w_rho(a, rho)
             _assert_bracket_confirmed(a, rho, rep)
             spec = rep.grid_spec
-            assert spec["fallback_steps"] == 0, (d, rho, spec)
-            assert spec["kernel_checks"] <= 2
-            assert spec["theta_points"] == (1 if rho == 1.0 else radii.THETA_POINTS)
-            assert spec["theta_solves"] <= spec["theta_points"] + spec["refine_rounds"] * radii.QEP_REFINE_POINTS
-            assert rep.method == radii.QEP_METHOD
-
-
-@pytest.mark.parametrize("factor", [0.9, 1.1])
-def test_w_rho_fallback_bisection_on_wrong_theta_max(monkeypatch, factor):
-    # A theta maximum that is too low fails the check at hi, one that is
-    # too high fails it at lo; either way the kernel test is bisected.
-    rng = np.random.default_rng(12)
-    a = _random_matrix(rng, 3)
-    exact = {rho: w_rho(a, rho) for rho in (0.5, 2.0, 3.0)}
-    qep = radii._qep_theta_max
-    monkeypatch.setattr(radii, "_qep_theta_max",
-                        lambda m, rho: (factor * qep(m, rho)[0],) + qep(m, rho)[1:])
-    for rho, ref in exact.items():
-        rep = w_rho(a, rho)
-        _assert_bracket_confirmed(a, rho, rep)
-        assert rep.grid_spec["fallback_steps"] > 0
-        assert rep.method.endswith("+kernel-bisection")
-        assert rep.mid == pytest.approx(ref.mid, abs=1e-6)
+            assert 1 <= spec["levelset_iterations"] <= spec["crossing_solves"], (d, rho, spec)
+            assert spec["levelset_iterations"] <= 4
+            if rho <= 3:
+                assert spec["certified_level"] == rep.hi, (d, rho, spec)
+            assert rep.method == radii.LEVELSET_METHOD
 
 
 def test_w_rho_shift_above_dim_64():
@@ -354,7 +336,7 @@ def test_pair_verdict_agrees_with_radius():
             rep = w_rho_tuple(pair, rho)
             spec = rep.grid_spec
             assert spec["torus_points"] == [radii.PAIR_TORUS_POINTS] * 2
-            assert spec["fallback_steps"] == 0 and spec["kernel_checks"] <= 2
+            assert spec["certified_level"] == rep.hi
             v_in = membership_tuple(pair.scale(1 / (rep.hi * (1 + 1e-6))), rho)
             v_out = membership_tuple(pair.scale(1 / (rep.lo * (1 - 1e-6))), rho)
             assert (v_in.decision, v_out.decision) == (IN, OUT), (rho, rep, v_in, v_out)
@@ -579,24 +561,23 @@ def test_qep_roots_below_is_sound():
 
 
 def _qep_theta_max_full(a, rho):
-    """Full-grid reference for the pruned maximiser: every grid point of
-    every round solved."""
-    n = radii.THETA_POINTS if a.n_vars == 1 else radii.PAIR_TORUS_POINTS
+    """Full-grid reference for the pruned pair maximiser: every grid point
+    of every round solved."""
+    n = radii.PAIR_TORUS_POINTS
     grid = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    axes = [np.zeros(1) if rho == 1 else grid] + [grid] * (a.n_vars - 1)
-    gram = a[0].conj().T @ a[0] if a.n_vars == 1 else None
+    axes = [np.zeros(1) if rho == 1 else grid, grid]
 
     def grid_max(axes):
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.exp(1j * np.stack([m.ravel() for m in mesh], axis=1))
-        vals = np.concatenate([radii._qep_top_roots(radii._pencils(a, points[i:i + radii.QEP_CHUNK]), rho, gram)
+        vals = np.concatenate([radii._qep_top_roots(radii._pencils(a, points[i:i + radii.QEP_CHUNK]), rho)
                                for i in range(0, len(points), radii.QEP_CHUNK)])
         i = int(np.argmax(vals))
         idx = np.unravel_index(i, [len(ax) for ax in axes])
         return float(vals[i]), [float(ax[j]) for ax, j in zip(axes, idx)]
 
     best, best_angles = grid_max(axes)
-    rounds = radii.QEP_REFINE_ROUNDS if any(len(ax) > 1 for ax in axes) else 0
+    rounds = radii.QEP_REFINE_ROUNDS
     span = 2 * np.pi / n
     for _ in range(rounds):
         local = [t + np.linspace(-span, span, radii.QEP_REFINE_POINTS) if len(ax) > 1 else ax
@@ -605,7 +586,7 @@ def _qep_theta_max_full(a, rho):
         if val > best:
             best, best_angles = val, angles
         span *= 2 / (radii.QEP_REFINE_POINTS - 1)
-    w = complex(np.exp(1j * (best_angles[1] - best_angles[0]))) if a.n_vars == 2 else 1.0
+    w = complex(np.exp(1j * (best_angles[1] - best_angles[0])))
     return best, w, [len(ax) for ax in axes], rounds
 
 
@@ -615,14 +596,13 @@ def test_pruned_theta_max_equals_full_grid():
     for d in range(1, 7):
         kinds = _kinds(rng, d)
         pair = OperatorTuple((kinds[d % 3] / 2, kinds[(d + 1) % 3] / 2))
-        for a in [OperatorTuple((m,)) for m in kinds] + [pair]:
-            for rho in QEP_RHOS:
-                got = radii._qep_theta_max(a, rho)
-                assert got[:4] == _qep_theta_max_full(a, rho), (a.n_vars, d, rho)
-                points = np.prod(got[2]) + got[3] * radii.QEP_REFINE_POINTS ** sum(n > 1 for n in got[2])
-                assert got[4] <= points
-                cases += 1
-    assert cases == 396
+        for rho in QEP_RHOS:
+            got = radii._qep_theta_max(pair, rho)
+            assert got[:4] == _qep_theta_max_full(pair, rho), (d, rho)
+            points = np.prod(got[2]) + got[3] * radii.QEP_REFINE_POINTS ** sum(n > 1 for n in got[2])
+            assert got[4] <= points
+            cases += 1
+    assert cases == 66
 
 
 def test_cached_samples_equal_fresh_draws_and_are_read_only():
@@ -674,7 +654,12 @@ def test_kernel_norm_floor_below_disk_minimum():
         s = 0.9
         exact = rho - 2 * abs(rho - 1) * s - (2 - rho) * s ** 2
         assert floors[-1] == pytest.approx(exact, abs=1e-12)
-    assert np.all(radii._kernel_norm_floor(mats, 2.5) == -np.inf)
+    # for rho > 2 the S*S term is dropped; the disk minimum may lie inside
+    for rho in (2.5, 3.0, 5.0):
+        floors = radii._kernel_norm_floor(mats, rho)
+        for s, floor in zip(mats, floors):
+            assert floor <= kernel_margin(s, rho), (rho, s.shape, floor)
+        assert floors[-1] == pytest.approx(rho - 2 * (rho - 1) * 0.9, abs=1e-11)
 
 
 def test_out_at_early_substitution_screens_one_chunk(monkeypatch):
@@ -692,3 +677,224 @@ def test_out_at_early_substitution_screens_one_chunk(monkeypatch):
         assert v["decision"] == OUT and "witness_sample_dim" in cert
         assert counters["substitutions"] == 256
         assert 0 < sum(screened) <= radii.SCREEN_CHUNK
+
+
+# ---------------------------------------------------------------------------
+# the level-set engine for one operator
+
+DENSE = np.exp(1j * np.linspace(0, 2 * np.pi, 4096, endpoint=False))
+LEVELSET_RHOS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0)
+
+
+def _golden_min(f, lo, hi, iters):
+    g = (math.sqrt(5) - 1) / 2
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def _grid_kernel_disk_min(a, rho):
+    """The grid engine the level set replaced, as the reference for the
+    margin: 512 angles, three rounds of 16 golden-section steps around the
+    best one, and for rho > 2 the interior grid of _kernel_disk_min."""
+    thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
+    vals = radii._kernel_lambda_min(a, rho, np.exp(1j * thetas))
+    i = int(np.argmin(vals))
+    best_theta, best = float(thetas[i]), float(vals[i])
+    span = 2 * np.pi / 512
+    g = lambda th: float(radii._kernel_lambda_min(a, rho, np.exp(1j * np.array([th])))[0])
+    for _ in range(3):
+        best_theta, best = _golden_min(g, best_theta - span, best_theta + span, 16)
+        span *= 0.05
+    if rho > 2:
+        rs = np.linspace(1 / radii.INTERIOR_R_POINTS, 1.0, radii.INTERIOR_R_POINTS)
+        th = np.linspace(0, 2 * np.pi, radii.INTERIOR_THETA_POINTS, endpoint=False)
+        rr, tt = np.meshgrid(rs, th, indexing="ij")
+        vals = radii._kernel_lambda_min(a, rho, (rr * np.exp(1j * tt)).ravel())
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            r0, t0 = rr.ravel()[j], tt.ravel()[j]
+            rloc = np.clip(np.linspace(r0 - 1 / radii.INTERIOR_R_POINTS, r0 + 1 / radii.INTERIOR_R_POINTS, 17), 0, 1)
+            tloc = np.linspace(t0 - 2 * np.pi / radii.INTERIOR_THETA_POINTS,
+                               t0 + 2 * np.pi / radii.INTERIOR_THETA_POINTS, 17)
+            rr2, tt2 = np.meshgrid(rloc, tloc, indexing="ij")
+            best = min(best, float(radii._kernel_lambda_min(a, rho, (rr2 * np.exp(1j * tt2)).ravel()).min()))
+    return best
+
+
+def _levelset_cases():
+    """Random, nilpotent, normal, zero and shift matrices (d 1-6) at their
+    norm 1 and scaled to 0.3 and 1.7."""
+    rng = np.random.default_rng(41)
+    for d in range(1, 7):
+        for k, a in enumerate(_kinds(rng, d)):
+            yield a * (0.3, 1.0, 1.7)[(d + k) % 3]
+
+
+def _scale(a, rho):
+    """The kernel's norm bound that scales the margin's gap."""
+    return radii._kernel_scale(float(np.linalg.norm(a)), rho)
+
+
+def test_kernel_margin_never_crosses_certified_level():
+    # lambda_min k on a 4096-angle circle stays at or above the certified
+    # level; the margin is attained at its witness and, on the circle
+    # (rho <= 2), lies within the gap of that level
+    for a in _levelset_cases():
+        for rho in LEVELSET_RHOS:
+            margin, witness, stats = radii._kernel_disk_min(a, rho)
+            scale = _scale(a, rho)
+            circle = radii._kernel_lambda_min(a, rho, DENSE)
+            assert circle.min() >= stats["certified_level"] - 1e-13 * scale, (a.shape, rho, stats)
+            at_witness = radii._kernel_lambda_min(a, rho, np.array([witness]))[0]
+            assert at_witness == pytest.approx(margin, abs=1e-13 * scale)
+            if rho <= 2:
+                assert abs(witness) == pytest.approx(1.0, abs=1e-15)
+                assert margin - stats["certified_level"] <= 1.01 * radii.KERNEL_GAP * scale
+                assert stats["levelset_iterations"] <= 5
+
+
+def test_radius_never_crossed_above_certified_level():
+    # mu*(theta) on a 4096-angle circle stays at or below the certified hi;
+    # hi is certified for every rho <= 3, and lo sits within width of hi.
+    # For rho <= 2 the pencil P(mu) has d roots >= 0 and d roots <= 0, so
+    # mu* <= hi there iff P(hi) >= 0, a d x d eigvalsh per angle.
+    for i, a in enumerate(_levelset_cases()):
+        gram = a.conj().T @ a
+        for rho in LEVELSET_RHOS:
+            rep = w_rho(a, rho)
+            assert rep.hi - rep.lo <= rep.grid_spec["width"] / 2 + 1e-15 * rep.hi
+            level = rep.grid_spec["certified_level"]
+            if rho <= 3:
+                assert level == rep.hi, (a.shape, rho, rep.grid_spec)
+            if level is None or not a.any():
+                continue
+            if rho <= 2:
+                za = DENSE[:, None, None] * a
+                p = rho * level ** 2 * np.eye(len(a)) - (rho - 1) * level * (za + za.conj().swapaxes(1, 2)) + (rho - 2) * gram
+                assert np.linalg.eigvalsh(p)[:, 0].min() >= -1e-13 * (1 + level) ** 2, (a.shape, rho)
+            elif i % 2:
+                mu = radii._qep_top_roots(DENSE[:, None, None] * a, rho, gram)
+                assert mu.max() <= level * (1 + 1e-12) + 1e-15, (a.shape, rho)
+
+
+def test_levelset_closed_forms():
+    rng = np.random.default_rng(42)
+    # rho = 1: the kernel on the circle is I - A*A, so the margin is 1 - ||A||^2
+    for d in range(1, 6):
+        a = _random_matrix(rng, d) * rng.uniform(0.2, 1.5) / d
+        v = membership_single(a, 1.0)
+        assert v.margin == pytest.approx(1 - op_norm(a) ** 2, abs=1e-13 * (1 + op_norm(a) ** 2))
+        assert v.certificate["crossing_solves"] == 0
+    # scalars: w_rho(a) = |a| max(1, 2/rho - 1), also where the real roots
+    # of rho > 2 live in a window narrower than the starting angles' spacing
+    for a in (0.7, -1.3j, 0.4 - 2.1j, np.exp(0.1j), np.exp(2.9j)):
+        for rho in LEVELSET_RHOS:
+            rep = w_rho(np.array([[a]]), rho)
+            exact = abs(a) * max(1.0, 2.0 / rho - 1.0)
+            assert rep.lo <= exact * (1 + 1e-12) and exact <= rep.hi * (1 + 1e-12), (a, rho, rep)
+    # N^2 = 0: w_rho(N) = ||N|| / rho at every level
+    for d in range(2, 7):
+        k = d // 2
+        n = np.zeros((d, d), dtype=complex)
+        n[:k, d - k:] = _random_matrix(rng, k)
+        for rho in LEVELSET_RHOS:
+            rep = w_rho(n, rho)
+            assert rep.lo == op_norm(n) / rho
+            assert rep.hi - rep.lo <= 2 * radii.RADIUS_GAP * op_norm(n) * max(2.0, 2.0 / rho), (d, rho, rep)
+    # the 65 x 65 shift at rho = 2: cos(pi/66), one crossing solve
+    rep = w_rho(_shift(65), 2.0)
+    assert rep.lo <= math.cos(math.pi / 66) * (1 + 1e-14) and math.cos(math.pi / 66) <= rep.hi
+    assert rep.grid_spec["levelset_iterations"] == 1 and rep.grid_spec["certified_level"] == rep.hi
+
+
+#: Largest distance between the level-set margin and the grid engine's,
+#: relative to the kernel's norm bound (see CHANGES.md).
+MARGIN_BOUND = 1e-9
+
+
+def test_margin_within_bound_of_grid_engine():
+    worst = 0.0
+    for a in _levelset_cases():
+        for rho in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+            for b in (a, a / max(w_rho(a, rho).mid, 1e-300)):
+                if not b.any():
+                    continue
+                scale = _scale(b, rho)
+                got, _, stats = radii._kernel_disk_min(b, rho)
+                ref = _grid_kernel_disk_min(b, rho)
+                # the grid values are attained: on the circle they are
+                # above the certified level, within two gaps of the margin
+                if rho <= 2:
+                    assert ref >= stats["certified_level"] - 1e-13 * scale, (b.shape, rho, got, ref)
+                    assert got <= ref + 2 * radii.KERNEL_GAP * scale, (b.shape, rho, got, ref)
+                worst = max(worst, abs(got - ref) / scale)
+    assert worst <= MARGIN_BOUND
+
+
+def _phi_sup_unpruned(a, rho, points):
+    """phi_sup before the pruning: the pole SVD and the norm SVD of every
+    point."""
+    za = radii._pencils(a, points)
+    res = (rho - 1) * za - rho * np.eye(a.dim)
+    poles = np.flatnonzero(np.linalg.svd(res, compute_uv=False)[:, -1] <= 1e-12)
+    if poles.size:
+        return math.inf, points[poles[0]]
+    vals = np.linalg.svd(za @ np.linalg.inv(res), compute_uv=False)[:, 0]
+    j = int(np.argmax(vals))
+    return float(vals[j]), points[j]
+
+
+def test_pruned_phi_sup_bitwise_equals_unpruned():
+    rng = np.random.default_rng(43)
+    tuples = []
+    for seed in range(12):
+        d = 1 + seed % 4
+        t = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(3)))
+        tuples.append(t.scale(rng.uniform(0.05, 1.2) / sum(op_norm(m) for m in t.mats)))
+    tuples += [OperatorTuple(tuple(np.zeros((2, 2)) for _ in range(3))),
+               OperatorTuple(tuple(0.2 * np.eye(2) for _ in range(3))),
+               OperatorTuple(tuple(np.array([[c]]) for c in (0.3, -0.2j, 0.1)))]
+    pole = OperatorTuple((2.0 * np.eye(2), 0.3 * NILP, 0.1 * np.eye(2)))
+    for t in tuples + [pole]:
+        for rho in (0.5, 1.0, 2.0, 3.0):
+            for count in (128, 300):
+                points = _scalar_torus_points(3, count)
+                if t is pole:
+                    points[7] = points[40] = (1.0, 0.5j, 0.0)
+                val, wit = phi_sup(t, rho, points)
+                ref_val, ref_wit = _phi_sup_unpruned(t, rho, points)
+                assert val == ref_val and wit.tobytes() == ref_wit.tobytes(), (t.dim, rho, count)
+
+
+def test_norm_floor_screen_above_rho_2_equals_unscreened_loop():
+    # verdict and margin of the unscreened loop, In and Out at a polydisk
+    # point, with some substitutions settled by their norm floor
+    settled = 0
+    for i, rho in enumerate((2.5, 3.0, 5.0)):
+        for d in (1, 2):
+            a = _triple(70 + 10 * i + d, d)
+            base = 1 / sum(op_norm(m) for m in a.mats)
+            for scale in (0.9, 3.0):
+                v = membership_tuple(a.scale(scale * base), rho, budget=16).to_json()
+                cert = v["certificate"]
+                counters = {k: cert.pop(k) for k in ("screen_points", "substitutions", "disk_minima")}
+                assert v == _membership_tuple_loop(a.scale(scale * base), rho, budget=16).to_json()
+                assert counters["screen_points"] == 0
+                settled += counters["substitutions"] - counters["disk_minima"]
+    assert settled > 0
+
+
+def test_empty_matrix_rejected():
+    for fn in (membership_single, kernel_margin, lambda a, rho: w_rho(a, rho), lambda a, rho: numerical_radius(a)):
+        with pytest.raises(InputError):
+            fn(np.zeros((0, 0)), 2.0)
