@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: radius, membership, numrad, verify-dilation, repro, sweep.
-All inputs are JSON files (matrix or tuple wire format); reports are JSON
-on stdout or --output, except sweep which emits CSV.  Exit codes:
+All inputs are JSON files (matrix or tuple wire format); reports are one
+line of sorted-key JSON on stdout or --output (sweep: CSV).  Exit codes:
 0 success, 1 failed reproduction claims, 2 input error, 3 capacity error.
 """
 
@@ -51,7 +51,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(obj, output: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), output)
+    # one line: without indent the json module encodes in C
+    _emit(json.dumps(obj, sort_keys=True), output)
 
 
 def _cmd_radius(args) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .linalg import Embedding, as_matrix, compress
-from .pencil import OperatorTuple, sym_multipower, word_product
+from .pencil import OperatorTuple, sym_multipower, word_products
 
 SYMMETRIZED = "Symmetrized"
 UNIFORM = "Uniform"
@@ -172,7 +172,8 @@ def verify_rho_dilation(small: OperatorTuple, big: OperatorTuple, e: Embedding,
 
 def verify_uniform_rho_dilation(small: OperatorTuple, big: OperatorTuple, e: Embedding,
                                 rho: float, n_max: int) -> DilationWitness:
-    """Check the compression identity for every literal word of length <= n_max."""
+    """Check the compression identity for every literal word of length <= n_max;
+    worst_word is the first of largest residual by length, then lexicographically."""
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     if n_max > MAX_UNIFORM_WORD:
@@ -181,14 +182,14 @@ def verify_uniform_rho_dilation(small: OperatorTuple, big: OperatorTuple, e: Emb
         raise InputError("small and big tuples must have the same number of variables")
     if e.ambient_dim != big.dim or e.dim != small.dim:
         raise InputError("embedding dims do not match the small/big tuples")
+    residuals = {}
+    for (word, lhs), (_, big_word) in zip(word_products(small, n_max), word_products(big, n_max)):
+        rhs = rho * compress(big_word, e)
+        residuals[word] = float(np.linalg.norm(lhs - rhs, 2))
     worst, worst_word = 0.0, ()
-    for n in range(1, n_max + 1):
-        for word in itertools.product(range(small.n_vars), repeat=n):
-            lhs = word_product(small, word)
-            rhs = rho * compress(word_product(big, word), e)
-            resid = float(np.linalg.norm(lhs - rhs, 2))
-            if resid > worst:
-                worst, worst_word = resid, word
+    for word in sorted(residuals, key=lambda w: (len(w), w)):
+        if residuals[word] > worst:
+            worst, worst_word = residuals[word], word
     return DilationWitness(small, big, e, rho, n_max, worst, UNIFORM, worst_word)
 
 

@@ -85,29 +85,16 @@ def eval_pencil(a: OperatorTuple, z) -> np.ndarray:
     return out
 
 
-def _multiset_words(t):
-    """Distinct arrangements of the letters {k repeated t_k times}, 0-indexed."""
-    letters = []
-    for k, count in enumerate(t):
-        letters.extend([k] * count)
-    if not letters:
-        yield ()
-        return
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        seen = set()
-        for i, letter in enumerate(remaining):
-            if letter in seen:
-                continue
-            seen.add(letter)
-            rest = remaining[:i] + remaining[i + 1 :]
-            for tail in rec(rest):
-                yield (letter,) + tail
-
-    yield from rec(letters)
+def _multiset_products(a: OperatorTuple, counts, prod):
+    """prod times the products of the distinct words with counts[k] letters
+    k, in lexicographic order, each its prefix's product times its last
+    letter (the matmuls of word_product from prod = I)."""
+    if not any(counts):
+        yield prod
+    for k, count in enumerate(counts):
+        if count:
+            rest = counts[:k] + (count - 1,) + counts[k + 1:]
+            yield from _multiset_products(a, rest, prod @ a.mats[k])
 
 
 def word_product(a: OperatorTuple, word) -> np.ndarray:
@@ -116,6 +103,19 @@ def word_product(a: OperatorTuple, word) -> np.ndarray:
     for k in word:
         out = out @ a.mats[k]
     return out
+
+
+def word_products(a: OperatorTuple, n_max: int):
+    """(word, word_product(a, word)) for every word of 1 to n_max letters,
+    depth first: one matmul per word, its prefix's product times its last
+    letter."""
+    stack = [((), np.eye(a.dim, dtype=complex))]
+    while stack:
+        word, prod = stack.pop()
+        if word:
+            yield word, prod
+        if len(word) < n_max:
+            stack.extend((word + (k,), prod @ a.mats[k]) for k in reversed(range(a.n_vars)))
 
 
 def sym_multipower(a: OperatorTuple, t) -> np.ndarray:
@@ -135,8 +135,8 @@ def sym_multipower(a: OperatorTuple, t) -> np.ndarray:
         return np.eye(a.dim, dtype=complex)
     weight = math.prod(math.factorial(x) for x in t) / math.factorial(order)
     acc = np.zeros((a.dim, a.dim), dtype=complex)
-    for word in _multiset_words(t):
-        acc += word_product(a, word)
+    for prod in _multiset_products(a, t, np.eye(a.dim, dtype=complex)):
+        acc += prod
     return weight * acc
 
 

@@ -61,10 +61,6 @@ SCREEN_ROUND_GUARD = 1e-13
 #: search moves on: THETA_POINTS // SCREEN_POINTS of each sample size, so
 #: that every eigvalsh stack of the circle floor holds THETA_POINTS kernels.
 SCREEN_CHUNK = len(SAMPLE_DIMS) * (THETA_POINTS // SCREEN_POINTS)
-#: Interior grid of the disk kernel minimum for rho > 2: radii and angles.
-INTERIOR_R_POINTS = 64
-INTERIOR_THETA_POINTS = 128
-
 #: Equally spaced angles sampled before a level-set iteration starts.
 LEVELSET_START_POINTS = 16
 #: Iterations (crossing solves) allowed per level-set run; reaching the cap
@@ -207,16 +203,15 @@ def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
     return np.sort((psi + np.pi + 2 * np.arctan(tau)) % (2 * np.pi))
 
 
-def _levelset_min(h, pencil, gap: float, bound: float = math.inf,
-                  start_points: int = LEVELSET_START_POINTS) -> dict:
+def _levelset_min(h, pencil, gap: float, bound: float = math.inf, extra=()) -> dict:
     """Minimum over the circle of a continuous function h(theta), by the
     level-set iteration.
 
     ``h`` evaluates the function on an array of angles.  ``pencil(level)``
     returns (E, M) such that k(theta) of _circle_crossings is singular where
     h(theta) = level and positive definite where h(theta) > level (other
-    branches may be singular too).  The iteration starts from
-    ``start_points`` equally spaced angles and the best value, capped at
+    branches may be singular too).  It starts from the best value at
+    LEVELSET_START_POINTS equal-spaced and the ``extra`` angles, capped at
     ``bound`` (a value h is known to reach).  At level = best - gap it finds
     the crossings, evaluates h at the midpoints between consecutive
     crossings and takes the smallest.  It stops at a level with no
@@ -228,7 +223,8 @@ def _levelset_min(h, pencil, gap: float, bound: float = math.inf,
     angle that attains it (None if no sample fell below ``bound``), the
     certified stop level, and the crossing solves.
     """
-    thetas = np.linspace(0, 2 * np.pi, start_points, endpoint=False)
+    thetas = np.append(np.linspace(0, 2 * np.pi, LEVELSET_START_POINTS, endpoint=False),
+                       np.mod(extra, 2 * np.pi))
     vals = h(thetas)
     i = int(np.argmin(vals))
     best, theta = (float(vals[i]), float(thetas[i])) if vals[i] <= bound else (bound, None)
@@ -257,61 +253,47 @@ def _kernel_scale(norm, rho: float):
 
 def _kernel_disk_min(a: np.ndarray, rho: float):
     """Minimum of lambda_min(k(z, z)) over the closed disk, with witness and
-    the level-set counters.
+    counters; ``certified_level`` is below lambda_min k on the whole disk.
 
     On the circle, lambda_min k(theta) = c where c is an eigenvalue of
     k(theta), the *-palindromic quadratic
     -(rho-1) A zeta^2 + ((rho-c) I + (rho-2) A*A) zeta - (rho-1) A*, so
     the boundary minimum is the level-set minimum (_levelset_min) with gap
-    KERNEL_GAP times the kernel's norm bound; ``certified_level`` is its
-    stop level, below lambda_min on the whole circle.  At rho = 1 the kernel
-    on the circle is I - A*A at every angle, so the minimum is the closed
-    form 1 - ||A||^2, read at z = 1.  For rho <= 2 the per-direction profile
-    in r is concave with positive value at r = 0, so the disk minimum sits
-    on the circle.  For rho > 2 it may lie inside: an interior r-grid
-    (INTERIOR_R_POINTS x INTERIOR_THETA_POINTS, with one local round) is
-    scanned as well, and the smaller value is returned (the certified level
-    covers the circle only).
+    KERNEL_GAP times the kernel's norm bound; its stop level is the
+    certified level.  At rho = 1 the kernel on the circle is I - A*A at
+    every angle, so the minimum is the closed form 1 - ||A||^2, read at
+    z = 1.  For rho <= 2 the per-direction profile in r is concave with
+    positive value at r = 0, so the disk minimum sits on the circle.
+
+    For rho > 2, k(z) = (rho-2)(zA - beta I)*(zA - beta I) - I/(rho-2) with
+    beta = (rho-1)/(rho-2), so lambda_min k >= -1/(rho-2).  An eigenvalue
+    |lam| >= beta of A attains it at z = beta/lam: the exact margin.
+    Otherwise (zA - beta I)^{-1} is holomorphic on the closed disk with
+    subharmonic norm, so sigma_min(zA - beta I), and lambda_min k with it,
+    is smallest on the circle.  ``spectral_radius`` is r(A) as computed.
     """
-    d = a.shape[0]
     scale = _kernel_scale(float(np.linalg.norm(a)), rho)
-    stats = {"levelset_iterations": 0, "crossing_solves": 0}
+    stats = {"theta_points": 1, "levelset_iterations": 0, "crossing_solves": 0}
+    if rho > 2:
+        lam = np.linalg.eigvals(a)
+        top = lam[int(np.argmax(np.abs(lam)))]
+        stats["spectral_radius"] = float(abs(top))
+        beta = (rho - 1) / (rho - 2)
+        if abs(top) >= beta:
+            stats.update(theta_points=0, certified_level=-1 / (rho - 2))
+            return -1 / (rho - 2), complex(beta / top), stats
     if rho == 1:
         best_val = float(_kernel_lambda_min(a, rho, np.ones(1))[0])
-        witness = 1 + 0j
         stats["certified_level"] = best_val - KERNEL_GAP * scale
-    else:
-        e = -(rho - 1) * a
-        base = (rho - 2) * (a.conj().T @ a)
-        eye = np.eye(d)
-        run = _levelset_min(lambda th: _kernel_lambda_min(a, rho, np.exp(1j * th)),
-                            lambda c: (e, (rho - c) * eye + base), KERNEL_GAP * scale)
-        best_val, witness = run["value"], complex(np.exp(1j * run["theta"]))
-        stats.update(levelset_iterations=run["iterations"], crossing_solves=run["iterations"],
-                     certified_level=run["level"])
-
-    if rho > 2:
-        rs = np.linspace(1.0 / INTERIOR_R_POINTS, 1.0, INTERIOR_R_POINTS)
-        th = np.linspace(0, 2 * np.pi, INTERIOR_THETA_POINTS, endpoint=False)
-        rr, tt = np.meshgrid(rs, th, indexing="ij")
-        zs = (rr * np.exp(1j * tt)).ravel()
-        vals = _kernel_lambda_min(a, rho, zs)
-        j = int(np.argmin(vals))
-        if float(vals[j]) < best_val:
-            r0, t0 = float(rr.ravel()[j]), float(tt.ravel()[j])
-            # one local refinement round around the interior minimizer
-            rloc = np.clip(np.linspace(r0 - 1 / INTERIOR_R_POINTS, r0 + 1 / INTERIOR_R_POINTS, 17), 0, 1)
-            tloc = np.linspace(t0 - 2 * np.pi / INTERIOR_THETA_POINTS,
-                               t0 + 2 * np.pi / INTERIOR_THETA_POINTS, 17)
-            rr2, tt2 = np.meshgrid(rloc, tloc, indexing="ij")
-            zs2 = (rr2 * np.exp(1j * tt2)).ravel()
-            vals2 = _kernel_lambda_min(a, rho, zs2)
-            j2 = int(np.argmin(vals2))
-            if float(vals2[j2]) < best_val:
-                best_val = float(vals2[j2])
-                witness = complex(zs2[j2])
-
-    return best_val, witness, stats
+        return best_val, 1 + 0j, stats
+    e = -(rho - 1) * a
+    base = (rho - 2) * (a.conj().T @ a)
+    eye = np.eye(len(a))
+    run = _levelset_min(lambda th: _kernel_lambda_min(a, rho, np.exp(1j * th)),
+                        lambda c: (e, (rho - c) * eye + base), KERNEL_GAP * scale)
+    stats.update(theta_points=LEVELSET_START_POINTS, levelset_iterations=run["iterations"],
+                 crossing_solves=run["iterations"], certified_level=run["level"])
+    return run["value"], complex(np.exp(1j * run["theta"])), stats
 
 
 def _psi_boundary_min(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, r: float = 1 - 1e-6):
@@ -464,8 +446,8 @@ def membership_single(a, rho: float, tol: float = DEFAULT_TOL, cross_check: bool
     """Decide membership of a single operator at level rho.
 
     The decision is the kernel disk minimum (_kernel_disk_min) against -tol;
-    the certificate records the witness point, the level-set counters and
-    the certified level below lambda_min on the circle.  The
+    the certificate records the witness point, the counters and the
+    certified level of _kernel_disk_min (the rho > 2 margin is exact).  The
     Herglotz-transform condition is evaluated on a near-boundary ring as a
     cross-check and recorded in the certificate.
     """
@@ -475,8 +457,6 @@ def membership_single(a, rho: float, tol: float = DEFAULT_TOL, cross_check: bool
     decision = IN if margin >= -tol else OUT
     certificate = {
         "method": "kernel-levelset",
-        "theta_points": LEVELSET_START_POINTS if rho != 1 else 1,
-        "interior_r_points": INTERIOR_R_POINTS if rho > 2 else 0,
         **stats,
         "witness_z": [witness.real, witness.imag],
         "kernel_margin": margin,
@@ -676,7 +656,7 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
     return best, w, [len(ax) for ax in axes], rounds, solves
 
 
-def _mu_star_max(a: np.ndarray, rho: float, gap: float, start_points: int = LEVELSET_START_POINTS) -> dict:
+def _mu_star_max(a: np.ndarray, rho: float, gap: float, extra=()) -> dict:
     """Level-set maximum over the circle of mu*(theta), the largest real
     root of P_theta(mu) = rho mu^2 I - (rho-1) mu H(theta) + (rho-2) A*A,
     H(theta) = e^{i theta} A + e^{-i theta} A*, for a matrix of norm 1.
@@ -685,9 +665,10 @@ def _mu_star_max(a: np.ndarray, rho: float, gap: float, start_points: int = LEVE
     -(rho-1) u A zeta^2 + (rho u^2 I + (rho-2) A*A) zeta - (rho-1) u A* has
     the unimodular root zeta = e^{i theta}; P_theta(u) is positive definite
     where mu*(theta) < u.  So this is _levelset_min of -mu*, floored at the
-    lower bound 1/rho.  Returns {"value", "theta", "level", "iterations"}
-    with value the best root attained (or 1/rho, theta None, if no sample
-    reached it) and level the stop level above it.
+    lower bound 1/rho, from the start angles and the ``extra`` angles.
+    Returns {"value", "theta", "level", "iterations"} with value the best
+    root attained (or 1/rho, theta None, if no sample reached it) and level
+    the stop level above it.
     """
     gram = a.conj().T @ a
     e = -(rho - 1) * a
@@ -700,7 +681,7 @@ def _mu_star_max(a: np.ndarray, rho: float, gap: float, start_points: int = LEVE
     def pencil(level):
         return -level * e, rho * level ** 2 * eye + base
 
-    run = _levelset_min(h, pencil, gap, -1 / rho, start_points)
+    run = _levelset_min(h, pencil, gap, -1 / rho, extra)
     return {**run, "value": -run["value"], "level": -run["level"]}
 
 
@@ -713,19 +694,23 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL)
     rho mu^2 I - (rho-1) mu (e^{i theta} A + e^{-i theta} A*) + (rho-2) A*A
     (the norm at rho = 1, the numerical radius at rho = 2), found by the
     level-set iteration (_mu_star_max) on A/||A||.  hi is its stop level:
-    no root reaches it at any angle.  lo is the best root attained less the
-    gap, floored at the lower bound ||A||/rho, so that A/lo fails the
-    kernel test at the witness angle.  The gap is RADIUS_GAP (1 + bound)
-    relative, and at most width/4, so hi - lo <= width/2.
+    the pencil at hi is positive semidefinite at every angle (between two
+    crossings it is nonsingular, and definite at the midpoint, where
+    mu* <= hi), so A/hi passes the kernel test on the circle.  lo is the
+    best root attained less the gap, floored at the lower bound ||A||/rho,
+    so that A/lo fails the kernel test at the witness angle.  The gap is
+    RADIUS_GAP (1 + bound) relative, and at most width/4, so
+    hi - lo <= width/2.
 
-    For rho <= 2 the pencil is hyperbolic and mu* is continuous, so hi is
-    certified (``certified_level``).  For rho > 2 real roots can appear in
-    pairs away from the level (mu* jumps); hi is certified there when also
-    2 rho hi >= (rho-1) lambda_max H(theta) at every angle, which holds if
-    rho hi >= (rho-1) w(A), w(A) from the rho = 2 iteration: then every
-    root has real part below hi.  Otherwise the iteration is rerun from
-    THETA_POINTS starting angles and ``certified_level`` is None.  ``tol``
-    is checked and recorded; the kernel test does not enter the radius.
+    For rho <= 2 the disk minimum of the kernel lies on the circle, so hi is
+    certified (``certified_level``).  For rho > 2 it does when
+    r(A/hi) < beta = (rho-1)/(rho-2) (_kernel_disk_min), so the angle
+    theta = -arg lam of an eigenvalue of largest modulus joins the start
+    angles: for mu just below |lam|, e^{i theta} lam/mu is within 1/(rho-2)
+    of beta, the pencil is indefinite, and mu*(theta) >= r(A).  So
+    hi > r(A)/beta (else InternalError) and hi is certified at every rho.
+    ``tol`` is checked and recorded; the kernel test does not enter the
+    radius.
     """
     m = _square(a, "radius")
     _check_positive(rho=rho, width=width, tol=tol)
@@ -737,17 +722,17 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL)
         return RadiusReport(0.0, 0.0, LEVELSET_METHOD, grid_spec, 0.0)
     unit = m / norm
     gap = min(RADIUS_GAP * (1 + max(1.0, 2.0 / rho - 1.0)), width / (4 * norm))
-    run = _mu_star_max(unit, rho, gap)
-    solves, certified = run["iterations"], True
+    extra = ()
     if rho > 2:
-        numrad = _mu_star_max(unit, 2.0, gap)
-        solves += numrad["iterations"]
-        if rho * run["level"] < (rho - 1) * numrad["level"]:
-            run, certified = _mu_star_max(unit, rho, gap, THETA_POINTS), False
-            grid_spec["start_points"] = THETA_POINTS
-            solves += run["iterations"]
-    grid_spec.update(levelset_iterations=run["iterations"], crossing_solves=solves,
-                     certified_level=run["level"] * norm if certified else None)
+        lam = np.linalg.eigvals(unit)
+        top = lam[int(np.argmax(np.abs(lam)))]
+        extra = (-float(np.angle(top)),)
+        grid_spec.update(start_points=LEVELSET_START_POINTS + 1, spectral_radius=float(abs(top)) * norm)
+    run = _mu_star_max(unit, rho, gap, extra)
+    if rho > 2 and (rho - 1) * run["level"] <= (rho - 2) * abs(top):
+        raise InternalError(f"radius level {run['level']} not above r(A)/beta at rho = {rho} (norm 1)")
+    grid_spec.update(levelset_iterations=run["iterations"], crossing_solves=run["iterations"],
+                     certified_level=run["level"] * norm)
     lo = max(norm / rho, (run["value"] - gap) * norm)
     hi = run["level"] * norm
     return RadiusReport(lo, hi, LEVELSET_METHOD, grid_spec, time.perf_counter() - start)

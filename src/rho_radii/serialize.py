@@ -18,21 +18,32 @@ from .pencil import MatrixPolynomial, OperatorTuple
 
 
 def matrix_to_json(m) -> dict:
-    a = as_matrix(m)
-    data = [[float(x.real), float(x.imag)] for x in a.ravel()]
+    a = np.ascontiguousarray(as_matrix(m))
+    data = a.view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of a matrix JSON object; InputError unless each entry of
+    ``data`` is a [re, im] pair of numbers (true and false count as 1, 0)."""
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        count = len(data)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InputError(f"matrix must have at least one row and one column, got {rows} x {cols}")
-    if len(data) != rows * cols:
-        raise InputError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    if count != rows * cols:
+        raise InputError(f"matrix data length {count} != rows*cols = {rows * cols}")
+    try:
+        pairs = np.array(data)
+        if pairs.dtype == object and all(isinstance(x, (int, float)) for x in pairs.flat):
+            pairs = pairs.astype(np.float64)  # integers past int64
+    except (ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.dtype.kind not in "biuf" or pairs.shape != (count, 2):
+        raise InputError("matrix data entries must be [re, im] pairs of numbers")
+    flat = np.ascontiguousarray(pairs, dtype=np.float64).view(complex)
     return as_matrix(flat.reshape(rows, cols))
 
 

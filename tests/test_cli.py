@@ -217,3 +217,40 @@ def test_parser_reused_across_calls(nilp, capsys, monkeypatch):
     assert [run(argv) for argv in commands] == fresh
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("entry", [[1, 0, 5], [1], 1, ["a", 0], ["1.5", "0"], [None, 0]])
+def test_exit_code_malformed_matrix_entry(tmp_path, capsys, entry):
+    # a data entry that is not a [re, im] pair of numbers is an input error
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"rows": 1, "cols": 2, "data": [[0.5, 0], entry]}))
+    code, out, err = _run(capsys, ["radius", "--rho", "1", "--input", str(p)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_json_reports_are_one_sorted_line(tmp_path, capsys, nilp):
+    # every JSON subcommand prints one line of sorted-key JSON
+    rho = 2.0
+    big, e = build_shift_unitary_rho_dilation(rho, 8)
+    (tmp_path / "s.json").write_text(json.dumps(tuple_to_json(OperatorTuple((nilpotent_jump(rho),)))))
+    (tmp_path / "b.json").write_text(json.dumps(tuple_to_json(big)))
+    (tmp_path / "e.json").write_text(json.dumps(embedding_to_json(e)))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(tuple_to_json(OperatorTuple((0.2 * np.eye(2), 0.2 * np.array([[0, 1], [0, 0]]))))))
+    dilation = ["--small", str(tmp_path / "s.json"), "--big", str(tmp_path / "b.json"),
+                "--embedding", str(tmp_path / "e.json"), "--rho", "2", "--nmax", "4"]
+    commands = [
+        ["radius", "--rho", "3", "--input", nilp],
+        ["radius", "--rho", "2", "--input", str(pair)],
+        ["membership", "--rho", "3", "--input", nilp],
+        ["membership", "--rho", "1", "--input", str(pair)],
+        ["numrad", "--input", nilp],
+        ["verify-dilation", "--mode", "sym", *dilation],
+        ["verify-dilation", "--mode", "uniform", *dilation],
+        ["repro", "--name", "scalar-boundary"],
+    ]
+    for argv in commands:
+        code, out, _ = _run(capsys, argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", argv

@@ -1,5 +1,6 @@
 """Dilation verification, constructors, and divergence certificates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,9 +20,10 @@ from rho_radii.dilation import (
     verify_rho_dilation,
     verify_similarity,
     verify_uniform_rho_dilation,
+    _multi_indices,
 )
 from rho_radii.errors import CapacityError, InputError
-from rho_radii.linalg import op_norm
+from rho_radii.linalg import Embedding, compress, op_norm
 from rho_radii.pencil import OperatorTuple, eval_pencil
 
 
@@ -159,3 +161,62 @@ def test_embedding_compression_of_staircase():
     v, e, _ = build_staircase_isometric_dilation(rho, 8, depth=3)
     wit = verify_uniform_rho_dilation(pair, v, e, rho, n_max=1)
     assert wit.max_residual < 1e-12
+
+
+def _verify_per_word(small, big, e, rho, n_max, mode):
+    """The verifiers with every word's product formed on its own by
+    word_product; symmetrized sums run over the distinct words in
+    lexicographic order."""
+    from rho_radii.linalg import compress
+    from rho_radii.pencil import word_product
+
+    def sym(a, t):
+        words = sorted(set(itertools.permutations([k for k, c in enumerate(t) for _ in range(c)])))
+        acc = np.zeros((a.dim, a.dim), dtype=complex)
+        for w in words:
+            acc += word_product(a, w)
+        return math.prod(math.factorial(x) for x in t) / math.factorial(sum(t)) * acc
+
+    worst, worst_word = 0.0, ()
+    if mode == "uniform":
+        items = [(w, word_product(small, w), word_product(big, w))
+                 for n in range(1, n_max + 1) for w in itertools.product(range(small.n_vars), repeat=n)]
+    else:
+        items = [(t, sym(small, t), sym(big, t)) for t in _multi_indices(small.n_vars, n_max)]
+    for w, lhs, big_w in items:
+        resid = float(np.linalg.norm(lhs - rho * compress(big_w, e), 2))
+        if resid > worst:
+            worst, worst_word = resid, w
+    return worst, tuple(worst_word)
+
+
+def _dilation_cases():
+    for rho in (0.5, 2.0, 3.0):
+        v, ve, _ = build_staircase_isometric_dilation(rho, 16, 5)
+        yield build_staircase_pair(rho), v, ve, rho, 4
+        big, e = build_shift_unitary_rho_dilation(rho, 9)
+        yield OperatorTuple((nilpotent_jump(rho),)), big, e, rho, 6
+    # a non-commuting pair with random words: residuals nonzero everywhere
+    rng = np.random.default_rng(3)
+    big = OperatorTuple(tuple(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(2)))
+    e = Embedding.from_coordinates(6, [0, 2, 5])
+    small = OperatorTuple(tuple(compress(m, e) for m in big.mats))
+    yield small, big, e, 1.0, 4
+
+
+def test_word_products_reuse_prefix_bitwise():
+    for small, big, e, rho, n_max in _dilation_cases():
+        for mode, fn in (("uniform", verify_uniform_rho_dilation), ("sym", verify_rho_dilation)):
+            wit = fn(small, big, e, rho, n_max)
+            assert (wit.max_residual, tuple(wit.worst_word)) == _verify_per_word(small, big, e, rho, n_max, mode)
+
+
+def test_word_products_one_matmul_per_word():
+    from rho_radii.pencil import word_product, word_products
+
+    v, _, _ = build_staircase_isometric_dilation(2.0, 16, 5)
+    words = list(word_products(v, 4))
+    assert [w for w, _ in words] == sorted(w for n in range(1, 5) for w in itertools.product(range(2), repeat=n))
+    for w, p in words:
+        assert p.tobytes() == word_product(v, w).tobytes()
+    assert len(words) == 30  # against sum n 2^n = 98 matmuls word by word

@@ -236,8 +236,7 @@ def test_w_rho_bracket_ends_confirmed_by_kernel():
             spec = rep.grid_spec
             assert 1 <= spec["levelset_iterations"] <= spec["crossing_solves"], (d, rho, spec)
             assert spec["levelset_iterations"] <= 4
-            if rho <= 3:
-                assert spec["certified_level"] == rep.hi, (d, rho, spec)
+            assert spec["certified_level"] == rep.hi, (d, rho, spec)
             assert rep.method == radii.LEVELSET_METHOD
 
 
@@ -702,10 +701,16 @@ def _golden_min(f, lo, hi, iters):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+#: Interior grid of the reference engine for rho > 2: radii and angles.
+GRID_R_POINTS = 64
+GRID_THETA_POINTS = 128
+
+
 def _grid_kernel_disk_min(a, rho):
     """The grid engine the level set replaced, as the reference for the
     margin: 512 angles, three rounds of 16 golden-section steps around the
-    best one, and for rho > 2 the interior grid of _kernel_disk_min."""
+    best one, and for rho > 2 an interior grid of GRID_R_POINTS radii and
+    GRID_THETA_POINTS angles with one local round."""
     thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     vals = radii._kernel_lambda_min(a, rho, np.exp(1j * thetas))
     i = int(np.argmin(vals))
@@ -716,16 +721,16 @@ def _grid_kernel_disk_min(a, rho):
         best_theta, best = _golden_min(g, best_theta - span, best_theta + span, 16)
         span *= 0.05
     if rho > 2:
-        rs = np.linspace(1 / radii.INTERIOR_R_POINTS, 1.0, radii.INTERIOR_R_POINTS)
-        th = np.linspace(0, 2 * np.pi, radii.INTERIOR_THETA_POINTS, endpoint=False)
+        rs = np.linspace(1 / GRID_R_POINTS, 1.0, GRID_R_POINTS)
+        th = np.linspace(0, 2 * np.pi, GRID_THETA_POINTS, endpoint=False)
         rr, tt = np.meshgrid(rs, th, indexing="ij")
         vals = radii._kernel_lambda_min(a, rho, (rr * np.exp(1j * tt)).ravel())
         j = int(np.argmin(vals))
         if vals[j] < best:
             r0, t0 = rr.ravel()[j], tt.ravel()[j]
-            rloc = np.clip(np.linspace(r0 - 1 / radii.INTERIOR_R_POINTS, r0 + 1 / radii.INTERIOR_R_POINTS, 17), 0, 1)
-            tloc = np.linspace(t0 - 2 * np.pi / radii.INTERIOR_THETA_POINTS,
-                               t0 + 2 * np.pi / radii.INTERIOR_THETA_POINTS, 17)
+            rloc = np.clip(np.linspace(r0 - 1 / GRID_R_POINTS, r0 + 1 / GRID_R_POINTS, 17), 0, 1)
+            tloc = np.linspace(t0 - 2 * np.pi / GRID_THETA_POINTS,
+                               t0 + 2 * np.pi / GRID_THETA_POINTS, 17)
             rr2, tt2 = np.meshgrid(rloc, tloc, indexing="ij")
             best = min(best, float(radii._kernel_lambda_min(a, rho, (rr2 * np.exp(1j * tt2)).ravel()).min()))
     return best
@@ -765,18 +770,20 @@ def test_kernel_margin_never_crosses_certified_level():
 
 def test_radius_never_crossed_above_certified_level():
     # mu*(theta) on a 4096-angle circle stays at or below the certified hi;
-    # hi is certified for every rho <= 3, and lo sits within width of hi.
-    # For rho <= 2 the pencil P(mu) has d roots >= 0 and d roots <= 0, so
-    # mu* <= hi there iff P(hi) >= 0, a d x d eigvalsh per angle.
-    for i, a in enumerate(_levelset_cases()):
+    # hi is certified for every rho, and lo sits within width of hi.  The
+    # scalars' real roots at rho = 10 live in a window narrower than the
+    # spacing of the start angles.  For rho <= 2 the pencil P(mu) has d
+    # roots >= 0 and d roots <= 0, so mu* <= hi there iff P(hi) >= 0, a
+    # d x d eigvalsh per angle.
+    scalars = [np.array([[c]]) for c in (np.exp(0.1j), np.exp(2.9j), 0.4 - 2.1j)]
+    for i, a in enumerate([*_levelset_cases(), *scalars]):
         gram = a.conj().T @ a
         for rho in LEVELSET_RHOS:
             rep = w_rho(a, rho)
             assert rep.hi - rep.lo <= rep.grid_spec["width"] / 2 + 1e-15 * rep.hi
             level = rep.grid_spec["certified_level"]
-            if rho <= 3:
-                assert level == rep.hi, (a.shape, rho, rep.grid_spec)
-            if level is None or not a.any():
+            assert level == rep.hi, (a.shape, rho, rep.grid_spec)
+            if not a.any():
                 continue
             if rho <= 2:
                 za = DENSE[:, None, None] * a
@@ -898,3 +905,70 @@ def test_empty_matrix_rejected():
     for fn in (membership_single, kernel_margin, lambda a, rho: w_rho(a, rho), lambda a, rho: numerical_radius(a)):
         with pytest.raises(InputError):
             fn(np.zeros((0, 0)), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the completed square at rho > 2
+
+SQUARE_RHOS = (2.1, 2.5, 3.0, 5.0, 10.0)
+
+
+def _beta(rho):
+    return (rho - 1) / (rho - 2)
+
+
+def test_kernel_is_completed_square_above_rho_2():
+    # lambda_min k(z) = (rho-2) sigma_min(zA - beta I)^2 - 1/(rho-2)
+    rng = np.random.default_rng(51)
+    for d in range(1, 7):
+        for rho in SQUARE_RHOS:
+            a = _random_matrix(rng, d) * rng.uniform(0.2, 2.0)
+            zs = np.sqrt(rng.uniform(0, 1, 64)) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+            lam = radii._kernel_lambda_min(a, rho, zs)
+            sigma = np.linalg.svd(zs[:, None, None] * a - _beta(rho) * np.eye(d), compute_uv=False)[:, -1]
+            square = (rho - 2) * sigma ** 2 - 1 / (rho - 2)
+            assert np.abs(lam - square).max() <= 1e-12 * _scale(a, rho), (d, rho)
+
+
+def test_disk_minimum_closed_form_inside_disk():
+    # an eigenvalue c with |c| >= beta: margin -1/(rho-2), at z = beta/c
+    for rho in SQUARE_RHOS:
+        beta = _beta(rho)
+        for c in (beta, -1.5 * beta, 2j * beta, beta * np.exp(2.3j) * 1.01, 7.0):
+            if abs(c) < beta:
+                continue
+            for a in (np.array([[c]]), c * np.eye(3)):
+                margin, witness, stats = radii._kernel_disk_min(a, rho)
+                assert margin == -1 / (rho - 2), (rho, c)
+                assert witness == pytest.approx(beta / c, abs=1e-15) and abs(witness) <= 1 + 1e-15
+                assert stats["certified_level"] == margin and stats["levelset_iterations"] == 0
+                assert stats["spectral_radius"] == pytest.approx(abs(c), rel=1e-15)
+                assert radii._kernel_lambda_min(a, rho, np.array([witness]))[0] == pytest.approx(
+                    margin, abs=1e-13 * _scale(a, rho))
+                cert = membership_single(a, rho).certificate
+                assert cert["kernel_margin"] == margin and cert["spectral_radius"] == stats["spectral_radius"]
+                assert "interior_r_points" not in cert
+
+
+def test_disk_minimum_below_dense_polar_grid():
+    # on random, nilpotent and shift matrices, scaled on both sides of
+    # beta, the margin is at most every value of a dense polar grid (up to
+    # the gap) and every value is at least the certified level
+    rng = np.random.default_rng(52)
+    rs = np.linspace(0, 1, 33)
+    zs = (rs[:, None] * np.exp(1j * np.linspace(0, 2 * np.pi, 128, endpoint=False))[None, :]).ravel()
+    inside = 0
+    for d in range(1, 7):
+        g = _random_matrix(rng, d)
+        for a in (_unit(g), _unit(np.triu(g, 1)), _shift(d)):
+            for rho in SQUARE_RHOS:
+                for scale in (0.5, 1.0, 2.0, 4.0):
+                    b = a * scale
+                    margin, witness, stats = radii._kernel_disk_min(b, rho)
+                    bound = _scale(b, rho)
+                    grid = radii._kernel_lambda_min(b, rho, zs)
+                    assert margin <= grid.min() + 1.01 * radii.KERNEL_GAP * bound + 1e-13 * bound, (d, rho, scale)
+                    assert grid.min() >= stats["certified_level"] - 1e-13 * bound, (d, rho, scale)
+                    assert margin >= stats["certified_level"]
+                    inside += abs(witness) < 1 - 1e-12
+    assert inside > 0

@@ -76,3 +76,38 @@ def test_load_operator_input_matrix_and_tuple(tmp_path):
     bad.write_text("{}")
     with pytest.raises(InputError):
         load_operator_input(bad)
+
+
+def _matrix_to_json_per_element(m):
+    """matrix_to_json as a per-element comprehension."""
+    a = np.asarray(m, dtype=complex)
+    return {"rows": a.shape[0], "cols": a.shape[1],
+            "data": [[float(x.real), float(x.imag)] for x in a.ravel()]}
+
+
+def test_matrix_json_matches_per_element_and_round_trips_bitwise():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    m[0, 0] = complex(-0.0, -0.0)
+    m[1, 2] = complex(5e-324, -2.2250738585072014e-309)
+    m[3, 4] = complex(1e308, -1e308)
+    for a in (m, m.T, m[::2, 1:], np.eye(3), np.array([[1, -2], [0, 3]])):
+        obj = matrix_to_json(a)
+        assert json.dumps(obj) == json.dumps(_matrix_to_json_per_element(a))
+        back = matrix_from_json(json.loads(json.dumps(obj)))
+        assert back.tobytes() == np.ascontiguousarray(a, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("data", [[[1, 0]], [[True, -0.0]], [[False, True]], [[2.5, 10**30]], [[1, 2**70]]])
+def test_matrix_from_json_numbers_load_as_complex_pairs(data):
+    # ints, floats and booleans load as complex(re, im) did
+    got = matrix_from_json({"rows": 1, "cols": 1, "data": data})
+    assert got.tobytes() == np.array([[complex(*data[0])]]).tobytes()
+
+
+@pytest.mark.parametrize("entry", [[1, 0, 5], [1], 1, ["a", 0], ["1.5", "0"], [None, 0], {"re": 1}, [10**400, 0]])
+def test_matrix_from_json_malformed_entry_rejected(entry):
+    with pytest.raises(InputError):
+        matrix_from_json({"rows": 1, "cols": 2, "data": [[0.5, 0], entry]})
+    with pytest.raises(InputError):
+        matrix_from_json({"rows": 1, "cols": 1, "data": [entry]})
