@@ -8,9 +8,10 @@ the circle of the largest root of a quadratic eigenproblem in the scaling.
 Both extrema over the circle come from the level-set iteration of Byers
 (SIAM J. Sci. Stat. Comput. 9, 1988) and Boyd & Balakrishnan (Syst.
 Control Lett. 15, 1990): the angles where a level is attained are the
-unimodular roots of a *-palindromic quadratic.  Tuple variants work
-through the pencil transform phi on the polydisk and through substitution
-of sampled commuting strict contractions.
+unimodular roots of a *-palindromic quadratic.  A pair is decided by its
+worst slice A_1 + w A_2, |w| = 1, from one level-set iteration over many
+slices.  Larger tuples work through the pencil transform phi on the
+polydisk and by substituting sampled commuting strict contractions.
 """
 
 from __future__ import annotations
@@ -79,22 +80,18 @@ KERNEL_GAP = 1e-12
 #: rounding guard that puts lo below the attained root.
 RADIUS_GAP = 1e-9
 
-#: Angles per variable of the torus grid that finds the worst slice
-#: A_1 + w A_2 of a pair.
-PAIR_TORUS_POINTS = 64
-
-#: Local refinements of the pair's torus grid: rounds, and angles per axis
-#: per round spanning +- one spacing of the previous grid.
-QEP_REFINE_ROUNDS = 3
-QEP_REFINE_POINTS = 17
-#: Torus points per batched companion eigen-solve, so that memory stays at
-#: QEP_CHUNK (2d)^2 entries whatever the grid size.
-QEP_CHUNK = 64
+#: Phases w of the slices A_1 + w A_2 among which a pair's worst slice is
+#: sought (_qep_theta_max): equally spaced, then local rounds of phases.
+SLICE_POINTS = 64
+SLICE_REFINE_ROUNDS = 3
+SLICE_REFINE_POINTS = 17
+#: Angles at which each slice of the first pass is solved before the joint
+#: level-set iteration (_slices_max), whose levels lie SLICE_GAP (1 + U)
+#: above the best root U attained.
+SLICE_START_POINTS = 2
+SLICE_GAP = 1e-11
 #: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
 QEP_REAL_TOL = 1e-7
-#: Rounding allowance of the tests that let the torus maximiser skip a
-#: point: they must put every root below best - QEP_BOUND_GUARD (1 + |best|).
-QEP_BOUND_GUARD = 1e-9
 
 #: Polydisk points per batched SVD of phi_sup's pruned pass.
 PHI_CHUNK = 64
@@ -157,10 +154,11 @@ class RadiusReport:
 
 
 def _kernel_lambda_min(a: np.ndarray, rho: float, zs: np.ndarray) -> np.ndarray:
-    """lambda_min of k(z, z) for a batch of scalar disk points ``zs``."""
-    ah = a.conj().T
+    """lambda_min of k(z, z) for a batch of scalar disk points ``zs``, of
+    one matrix ``a`` or of a stack of matrices paired with the points."""
+    ah = a.conj().swapaxes(-1, -2)
     aha = ah @ a
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     z = zs[:, None, None]
     k = (
         rho * eye
@@ -185,22 +183,28 @@ def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
     P_1 = 2i (e^{-i psi} E* - e^{i psi} E).  With k(psi) = L L* the roots
     tau are the eigenvalues of the 2d x 2d companion of the monic quadratic
     tau^2 I + tau L^{-1} P_1 L^{-*} + L^{-1} k(psi + pi) L^{-*}.
+
+    Given stacks of n matrices E and M and n angles psi, it returns an
+    (n, 2d) array: row j holds the crossings of pencil j, sorted, then nan.
     """
-    d = m.shape[0]
-    f = np.exp(1j * psi) * e
-    fh = f.conj().T
+    single, psi = e.ndim == 2, np.atleast_1d(psi)
+    e, m = (e[None], m[None]) if single else (e, m)
+    d = m.shape[-1]
+    f = np.exp(1j * psi)[:, None, None] * e
+    fh = f.conj().swapaxes(-1, -2)
     try:
         li = np.linalg.inv(np.linalg.cholesky(m + f + fh))
     except np.linalg.LinAlgError as exc:
         raise InternalError(f"level-set pencil not positive definite at its anchor angle {psi}") from exc
-    lih = li.conj().T
-    comp = np.zeros((2 * d, 2 * d), dtype=complex)
-    comp[:d, d:] = np.eye(d)
-    comp[d:, :d] = -li @ (m - f - fh) @ lih
-    comp[d:, d:] = -li @ (2j * (fh - f)) @ lih
+    lih = li.conj().swapaxes(-1, -2)
+    comp = np.zeros((len(m), 2 * d, 2 * d), dtype=complex)
+    comp[:, :d, d:] = np.eye(d)
+    comp[:, d:, :d] = -li @ (m - f - fh) @ lih
+    comp[:, d:, d:] = -li @ (2j * (fh - f)) @ lih
     tau = np.linalg.eigvals(comp)
-    tau = tau.real[np.abs(tau.imag) <= LEVELSET_REAL_TOL * (1 + tau.real ** 2)]
-    return np.sort((psi + np.pi + 2 * np.arctan(tau)) % (2 * np.pi))
+    real = np.abs(tau.imag) <= LEVELSET_REAL_TOL * (1 + tau.real ** 2)
+    theta = np.sort(np.where(real, (psi[:, None] + np.pi + 2 * np.arctan(tau.real)) % (2 * np.pi), np.nan))
+    return theta[0, :np.count_nonzero(real)] if single else theta
 
 
 def _levelset_min(h, pencil, gap: float, bound: float = math.inf, extra=()) -> dict:
@@ -542,118 +546,117 @@ def _qep_top_roots(za: np.ndarray, rho: float, gram: np.ndarray | None = None) -
     return np.where(real, roots.real, -np.inf).max(axis=1)
 
 
-def _qep_upper_bound(za: np.ndarray, rho: float, gram_max: float | None = None) -> np.ndarray:
-    """Upper bound on every real root, and on the real part of every complex
-    root, of the pencil of _qep_top_roots, for each pencil value in ``za``.
+def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
+    """Largest w_rho over a stack ``s`` of slices S with ||S|| <= 1, each
+    maximised exactly over the circle by one joint level-set iteration.
 
-    A root mu with unit eigenvector x solves the scalar quadratic
-    rho mu^2 - (rho-1) h mu + (rho-2) g = 0, h = x*Hx, g = x*Gx, where
-    H = zeta A + (zeta A)* and G = (zeta A)*(zeta A), and g >= h^2/4.  For
-    rho >= 2 that gives Re mu <= max(h, 0)/2.  For rho < 2 the roots are real
-    and mu <= f(h, g) = [(rho-1)h + sqrt((rho-1)^2 h^2 + 4 rho (2-rho) g)]/(2 rho),
-    which increases in g and in (rho-1)h; so h is lambda_max(H) for rho >= 1,
-    lambda_min(H) for rho < 1, and g is lambda_max(G) (``gram_max`` when it
-    is the same at every point).  The bound is exact at rho = 1 and 2.
+    w_rho(S) is the maximum over theta of mu*(theta), the largest real root
+    of P_theta(mu) = rho mu^2 I - (rho-1) mu H_theta + (rho-2) S*S (w_rho);
+    P_theta(L) = L^2 k(e^{i theta}), k the kernel of S/L.  At rho = 1 it is
+    ||S||.  ``best`` = (U, anchor) is an attained root and every slice's
+    anchor angle; without it the slices are solved at SLICE_START_POINTS
+    angles, U is the best root (at least 0) and anchors the least roots.
+
+    At the level L = U + SLICE_GAP (1 + U) a live slice is eliminated when
+    lambda_min k exceeds the guard _screen_guard(1/L, d, rho) at its anchor
+    and at every midpoint of the crossings of one batched _circle_crossings
+    (which err towards real), and, at rho > 2, r(S) < beta L with
+    beta = (rho-1)/(rho-2).  Then k is definite on the circle, where its
+    disk minimum lies (_kernel_disk_min), so S/L is a member: w_rho(S) <= L.
+    The r(S) computed is safe: a k definite on the circle leaves no
+    eigenvalue lam of S/L with |lam| in (1, rho/(rho-2)), as at
+    zeta = |lam|/lam its eigenvector x has
+    x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2).
+
+    A slice that fails has an angle where P_theta(L) is not definite, so
+    mu*(theta) >= L (P_theta(mu) is definite for mu > mu*(theta)), or, if
+    r(S) >= beta L, the angle -arg lam of its top eigenvalue, where
+    mu* >= r(S) (w_rho).  One batched _qep_top_roots solve there raises U,
+    and the failing slices go on at the level above max(U, L), which rises
+    even where rounding keeps a root below L.  Returns the best root
+    "value", the "slice" that attained it (None if it is the given best)
+    and its "anchor", each slice's elimination level ("levels") and the
+    counters.
     """
-    zah = za.conj().transpose(0, 2, 1)
-    lam = np.linalg.eigvalsh(za + zah)
-    if rho >= 2:
-        return np.maximum(lam[:, -1], 0) / 2
-    h = lam[:, -1] if rho >= 1 else lam[:, 0]
-    g = np.linalg.eigvalsh(zah @ za)[:, -1] if gram_max is None else gram_max
-    disc = (rho - 1) ** 2 * h ** 2 + 4 * rho * (2 - rho) * np.maximum(g, 0)
-    return ((rho - 1) * h + np.sqrt(disc)) / (2 * rho)
-
-
-def _qep_roots_below(za: np.ndarray, rho: float, level: float) -> np.ndarray:
-    """True where every root of the pencil of _qep_top_roots has real part
-    below ``level``, for pencil values with ||zeta A|| <= 1.
-
-    With mu = level + s the pencil is rho s^2 I + s C + P, where
-    C = 2 rho level I - (rho-1) H and P is the pencil at mu = level.  If C
-    and P are positive definite, a root s with unit eigenvector x solves
-    rho s^2 + (x*Cx) s + x*Px = 0 with positive coefficients, so Re s < 0.
-    Their smallest eigenvalues must exceed QEP_BOUND_GUARD times a bound on
-    their norms, so that rounding cannot pass them.
-    """
-    zah = za.conj().transpose(0, 2, 1)
-    h = za + zah
-    eye = np.eye(za.shape[1])
-    c = 2 * rho * level * eye - (rho - 1) * h
-    p = level * (rho * level * eye - (rho - 1) * h) + (rho - 2) * (zah @ za)
-    lam = np.linalg.eigvalsh(np.concatenate([c, p]))[:, 0]
-    norm_c = 2 * rho * abs(level) + 2 * abs(rho - 1)
-    norm_p = abs(level) * (rho * abs(level) + 2 * abs(rho - 1)) + abs(rho - 2)
-    return (lam[:len(za)] > QEP_BOUND_GUARD * norm_c) & (lam[len(za):] > QEP_BOUND_GUARD * norm_p)
+    n, d = s.shape[:2]
+    out = {"slice_levels": 0, "slice_crossing_solves": 0, "slice_root_solves": 0}
+    anchors = np.full(n, 0.0 if best is None else best[1])
+    value, owner = (0.0 if best is None else best[0]), None
+    if rho == 1:
+        levels = np.linalg.norm(s, 2, axis=(1, 2))
+        if best is None or levels.max() > value:
+            value, owner = float(levels.max()), int(np.argmax(levels))
+        return {**out, "value": value, "slice": owner, "anchor": anchors[0], "levels": levels}
+    if best is None:
+        thetas = np.linspace(0, 2 * np.pi, SLICE_START_POINTS, endpoint=False)
+        roots = _qep_top_roots((np.exp(1j * thetas)[:, None, None, None] * s).reshape(-1, d, d), rho)
+        roots = roots.reshape(SLICE_START_POINTS, n)
+        out["slice_root_solves"] = roots.size
+        owner = int(np.argmax(roots.max(axis=0)))
+        value, anchors = max(float(roots.max()), 0.0), thetas[np.argmin(roots, axis=0)]
+    if rho > 2:
+        lam = np.linalg.eigvals(s)
+        top = lam[np.arange(n), np.argmax(np.abs(lam), axis=1)]
+    levels = np.full(n, np.nan)
+    live, level = np.arange(n), -math.inf
+    while live.size:
+        if out["slice_levels"] == LEVELSET_MAX_ITERATIONS:
+            raise InternalError(f"slice level-set iteration did not stop in {LEVELSET_MAX_ITERATIONS} levels")
+        out["slice_levels"] += 1
+        level = max(value, level)
+        level += SLICE_GAP * (1 + level)
+        u, guard, angles = s[live] / level, _screen_guard(1 / level, d, rho), anchors[live]
+        bad = _kernel_lambda_min(u, rho, np.exp(1j * angles)) <= guard
+        if rho > 2:
+            wide = (rho - 2) * np.abs(top[live]) >= (rho - 1) * level
+            angles, bad = np.where(wide, -np.angle(top[live]), angles), bad | wide
+        rows, angles, idx = np.flatnonzero(bad), angles[bad], np.flatnonzero(~bad)
+        if idx.size:
+            v = u[idx]
+            cross = _circle_crossings(-(rho - 1) * v, rho * np.eye(d) + (rho - 2) * (v.conj().swapaxes(1, 2) @ v),
+                                      anchors[live[idx]])
+            out["slice_crossing_solves"] += idx.size
+            count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
+            nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
+            at, col = np.nonzero(col < count)
+            mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
+            fail = _kernel_lambda_min(v[at], rho, np.exp(1j * mids)) <= guard
+            rows, angles = np.append(rows, idx[at[fail]]), np.append(angles, mids[fail])
+        failed = np.zeros(live.size, dtype=bool)
+        failed[rows] = True
+        levels[live[~failed]] = level
+        if rows.size:
+            roots = _qep_top_roots(np.exp(1j * angles)[:, None, None] * s[live[rows]], rho)
+            out["slice_root_solves"] += roots.size
+            if roots.max() > value:
+                value, owner = float(roots.max()), int(live[rows[np.argmax(roots)]])
+        live = live[failed]
+    return {**out, "value": value, "slice": owner, "anchor": anchors[0 if owner is None else owner], "levels": levels}
 
 
 def _qep_theta_max(a: OperatorTuple, rho: float):
-    """Maximum over the torus of mu*(zeta) for a pair.
+    """Maximum over the torus of mu*(zeta) for a pair with ||zeta A|| <= 1:
+    the largest w_rho of its slices A_1 + w A_2, as zeta A = zeta_1 (A_1 +
+    w A_2) with w = zeta_2/zeta_1.
 
-    Returns (maximum, slice phase w* = zeta_2/zeta_1 at the maximiser, grid
-    points per axis, refinement rounds, companion solves).  The grid has
-    PAIR_TORUS_POINTS angles per axis; QEP_REFINE_ROUNDS local grids of
-    QEP_REFINE_POINTS per axis follow around the best point, each spanning
-    +- one spacing of the grid before.  At rho = 1 the pencil
-    mu^2 I - (zeta A)*(zeta A) does not see the phase of zeta_1, so the
-    first axis is the single angle 0.
-
-    A grid of more than QEP_CHUNK points is solved in chunks of QEP_CHUNK
-    in decreasing order of _qep_upper_bound (stable in the point index).
-    After the first chunk, with level = best root so far less
-    QEP_BOUND_GUARD (1 + |best|), a point is skipped if its bound is below
-    level or if _qep_roots_below puts every root below level (not run at
-    rho = 2, where the bound is exact), and the pass stops at the first
-    chunk whose bounds are all below level.  A skipped point cannot reach
-    the best root, so the maximum and its first maximiser are those of
-    solving every point.  The callers pass tuples with ||zeta A|| <= 1 on
-    the torus.
+    The slices are those of SLICE_POINTS equally spaced phases, then of
+    SLICE_REFINE_ROUNDS local rounds of SLICE_REFINE_POINTS phases spanning
+    +- one spacing of the phases before around the best, whose slice is
+    skipped; each round is one _slices_max run from the best root so far.
+    Returns (maximum, slice phase w*, counters).
     """
-    n = PAIR_TORUS_POINTS
-    grid = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    axes = [np.zeros(1) if rho == 1 else grid, grid]
-
-    def grid_max(axes):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.exp(1j * np.stack([m.ravel() for m in mesh], axis=1))
-        chunks = range(0, len(points), QEP_CHUNK)
-        prune = len(points) > QEP_CHUNK
-        order = np.arange(len(points))
-        if prune:
-            bound = np.concatenate([_qep_upper_bound(_pencils(a, points[i:i + QEP_CHUNK]), rho)
-                                    for i in chunks])
-            order = np.argsort(-bound, kind="stable")
-        vals = np.full(len(points), -np.inf)
-        best, solves = -np.inf, 0
-        for i in chunks:
-            idx = order[i:i + QEP_CHUNK]
-            if prune and best > -np.inf:
-                level = best - QEP_BOUND_GUARD * (1 + abs(best))
-                idx = idx[bound[idx] >= level]
-                if not idx.size:
-                    break
-                if rho != 2:
-                    idx = idx[~_qep_roots_below(_pencils(a, points[idx]), rho, level)]
-            if idx.size:
-                vals[idx] = _qep_top_roots(_pencils(a, points[idx]), rho)
-                best, solves = max(best, vals[idx].max()), solves + idx.size
-        i = int(np.argmax(vals))
-        idx = np.unravel_index(i, [len(ax) for ax in axes])
-        return float(vals[i]), [float(ax[j]) for ax, j in zip(axes, idx)], solves
-
-    best, best_angles, solves = grid_max(axes)
-    rounds = QEP_REFINE_ROUNDS
-    span = 2 * np.pi / n
-    for _ in range(rounds):
-        local = [t + np.linspace(-span, span, QEP_REFINE_POINTS) if len(ax) > 1 else ax
-                 for t, ax in zip(best_angles, axes)]
-        val, angles, count = grid_max(local)
-        solves += count
-        if val > best:
-            best, best_angles = val, angles
-        span *= 2 / (QEP_REFINE_POINTS - 1)
-    w = complex(np.exp(1j * (best_angles[1] - best_angles[0])))
-    return best, w, [len(ax) for ax in axes], rounds, solves
+    phases = np.linspace(0, 2 * np.pi, SLICE_POINTS, endpoint=False)
+    runs, best, span = [], None, 2 * np.pi / SLICE_POINTS
+    for _ in range(SLICE_REFINE_ROUNDS + 1):
+        runs.append(_slices_max(a[0] + np.exp(1j * phases)[:, None, None] * a[1], rho, best))
+        if runs[-1]["slice"] is not None:
+            phi, best = phases[runs[-1]["slice"]], (runs[-1]["value"], runs[-1]["anchor"])
+        phases = np.delete(phi + np.linspace(-span, span, SLICE_REFINE_POINTS), SLICE_REFINE_POINTS // 2)
+        span *= 2 / (SLICE_REFINE_POINTS - 1)
+    stats = {"slice_points": SLICE_POINTS, "slice_refine_rounds": SLICE_REFINE_ROUNDS}
+    for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves"):
+        stats[key] = sum(run[key] for run in runs)
+    return best[0], complex(np.exp(1j * phi)), stats
 
 
 def _mu_star_max(a: np.ndarray, rho: float, gap: float, extra=()) -> dict:
@@ -906,13 +909,10 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 
 def _worst_slice(a: OperatorTuple, rho: float):
-    """The slice A_1 + w A_2 of a pair whose w_rho is largest on the torus
-    grid of the quadratic eigenproblem, and how it was found."""
+    """The worst slice A_1 + w A_2 of a pair (_qep_theta_max) and its counters."""
     scale = sum(op_norm(m) for m in a.mats) or 1.0
-    _, w, axes, rounds, solves = _qep_theta_max(a.scale(1 / scale), rho)
-    spec = {"torus_points": axes, "torus_refine_rounds": rounds, "qep_solves": solves,
-            "slice_w": [w.real, w.imag]}
-    return a[0] + w * a[1], spec
+    _, w, stats = _qep_theta_max(a.scale(1 / scale), rho)
+    return a[0] + w * a[1], {**stats, "slice_w": [w.real, w.imag]}
 
 
 def _check_tuple_knobs(rho: float, tol: float, budget: int) -> None:
@@ -925,9 +925,9 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
                      budget: int = DEFAULT_BUDGET) -> MembershipVerdict:
     """Decide membership of an operator tuple at level rho.
 
-    N = 1 delegates to the single-operator test.  N = 2 is decided by the
-    single-operator test of its worst torus slice A_1 + w A_2, |w| = 1.
-    This is exact for pairs: by the two-variable von Neumann inequality
+    N = 1 delegates to the single-operator test.  N = 2 is decided by that
+    test, without the psi cross-check, of its worst slice A_1 + w A_2,
+    |w| = 1 (_qep_theta_max).  This is exact for pairs: by the two-variable von Neumann inequality
     (Ando) membership is sup ||phi(zA)|| <= 1 on the closed bidisk, and by
     the maximum principle that holds iff every slice is a member.  If every
     slice is, the spectral radius of zA is at most 1 on the torus, hence on
@@ -955,7 +955,7 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         return membership_single(a.mats[0], rho, tol)
     if a.n_vars == 2:
         b, spec = _worst_slice(a, rho)
-        v = membership_single(b, rho, tol)
+        v = membership_single(b, rho, tol, cross_check=False)
         z, w = complex(*v.certificate["witness_z"]), complex(*spec["slice_w"])
         cert = {**v.certificate, **spec, "method": "torus-slice+" + v.certificate["method"],
                 "witness_z": [[z.real, z.imag], [(z * w).real, (z * w).imag]]}
@@ -1016,7 +1016,7 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
 
     N = 2: w_rho of the worst torus slice A_1 + w A_2 (see membership_tuple).
     Its lo is proven, since a slice that is not a member makes the pair not
-    a member; its hi rests on the torus grid.  N >= 3: a lower bound from
+    a member; its hi rests on the phases of the slice search.  N >= 3: a lower bound from
     w_rho of sampled substitutions (scalar polydisk points always included),
     then bisection over the necessary-only tuple test.  That test forms the
     substitutions of A/u with the cached samples and screens them with

@@ -23,11 +23,21 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
+def _integer(obj, key: str) -> int:
+    """``obj[key]`` as an int; InputError unless it is an integral number."""
+    value = obj[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int):
+        raise InputError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """The matrix of a matrix JSON object; InputError unless each entry of
     ``data`` is a [re, im] pair of numbers (true and false count as 1, 0)."""
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = _integer(obj, "rows"), _integer(obj, "cols"), obj["data"]
         count = len(data)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
@@ -53,7 +63,7 @@ def tuple_to_json(t: OperatorTuple) -> dict:
 
 def tuple_from_json(obj) -> OperatorTuple:
     try:
-        n_vars, mats = int(obj["n_vars"]), obj["mats"]
+        n_vars, mats = _integer(obj, "n_vars"), obj["mats"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed tuple JSON: {exc}") from exc
     if len(mats) != n_vars:
@@ -86,7 +96,7 @@ def embedding_to_json(e: Embedding) -> dict:
 
 def embedding_from_json(obj) -> Embedding:
     try:
-        ambient = int(obj["ambient_dim"])
+        ambient = _integer(obj, "ambient_dim")
         basis = matrix_from_json(obj["basis"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed embedding JSON: {exc}") from exc
@@ -99,6 +109,8 @@ def load_operator_input(path):
     """Read a matrix or tuple JSON file; a bare matrix becomes a 1-tuple."""
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: top-level JSON value is not an object")
     if "mats" in obj:
         return tuple_from_json(obj)
     if "data" in obj:

@@ -122,6 +122,15 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("text", ["5", "[]", json.dumps({"rows": 1.7, "cols": 1, "data": [[0.5, 0]]})])
+def test_exit_code_non_object_or_fractional_count(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = _run(capsys, ["radius", "--rho", "1", "--input", str(bad)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "input"
+
+
 @pytest.mark.parametrize("knob", [["--tol", "-1"], ["--tol", "0"], ["--budget", "0"], ["--budget", "-5"]])
 @pytest.mark.parametrize("n_vars", [1, 3])
 def test_exit_code_bad_membership_knobs(tmp_path, capsys, knob, n_vars):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rho_radii import radii
+from rho_radii.dilation import build_nonsimilar_pair
 from rho_radii.errors import InputError
 from rho_radii.linalg import op_norm, spectral_radius
 from rho_radii.pencil import OperatorTuple, eval_pencil
@@ -31,6 +32,7 @@ from rho_radii.radii import (
     w_rho,
     w_rho_tuple,
 )
+from rho_radii.repro import admissible_eps
 
 NILP = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -334,12 +336,12 @@ def test_pair_verdict_agrees_with_radius():
         for rho in (0.5, 2.0, 3.0):
             rep = w_rho_tuple(pair, rho)
             spec = rep.grid_spec
-            assert spec["torus_points"] == [radii.PAIR_TORUS_POINTS] * 2
+            assert spec["slice_points"] == radii.SLICE_POINTS
             assert spec["certified_level"] == rep.hi
             v_in = membership_tuple(pair.scale(1 / (rep.hi * (1 + 1e-6))), rho)
             v_out = membership_tuple(pair.scale(1 / (rep.lo * (1 - 1e-6))), rho)
             assert (v_in.decision, v_out.decision) == (IN, OUT), (rho, rep, v_in, v_out)
-            assert v_out.certificate["qep_solves"] == spec["qep_solves"]
+            assert v_out.certificate["slice_root_solves"] == spec["slice_root_solves"]
 
 
 def test_pair_radius_above_commuting_substitutions():
@@ -490,118 +492,123 @@ def _kinds(rng, d):
     return [_unit(g), _unit(np.triu(g, 1)), _unit(normal), np.zeros((d, d)), _shift(d)]
 
 
-def _all_qep_roots(za, rho):
-    d = za.shape[1]
-    zah = za.conj().transpose(0, 2, 1)
-    comp = np.zeros((len(za), 2 * d, 2 * d), dtype=complex)
-    comp[:, :d, d:] = np.eye(d)
-    comp[:, d:, :d] = -(rho - 2) / rho * (zah @ za)
-    comp[:, d:, d:] = (rho - 1) / rho * (za + zah)
-    return np.linalg.eigvals(comp)
-
-
-def _near_collision(rho):
-    """zeta just past the angle where the two real roots of the 1x1 pencil
-    zeta * 1 meet (rho > 2): complex roots with tiny imaginary parts."""
-    theta = math.acos(math.sqrt(rho * (rho - 2)) / (rho - 1)) + np.logspace(-14, -9, 21)
-    return np.exp(1j * theta)[:, None, None]
-
-
-def test_qep_upper_bound_holds():
-    # U(zeta) >= mu*(zeta) on circles of single operators (G fixed), on a
-    # pair's torus grid (G per point), and where complex roots count as real
-    # (rho > 2); exactly at rho = 1 and 2
-    rng = np.random.default_rng(23)
-    zeta = np.exp(1j * np.linspace(0, 2 * np.pi, 97, endpoint=False))[:, None, None]
-    torus = np.exp(1j * np.linspace(0, 2 * np.pi, 12, endpoint=False))
-    torus = np.stack(np.meshgrid(torus, torus, indexing="ij"), axis=-1).reshape(-1, 2)
-    nearly_real = set()
-    for d in range(1, 7):
-        for a in _kinds(rng, d):
-            pair = radii._pencils(OperatorTuple((a / 2, _kinds(rng, d)[0] / 2)), torus)
-            gram_max = float(np.linalg.eigvalsh(a.conj().T @ a)[-1])
-            for rho in QEP_RHOS:
-                stacks = [(zeta * a, gram_max), (pair, None)]
-                if rho > 2:
-                    near = _near_collision(rho)
-                    # in exact arithmetic these roots are complex
-                    assert np.all((rho - 1) ** 2 * near.real.ravel() ** 2 < rho * (rho - 2))
-                    if np.any(np.isfinite(radii._qep_top_roots(near * np.eye(d), rho))):
-                        nearly_real.add(rho)
-                    stacks.append((near * np.eye(d), 1.0))
-                for za, g in stacks:
-                    top = radii._qep_top_roots(za, rho)
-                    bound = radii._qep_upper_bound(za, rho, g)
-                    real = np.isfinite(top)
-                    guard = radii.QEP_BOUND_GUARD * (1 + np.abs(top[real]))
-                    assert np.all(bound[real] >= top[real] - guard), (d, rho)
-                    if rho in (1.0, 2.0):
-                        np.testing.assert_allclose(bound, top, rtol=0, atol=1e-12)
-    assert nearly_real == {2.01, 3.0, 10.0}
-
-
-def test_qep_roots_below_is_sound():
-    # where _qep_roots_below says so, every root has real part below level
-    rng = np.random.default_rng(24)
-    zeta = np.exp(1j * np.linspace(0, 2 * np.pi, 41, endpoint=False))[:, None, None]
-    for d in range(1, 7):
-        for a in _kinds(rng, d):
-            za = zeta * a
-            for rho in QEP_RHOS:
-                roots = _all_qep_roots(za, rho)
-                top = roots.real.max(axis=1)
-                for level in (*np.quantile(top, [0.1, 0.5, 0.9, 1.0]), top.max() + 1e-6, 0.0, -1.0):
-                    below = radii._qep_roots_below(za, rho, level)
-                    assert np.all(top[below] < level), (d, rho, level)
-                if rho < 2:
-                    # there the pencil is overdamped and the test is exact:
-                    # it passes every point a little below level
-                    assert np.all(radii._qep_roots_below(za, rho, top.max() * 1.01 + 1e-3)), (d, rho)
-
-
 def _qep_theta_max_full(a, rho):
-    """Full-grid reference for the pruned pair maximiser: every grid point
-    of every round solved."""
-    n = radii.PAIR_TORUS_POINTS
+    """Reference maximum of mu* over the torus for the slice search: the
+    grid of 64 angles per variable and 3 local rounds of 17 x 17 points
+    spanning +- one spacing of the grid before, every point solved."""
+    n, rounds, per_axis = 64, 3, 17
     grid = np.linspace(0, 2 * np.pi, n, endpoint=False)
     axes = [np.zeros(1) if rho == 1 else grid, grid]
 
     def grid_max(axes):
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.exp(1j * np.stack([m.ravel() for m in mesh], axis=1))
-        vals = np.concatenate([radii._qep_top_roots(radii._pencils(a, points[i:i + radii.QEP_CHUNK]), rho)
-                               for i in range(0, len(points), radii.QEP_CHUNK)])
+        vals = np.concatenate([radii._qep_top_roots(radii._pencils(a, points[i:i + 64]), rho)
+                               for i in range(0, len(points), 64)])
         i = int(np.argmax(vals))
         idx = np.unravel_index(i, [len(ax) for ax in axes])
         return float(vals[i]), [float(ax[j]) for ax, j in zip(axes, idx)]
 
     best, best_angles = grid_max(axes)
-    rounds = radii.QEP_REFINE_ROUNDS
     span = 2 * np.pi / n
     for _ in range(rounds):
-        local = [t + np.linspace(-span, span, radii.QEP_REFINE_POINTS) if len(ax) > 1 else ax
+        local = [t + np.linspace(-span, span, per_axis) if len(ax) > 1 else ax
                  for t, ax in zip(best_angles, axes)]
         val, angles = grid_max(local)
         if val > best:
             best, best_angles = val, angles
-        span *= 2 / (radii.QEP_REFINE_POINTS - 1)
-    w = complex(np.exp(1j * (best_angles[1] - best_angles[0])))
-    return best, w, [len(ax) for ax in axes], rounds
+        span *= 2 / (per_axis - 1)
+    return best
 
 
-def test_pruned_theta_max_equals_full_grid():
+def test_slice_search_not_below_full_grid():
+    # each slice is maximised exactly in the first angle, so the slice
+    # search is not below the full torus grid, less its level gap
     rng = np.random.default_rng(25)
     cases = 0
     for d in range(1, 7):
         kinds = _kinds(rng, d)
         pair = OperatorTuple((kinds[d % 3] / 2, kinds[(d + 1) % 3] / 2))
         for rho in QEP_RHOS:
-            got = radii._qep_theta_max(pair, rho)
-            assert got[:4] == _qep_theta_max_full(pair, rho), (d, rho)
-            points = np.prod(got[2]) + got[3] * radii.QEP_REFINE_POINTS ** sum(n > 1 for n in got[2])
-            assert got[4] <= points
+            got, w, stats = radii._qep_theta_max(pair, rho)
+            ref = _qep_theta_max_full(pair, rho)
+            assert got >= ref - radii.SLICE_GAP * (1 + ref), (d, rho, got, ref)
+            assert abs(w) == pytest.approx(1.0, abs=1e-15)
+            assert (stats["slice_points"], stats["slice_refine_rounds"]) == (radii.SLICE_POINTS,
+                                                                             radii.SLICE_REFINE_ROUNDS)
             cases += 1
     assert cases == 66
+
+
+SLICE_RHOS = (0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
+SLICE_DENSE = np.exp(1j * np.linspace(0, 2 * np.pi, 512, endpoint=False))
+
+
+def _assert_below_levels(s, rho, run):
+    """Every slice's mu* on SLICE_DENSE stays at or below its elimination
+    level, and the best value is attained on the slice it names."""
+    for b, level in zip(s, run["levels"]):
+        top = radii._qep_top_roots(SLICE_DENSE[:, None, None] * b, rho).max()
+        assert top <= level * (1 + 1e-12) + 1e-15, (b.shape, rho, top, level)
+    assert run["value"] <= run["levels"].max()
+
+
+def test_slice_eliminations_are_sound():
+    # random, nilpotent and normal first variables in turn, d 1-6, on 8 phases
+    rng = np.random.default_rng(27)
+    phases = np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))[:, None, None]
+    for d in range(1, 7):
+        kinds = _kinds(rng, d)
+        s = (kinds[d % 3] + phases * kinds[(d + 1) % 3]) / 2
+        for rho in SLICE_RHOS:
+            run = radii._slices_max(s, rho)
+            assert not np.isnan(run["levels"]).any()
+            _assert_below_levels(s, rho, run)
+
+
+def test_slice_above_rho_2_not_eliminated_by_circle_alone():
+    # at rho = 3 and level 0.2 the kernel of 1/level = 5 is positive on the
+    # whole circle (3 - 20 cos t + 25 > 0), but r = 5 >= beta = 2: the slice
+    # goes on, and its root at -arg lam = 0 is w_3(1) = 1
+    s = np.array([[[1.0 + 0j]], [[0.1 + 0j]]])
+    level = 0.2 + radii.SLICE_GAP * 1.2
+    assert radii._kernel_lambda_min(s[0] / level, 3.0, SLICE_DENSE).min() > 0
+    run = radii._slices_max(s, 3.0, (0.2, 0.0))
+    assert run["slice"] == 0 and run["value"] == pytest.approx(1.0, rel=1e-12)
+    assert run["levels"][1] == level and run["levels"][0] > 1
+    _assert_below_levels(s, 3.0, run)
+
+
+def test_batched_circle_crossings_equal_single_calls():
+    # kernel pencils at the median of lambda_min over 16 angles, anchored
+    # where lambda_min is largest, so that most have crossings
+    rng = np.random.default_rng(28)
+    start = np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False))
+    for d in (1, 2, 3, 5):
+        s = np.stack([_random_matrix(rng, d) * rng.uniform(0.2, 0.6) for _ in range(9)])
+        for rho in (0.5, 2.0, 3.0):
+            lam = np.array([radii._kernel_lambda_min(b, rho, start) for b in s])
+            c = np.median(lam, axis=1)
+            psi = np.angle(start[np.argmax(lam, axis=1)])
+            e = -(rho - 1) * s
+            m = (rho - c)[:, None, None] * np.eye(d) + (rho - 2) * (s.conj().swapaxes(1, 2) @ s)
+            batch = radii._circle_crossings(e, m, psi)
+            assert batch.shape == (len(s), 2 * d)
+            for row, ej, mj, pj in zip(batch, e, m, psi):
+                one = radii._circle_crossings(ej, mj, pj)
+                assert one.size and row[:one.size].tobytes() == one.tobytes()
+                assert np.isnan(row[one.size:]).all()
+
+
+def test_flat_pair_search_runs_few_solves():
+    # the thm51 pair's pencil is nilpotent, so mu* is flat on the torus:
+    # every torus grid point ties with the best, and the old grid solved
+    # all 4963 of them
+    for rho in (1.5, 2.0, 3.0):
+        pair = build_nonsimilar_pair(admissible_eps(rho) / 2)
+        spec = w_rho_tuple(pair, rho).grid_spec
+        assert spec["slice_crossing_solves"] + spec["slice_root_solves"] <= 400, (rho, spec)
+        assert membership_tuple(pair, rho).decision == IN
 
 
 def test_cached_samples_equal_fresh_draws_and_are_read_only():

@@ -111,3 +111,29 @@ def test_matrix_from_json_malformed_entry_rejected(entry):
         matrix_from_json({"rows": 1, "cols": 2, "data": [[0.5, 0], entry]})
     with pytest.raises(InputError):
         matrix_from_json({"rows": 1, "cols": 1, "data": [entry]})
+
+
+@pytest.mark.parametrize("value", [1.7, "2", None, [2], float("nan"), float("inf")])
+def test_non_integral_counts_rejected(value):
+    m = matrix_to_json(np.eye(2))
+    for key in ("rows", "cols"):
+        with pytest.raises(InputError):
+            matrix_from_json({**m, key: value})
+    with pytest.raises(InputError):
+        tuple_from_json({**tuple_to_json(OperatorTuple((np.eye(2),))), "n_vars": value})
+    with pytest.raises(InputError):
+        embedding_from_json({**embedding_to_json(Embedding(np.eye(3)[:, :2])), "ambient_dim": value})
+
+
+def test_integral_float_counts_accepted():
+    m = matrix_from_json({**matrix_to_json(np.eye(2)), "rows": 2.0, "cols": 2.0})
+    np.testing.assert_array_equal(m, np.eye(2))
+    assert tuple_from_json({**tuple_to_json(OperatorTuple((np.eye(2),))), "n_vars": 1.0}).n_vars == 1
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "\"mats\"", "null", "true"])
+def test_load_operator_input_rejects_non_object(tmp_path, text):
+    p = tmp_path / "top.json"
+    p.write_text(text)
+    with pytest.raises(InputError):
+        load_operator_input(p)
