@@ -622,8 +622,7 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
             mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
             fail = _kernel_lambda_min(v[at], rho, np.exp(1j * mids)) <= guard
             rows, angles = np.append(rows, idx[at[fail]]), np.append(angles, mids[fail])
-        failed = np.zeros(live.size, dtype=bool)
-        failed[rows] = True
+        failed = np.isin(np.arange(live.size), rows)
         levels[live[~failed]] = level
         if rows.size:
             roots = _qep_top_roots(np.exp(1j * angles)[:, None, None] * s[live[rows]], rho)
@@ -654,8 +653,8 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
         phases = np.delete(phi + np.linspace(-span, span, SLICE_REFINE_POINTS), SLICE_REFINE_POINTS // 2)
         span *= 2 / (SLICE_REFINE_POINTS - 1)
     stats = {"slice_points": SLICE_POINTS, "slice_refine_rounds": SLICE_REFINE_ROUNDS}
-    for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves"):
-        stats[key] = sum(run[key] for run in runs)
+    stats.update({key: sum(run[key] for run in runs)
+                  for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves")})
     return best[0], complex(np.exp(1j * phi)), stats
 
 
