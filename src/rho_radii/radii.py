@@ -558,15 +558,15 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     angles, U is the best root (at least 0) and anchors the least roots.
 
     At the level L = U + SLICE_GAP (1 + U) a live slice is eliminated when
-    lambda_min k exceeds the guard _screen_guard(1/L, d, rho) at its anchor
-    and at every midpoint of the crossings of one batched _circle_crossings
-    (which err towards real), and, at rho > 2, r(S) < beta L with
-    beta = (rho-1)/(rho-2).  Then k is definite on the circle, where its
-    disk minimum lies (_kernel_disk_min), so S/L is a member: w_rho(S) <= L.
-    The r(S) computed is safe: a k definite on the circle leaves no
-    eigenvalue lam of S/L with |lam| in (1, rho/(rho-2)), as at
-    zeta = |lam|/lam its eigenvector x has
-    x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2).
+    lambda_min k exceeds the guard _screen_guard(||S||/L, d, rho) at its
+    anchor and at every midpoint of the crossings of one batched
+    _circle_crossings (which err towards real), and, at rho > 2,
+    r(S) < beta L, beta = (rho-1)/(rho-2).  Then k is definite on the
+    circle, where its disk minimum lies (_kernel_disk_min), so S/L is a
+    member: w_rho(S) <= L.  The computed r(S) is safe: a k definite on the
+    circle leaves S/L no eigenvalue lam with |lam| in (1, rho/(rho-2)), as
+    at zeta = |lam|/lam, x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for
+    its eigenvector x.
 
     A slice that fails has an angle where P_theta(L) is not definite, so
     mu*(theta) >= L (P_theta(mu) is definite for mu > mu*(theta)), or, if
@@ -597,7 +597,7 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     if rho > 2:
         lam = np.linalg.eigvals(s)
         top = lam[np.arange(n), np.argmax(np.abs(lam), axis=1)]
-    levels = np.full(n, np.nan)
+    levels, norms = np.full(n, np.nan), np.linalg.norm(s, 2, axis=(1, 2))
     live, level = np.arange(n), -math.inf
     while live.size:
         if out["slice_levels"] == LEVELSET_MAX_ITERATIONS:
@@ -605,7 +605,7 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
         out["slice_levels"] += 1
         level = max(value, level)
         level += SLICE_GAP * (1 + level)
-        u, guard, angles = s[live] / level, _screen_guard(1 / level, d, rho), anchors[live]
+        u, guard, angles = s[live] / level, _screen_guard(norms[live] / level, d, rho), anchors[live]
         bad = _kernel_lambda_min(u, rho, np.exp(1j * angles)) <= guard
         if rho > 2:
             wide = (rho - 2) * np.abs(top[live]) >= (rho - 1) * level
@@ -620,7 +620,7 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
             nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
             at, col = np.nonzero(col < count)
             mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
-            fail = _kernel_lambda_min(v[at], rho, np.exp(1j * mids)) <= guard
+            fail = _kernel_lambda_min(v[at], rho, np.exp(1j * mids)) <= guard[idx[at]]
             rows, angles = np.append(rows, idx[at[fail]]), np.append(angles, mids[fail])
         failed = np.isin(np.arange(live.size), rows)
         levels[live[~failed]] = level

@@ -317,7 +317,7 @@ def test_pair_with_interior_pole_is_out(a):
 
 def test_w_rho_tuple_scalar_pairs():
     # the worst slice of a scalar pair is a + w b with |a + w b| = |a| + |b|
-    for a, b in ((0.3, 0.5j), (-1.2 + 0.4j, 0.7 - 0.1j), (2.0, 0.0)):
+    for a, b in ((0.3, 0.5j), (-1.2 + 0.4j, 0.7 - 0.1j), (2.0, 0.0), (0.0, 0.0)):
         pair = OperatorTuple((np.array([[a]]), np.array([[b]])))
         for rho in (0.5, 1.0, 2.0, 3.0):
             rep = w_rho_tuple(pair, rho)
