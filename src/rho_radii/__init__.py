@@ -43,11 +43,9 @@ from .radii import (
     membership_single_all_conditions,
     membership_tuple,
     numerical_radius,
-    phi_sup,
     sample_commuting_tuple,
     sample_commuting_tuples,
     substitute,
-    torus_pencil_sup,
     w_rho,
     w_rho_tuple,
 )

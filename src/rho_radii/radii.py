@@ -8,10 +8,10 @@ the circle of the largest root of a quadratic eigenproblem in the scaling.
 Both extrema over the circle come from the level-set iteration of Byers
 (SIAM J. Sci. Stat. Comput. 9, 1988) and Boyd & Balakrishnan (Syst.
 Control Lett. 15, 1990): the angles where a level is attained are the
-unimodular roots of a *-palindromic quadratic.  A pair is decided by its
-worst slice A_1 + w A_2, |w| = 1, from one level-set iteration over many
-slices.  Larger tuples work through the pencil transform phi on the
-polydisk and by substituting sampled commuting strict contractions.
+unimodular roots of a *-palindromic quadratic.  A tuple is tested on its
+torus slices A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, from one level-set
+iteration over many slices; that decides a pair.  Larger tuples also
+substitute sampled commuting strict contractions, a necessary test.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, InternalError
-from .linalg import as_matrix, op_norm
-from .pencil import COMMUTE_TOL, OperatorTuple, eval_pencil
+from .linalg import as_matrix, op_norm, spectral_radius
+from .pencil import COMMUTE_TOL, OperatorTuple
 
 IN = "In"
 OUT = "Out"
@@ -46,11 +46,7 @@ SAMPLE_DIMS = (1, 2, 3, 4)
 #: at the library's sample sizes one holds at most N 4 x 4 complex matrices.
 SAMPLE_CACHE_SIZE = 1024
 
-#: Radius used for "scalar polydisk point" samples; any value < 1 is a
-#: valid member of the strict-contraction family.
-SCALAR_POINT_RADIUS = 1 - 1e-12
-
-#: Angles of the psi / phi boundary rings of the cross-check.
+#: Angles of the psi boundary ring of membership_single_all_conditions.
 THETA_POINTS = 512
 #: Angles of the coarse circle grid that screens commuting substitutions
 #: (N >= 3) before their full disk minimum.
@@ -80,8 +76,10 @@ KERNEL_GAP = 1e-12
 #: rounding guard that puts lo below the attained root.
 RADIUS_GAP = 1e-9
 
-#: Phases w of the slices A_1 + w A_2 among which a pair's worst slice is
-#: sought (_qep_theta_max): equally spaced, then local rounds of phases.
+#: Phases (w_2, ..., w_N) of the slices A_1 + w_2 A_2 + ... + w_N A_N
+#: among which a tuple's worst slice is sought (_qep_theta_max): a tensor
+#: grid of about SLICE_POINTS phases, then local rounds of about
+#: SLICE_REFINE_POINTS (64 and 17 for a pair, 8 x 8 and 5 x 5 for a triple).
 SLICE_POINTS = 64
 SLICE_REFINE_ROUNDS = 3
 SLICE_REFINE_POINTS = 17
@@ -92,13 +90,6 @@ SLICE_START_POINTS = 2
 SLICE_GAP = 1e-11
 #: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
 QEP_REAL_TOL = 1e-7
-
-#: Polydisk points per batched SVD of phi_sup's pruned pass.
-PHI_CHUNK = 64
-#: Relative rounding guard of phi_sup's bounds: the pole test runs where
-#: rho - |rho-1| ||zA||_F is below 1e-12 + PHI_GUARD (rho + |rho-1| ||zA||_F),
-#: and the pass stops once ||phi||_F < (1 - PHI_GUARD) sup.
-PHI_GUARD = 1e-8
 
 LEVELSET_METHOD = "levelset"
 
@@ -301,34 +292,45 @@ def _kernel_disk_min(a: np.ndarray, rho: float):
 
 
 def _psi_boundary_min(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, r: float = 1 - 1e-6):
-    """min over the ring |z| = r of lambda_min(Re psi(z)); -inf past a pole."""
+    """min over the ring |z| = r of lambda_min(Re psi(z)); -inf when psi
+    has a pole in the disk: when r(A) > 1, I - zA is singular at z = 1/lam
+    for an eigenvalue lam of A, which a ring near the circle never meets.
+    Otherwise I - zA is invertible on the ring."""
+    if spectral_radius(a) > 1:
+        return -math.inf
     d = a.shape[0]
     zs = r * np.exp(1j * np.linspace(0, 2 * np.pi, n_theta, endpoint=False))
-    m = np.eye(d) - zs[:, None, None] * a
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return -math.inf
-    if not np.all(np.isfinite(inv)):
-        return -math.inf
-    psi = (1 - 2 / rho) * np.eye(d) + (2 / rho) * inv
+    psi = (1 - 2 / rho) * np.eye(d) + (2 / rho) * np.linalg.inv(np.eye(d) - zs[:, None, None] * a)
     re = (psi + psi.conj().transpose(0, 2, 1)) / 2
     return float(np.linalg.eigvalsh(re)[:, 0].min())
 
 
-def _phi_boundary_sup(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, r: float = 1 - 1e-6):
-    """sup over the ring |z| = r of ||phi(z)||; +inf past a pole."""
-    d = a.shape[0]
-    zs = r * np.exp(1j * np.linspace(0, 2 * np.pi, n_theta, endpoint=False))
-    za = zs[:, None, None] * a
-    m = (rho - 1) * za - rho * np.eye(d)
-    try:
-        phi = za @ np.linalg.inv(m)
-    except np.linalg.LinAlgError:
+def _phi_circle_sup(b: np.ndarray, rho: float) -> float:
+    """sup over the closed disk of ||phi(zB)||, phi(zB) = zB ((rho-1) zB -
+    rho I)^{-1}, as a level that ||phi|| stays at or below; +inf when phi
+    has a pole there, an eigenvalue lam of B with |rho-1| |lam| >= rho.
+
+    Without a pole phi is holomorphic on the closed disk, and by the maximum
+    principle the sup lies on the circle.  There ||phi(zB)|| <= gamma iff
+    gamma^2 R*R - (zB)*(zB) >= 0, R = (rho-1) zB - rho I: the Hermitian
+    trigonometric polynomial e^{i t} E + M + e^{-i t} E* of _circle_crossings
+    with E = -gamma^2 rho (rho-1) B and
+    M = gamma^2 (rho^2 I + (rho-1)^2 B*B) - B*B (Boyd & Balakrishnan's
+    H-infinity level set).  So the sup is _levelset_min of -||phi||, and its
+    stop level, KERNEL_GAP (1 + ||B||_F) above the best value, is returned.
+    """
+    if abs(rho - 1) * spectral_radius(b) >= rho:
         return math.inf
-    if not np.all(np.isfinite(phi)):
-        return math.inf
-    return float(np.linalg.svd(phi, compute_uv=False)[:, 0].max())
+    eye, gram = np.eye(len(b)), b.conj().T @ b
+
+    def h(thetas):
+        zb = np.exp(1j * thetas)[:, None, None] * b
+        return -np.linalg.svd(zb @ np.linalg.inv((rho - 1) * zb - rho * eye), compute_uv=False)[:, 0]
+
+    def pencil(level):
+        return -level ** 2 * rho * (rho - 1) * b, level ** 2 * (rho ** 2 * eye + (rho - 1) ** 2 * gram) - gram
+
+    return -_levelset_min(h, pencil, KERNEL_GAP * (1 + float(np.linalg.norm(b))))["level"]
 
 
 def kernel_margin(a, rho: float) -> float:
@@ -446,14 +448,12 @@ def _square(a, what: str) -> np.ndarray:
     return m
 
 
-def membership_single(a, rho: float, tol: float = DEFAULT_TOL, cross_check: bool = True) -> MembershipVerdict:
+def membership_single(a, rho: float, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Decide membership of a single operator at level rho.
 
     The decision is the kernel disk minimum (_kernel_disk_min) against -tol;
     the certificate records the witness point, the counters and the
-    certified level of _kernel_disk_min (the rho > 2 margin is exact).  The
-    Herglotz-transform condition is evaluated on a near-boundary ring as a
-    cross-check and recorded in the certificate.
+    certified level of _kernel_disk_min (the rho > 2 margin is exact).
     """
     m = _square(a, "membership")
     _check_positive(rho=rho, tol=tol)
@@ -466,27 +466,23 @@ def membership_single(a, rho: float, tol: float = DEFAULT_TOL, cross_check: bool
         "kernel_margin": margin,
         "tol": tol,
     }
-    if cross_check:
-        psi_min = _psi_boundary_min(m, rho)
-        psi_decision = IN if psi_min >= -max(tol, 1e-6) else OUT
-        certificate["psi_margin"] = psi_min
-        certificate["psi_decision"] = psi_decision
     return MembershipVerdict(decision, margin, certificate)
 
 
 def membership_single_all_conditions(a, rho: float, tol: float = DEFAULT_TOL) -> dict:
     """Verdicts from the kernel, Herglotz, and Schur conditions separately.
 
-    Returns {"kernel": ..., "psi": ..., "phi": ...} decisions plus margins.
-    Boundary-band cases (|margin| within the grid slack) are reported as
-    Borderline so callers can treat them as wildcards.
+    Returns {"kernel": ..., "psi": ..., "phi": ...} decisions plus margins:
+    the kernel disk minimum, the psi ring minimum (_psi_boundary_min) and
+    1 - sup ||phi|| (_phi_circle_sup).  Boundary-band cases (|margin| within
+    the grid slack) are reported as Borderline so callers can treat them as
+    wildcards.
     """
     m = _square(a, "membership")
     band = max(tol, 1e-6)
     kmargin = _kernel_disk_min(m, rho)[0]
     pmargin = _psi_boundary_min(m, rho)
-    fsup = _phi_boundary_sup(m, rho)
-    fmargin = 1 - fsup
+    fmargin = 1 - _phi_circle_sup(m, rho)
 
     def classify(margin):
         if margin < -band:
@@ -505,18 +501,15 @@ def membership_single_all_conditions(a, rho: float, tol: float = DEFAULT_TOL) ->
     }
 
 
-def _bisect_radius(norm, lo, hi, feasible, width, method, grid_spec) -> RadiusReport:
-    start = time.perf_counter()
-    if norm == 0.0:
-        return RadiusReport(0.0, 0.0, method, grid_spec, time.perf_counter() - start)
+def _bisect_radius(lo, hi, feasible, width) -> tuple:
+    """(lo, hi) with feasible(hi) and, unless lo is the given one, not
+    feasible(lo), hi - lo <= width; InternalError if hi is infeasible."""
     if feasible(lo):
-        return RadiusReport(lo, lo, method, grid_spec, time.perf_counter() - start)
+        return lo, lo
     if not feasible(hi):
         hi2 = hi * (1 + 1e-9)
         if not feasible(hi2):
-            raise InternalError(
-                f"radius bracket inverted: upper endpoint {hi} infeasible ({method})"
-            )
+            raise InternalError(f"radius bracket inverted: upper endpoint {hi} infeasible")
         hi = hi2
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -524,7 +517,7 @@ def _bisect_radius(norm, lo, hi, feasible, width, method, grid_spec) -> RadiusRe
             hi = mid
         else:
             lo = mid
-    return RadiusReport(lo, hi, method, grid_spec, time.perf_counter() - start)
+    return lo, hi
 
 
 def _qep_top_roots(za: np.ndarray, rho: float, gram: np.ndarray | None = None) -> np.ndarray:
@@ -557,18 +550,9 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     anchor angle; without it the slices are solved at SLICE_START_POINTS
     angles, U is the best root (at least 0) and anchors the least roots.
 
-    At the level L = U + SLICE_GAP (1 + U) a live slice is eliminated when
-    lambda_min k exceeds the guard _screen_guard(||S||/L, d, rho) at its
-    anchor and at every midpoint of the crossings of one batched
-    _circle_crossings (which err towards real), and, at rho > 2,
-    r(S) < beta L, beta = (rho-1)/(rho-2).  Then k is definite on the
-    circle, where its disk minimum lies (_kernel_disk_min), so S/L is a
-    member: w_rho(S) <= L.  The computed r(S) is safe: a k definite on the
-    circle leaves S/L no eigenvalue lam with |lam| in (1, rho/(rho-2)), as
-    at zeta = |lam|/lam, x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for
-    its eigenvector x.
-
-    A slice that fails has an angle where P_theta(L) is not definite, so
+    At the level L = U + SLICE_GAP (1 + U) the live slices that pass
+    _slice_failures are eliminated: S/L is a member, so w_rho(S) <= L.  A
+    slice that fails has an angle where P_theta(L) is not definite, so
     mu*(theta) >= L (P_theta(mu) is definite for mu > mu*(theta)), or, if
     r(S) >= beta L, the angle -arg lam of its top eigenvalue, where
     mu* >= r(S) (w_rho).  One batched _qep_top_roots solve there raises U,
@@ -594,9 +578,7 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
         out["slice_root_solves"] = roots.size
         owner = int(np.argmax(roots.max(axis=0)))
         value, anchors = max(float(roots.max()), 0.0), thetas[np.argmin(roots, axis=0)]
-    if rho > 2:
-        lam = np.linalg.eigvals(s)
-        top = lam[np.arange(n), np.argmax(np.abs(lam), axis=1)]
+    top = _top_eigenvalues(s) if rho > 2 else None
     levels, norms = np.full(n, np.nan), np.linalg.norm(s, 2, axis=(1, 2))
     live, level = np.arange(n), -math.inf
     while live.size:
@@ -605,23 +587,9 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
         out["slice_levels"] += 1
         level = max(value, level)
         level += SLICE_GAP * (1 + level)
-        u, guard, angles = s[live] / level, _screen_guard(norms[live] / level, d, rho), anchors[live]
-        bad = _kernel_lambda_min(u, rho, np.exp(1j * angles)) <= guard
-        if rho > 2:
-            wide = (rho - 2) * np.abs(top[live]) >= (rho - 1) * level
-            angles, bad = np.where(wide, -np.angle(top[live]), angles), bad | wide
-        rows, angles, idx = np.flatnonzero(bad), angles[bad], np.flatnonzero(~bad)
-        if idx.size:
-            v = u[idx]
-            cross = _circle_crossings(-(rho - 1) * v, rho * np.eye(d) + (rho - 2) * (v.conj().swapaxes(1, 2) @ v),
-                                      anchors[live[idx]])
-            out["slice_crossing_solves"] += idx.size
-            count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
-            nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
-            at, col = np.nonzero(col < count)
-            mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
-            fail = _kernel_lambda_min(v[at], rho, np.exp(1j * mids)) <= guard[idx[at]]
-            rows, angles = np.append(rows, idx[at[fail]]), np.append(angles, mids[fail])
+        failures = list(_slice_failures(s[live], rho, level, anchors[live], norms[live],
+                                        None if top is None else top[live], out))
+        rows, angles = (np.concatenate(parts) for parts in zip(*failures))
         failed = np.isin(np.arange(live.size), rows)
         levels[live[~failed]] = level
         if rows.size:
@@ -633,29 +601,101 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     return {**out, "value": value, "slice": owner, "anchor": anchors[0 if owner is None else owner], "levels": levels}
 
 
-def _qep_theta_max(a: OperatorTuple, rho: float):
-    """Maximum over the torus of mu*(zeta) for a pair with ||zeta A|| <= 1:
-    the largest w_rho of its slices A_1 + w A_2, as zeta A = zeta_1 (A_1 +
-    w A_2) with w = zeta_2/zeta_1.
+def _top_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """An eigenvalue of largest modulus of each matrix of the stack ``s``."""
+    lam = np.linalg.eigvals(s)
+    return lam[np.arange(len(s)), np.argmax(np.abs(lam), axis=1)]
 
-    The slices are those of SLICE_POINTS equally spaced phases, then of
-    SLICE_REFINE_ROUNDS local rounds of SLICE_REFINE_POINTS phases spanning
-    +- one spacing of the phases before around the best, whose slice is
-    skipped; each round is one _slices_max run from the best root so far.
-    Returns (maximum, slice phase w*, counters).
+
+def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top, out: dict):
+    """The slices S of the stack ``s`` for which S/L, L = ``level``, is not
+    shown a member, in two (rows, angles) batches, each angle one where the
+    slice fails.
+
+    The first batch holds the slices where lambda_min k, k the kernel of
+    S/L, is at most the guard _screen_guard(||S||/L, d, rho) at the anchor
+    angle, and, at rho > 2, those with r(S) >= beta L, beta = (rho-1)/(rho-2),
+    at the angle -arg lam of the eigenvalue ``top``.  The second comes from
+    one batched _circle_crossings of the others (which err towards real,
+    counted in out["slice_crossing_solves"]): a row for each midpoint
+    between consecutive crossings where lambda_min k is at most the guard.
+    A slice in neither batch has k definite on the circle, where its disk
+    minimum lies (_kernel_disk_min), so S/L is a member.  The computed r(S)
+    is safe: a k definite on the circle leaves S/L no eigenvalue lam with
+    |lam| in (1, rho/(rho-2)), as at zeta = |lam|/lam,
+    x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for its eigenvector x.
     """
-    phases = np.linspace(0, 2 * np.pi, SLICE_POINTS, endpoint=False)
-    runs, best, span = [], None, 2 * np.pi / SLICE_POINTS
+    d = s.shape[-1]
+    u, guard, angles = s / level, _screen_guard(norms / level, d, rho), anchors
+    bad = _kernel_lambda_min(u, rho, np.exp(1j * angles)) <= guard
+    if rho > 2:
+        wide = (rho - 2) * np.abs(top) >= (rho - 1) * level
+        angles, bad = np.where(wide, -np.angle(top), angles), bad | wide
+    yield np.flatnonzero(bad), angles[bad]
+    idx = np.flatnonzero(~bad)
+    if idx.size:
+        v = u[idx]
+        cross = _circle_crossings(-(rho - 1) * v, rho * np.eye(d) + (rho - 2) * (v.conj().swapaxes(1, 2) @ v),
+                                  anchors[idx])
+        out["slice_crossing_solves"] += idx.size
+        count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
+        nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
+        at, col = np.nonzero(col < count)
+        mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
+        fail = _kernel_lambda_min(v[at], rho, np.exp(1j * mids)) <= guard[idx[at]]
+        yield idx[at[fail]], mids[fail]
+
+
+def _phase_tensor(axis: np.ndarray, k: int) -> np.ndarray:
+    """Every k-tuple of entries of ``axis``, one per row, the last varying
+    fastest."""
+    return np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+
+
+def _phase_grid(k: int) -> tuple:
+    """The first phase grid of _qep_theta_max for k = N - 1 phases: the
+    (n^k, k) array of angles, their spacing 2 pi/n, and the refinement's
+    points per phase p."""
+    n = round(SLICE_POINTS ** (1 / k))
+    p = 2 * round((SLICE_REFINE_POINTS - 1) ** (1 / k) / 2) + 1
+    return _phase_tensor(np.linspace(0, 2 * np.pi, n, endpoint=False), k), 2 * np.pi / n, p
+
+
+def _slice_stack(a: OperatorTuple, w: np.ndarray) -> np.ndarray:
+    """The slices A_1 + w_2 A_2 + ... + w_N A_N for each row of the (n, N-1)
+    array ``w`` of unimodular phases, summed in variable order."""
+    s = a[0] + w[:, 0, None, None] * a[1]
+    for j in range(2, a.n_vars):
+        s = s + w[:, j - 1, None, None] * a[j]
+    return s
+
+
+def _qep_theta_max(a: OperatorTuple, rho: float):
+    """Maximum over the torus of mu*(zeta) for a tuple (N >= 2) with
+    ||zeta A|| <= 1: the largest w_rho of its slices
+    A_1 + w_2 A_2 + ... + w_N A_N, as zeta A = zeta_1 S(w) with
+    w_k = zeta_k/zeta_1.
+
+    The phases are the tensor grid of _phase_grid, n equally spaced angles
+    per w_k with n^(N-1) about SLICE_POINTS, then SLICE_REFINE_ROUNDS local
+    rounds of p angles per w_k (p odd, p^(N-1) about SLICE_REFINE_POINTS)
+    spanning +- one spacing of the phases before (half the span before
+    when p = 3) around the best, whose slice is skipped; each round is one
+    _slices_max run from the best root so far.  Returns (maximum, phases w* as an array, counters).
+    """
+    k = a.n_vars - 1
+    phases, span, p = _phase_grid(k)
+    runs, best = [], None
+    stats = {"slice_points": len(phases), "slice_refine_rounds": SLICE_REFINE_ROUNDS}
     for _ in range(SLICE_REFINE_ROUNDS + 1):
-        runs.append(_slices_max(a[0] + np.exp(1j * phases)[:, None, None] * a[1], rho, best))
+        runs.append(_slices_max(_slice_stack(a, np.exp(1j * phases)), rho, best))
         if runs[-1]["slice"] is not None:
             phi, best = phases[runs[-1]["slice"]], (runs[-1]["value"], runs[-1]["anchor"])
-        phases = np.delete(phi + np.linspace(-span, span, SLICE_REFINE_POINTS), SLICE_REFINE_POINTS // 2)
-        span *= 2 / (SLICE_REFINE_POINTS - 1)
-    stats = {"slice_points": SLICE_POINTS, "slice_refine_rounds": SLICE_REFINE_ROUNDS}
+        phases = np.delete(phi + _phase_tensor(np.linspace(-span, span, p), k), p ** k // 2, axis=0)
+        span *= min(0.5, 2 / (p - 1))
     stats.update({key: sum(run[key] for run in runs)
                   for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves")})
-    return best[0], complex(np.exp(1j * phi)), stats
+    return best[0], np.exp(1j * phi), stats
 
 
 def _mu_star_max(a: np.ndarray, rho: float, gap: float, extra=()) -> dict:
@@ -814,14 +854,6 @@ def sample_commuting_tuples(n_vars: int, budget: int, seed: int = 0, dims=SAMPLE
     return out
 
 
-def _scalar_torus_points(n_vars: int, count: int, radius: float = SCALAR_POINT_RADIUS) -> np.ndarray:
-    """Deterministic spread of torus-scaled scalar points in the polydisk,
-    one point per row."""
-    i = np.arange(count)[:, None]
-    k = np.arange(1, n_vars + 1)[None, :]
-    return radius * np.exp(1j * (2 * np.pi * ((i * k * 0.6180339887498949) % 1.0)))
-
-
 def substitute(a: OperatorTuple, c: OperatorTuple) -> np.ndarray:
     """The substitution A(C) = sum_k A_k (x) C_k of a tuple C into the pencil."""
     if c.n_vars != a.n_vars:
@@ -851,67 +883,47 @@ def _substitutions(a: OperatorTuple, samples) -> list:
     return subs
 
 
-def _pencils(a: OperatorTuple, points: np.ndarray) -> np.ndarray:
-    """zA for every row z of ``points``, stacked, summed in the order of
-    eval_pencil (so that one variable gives exactly z A_1)."""
-    return sum(points[:, k, None, None] * m for k, m in enumerate(a.mats))
-
-
 # ---------------------------------------------------------------------------
 # tuple membership and radii
 
 
-def phi_sup(a: OperatorTuple, rho: float, points: np.ndarray):
-    """sup of ||phi(zA)|| over the rows z of ``points`` (any N), with the
-    first maximizing point; (inf, z) at the first point z that is a pole.
-
-    A pole is a point where sigma_min((rho-1) zA - rho I) <= 1e-12.  Since
-    that is at least rho - |rho-1| ||zA||_F, the SVD runs only on points
-    where this bound, less the PHI_GUARD rounding allowance, is not above
-    1e-12 (never at rho = 1).  Then phi = zA ((rho-1) zA - rho I)^{-1} is
-    formed for every point, and the points are taken in decreasing order of
-    ||phi||_F >= ||phi||_2 (stable in the point index), in chunks of
-    PHI_CHUNK per batched SVD, until ||phi||_F falls below the best value
-    found by the rounding guard PHI_GUARD.  A point left out cannot reach
-    the best value, so the sup and the first maximizer are those of taking
-    the SVD of every point.
-    """
-    za = _pencils(a, points)
-    res = (rho - 1) * za - rho * np.eye(a.dim)
-    if rho != 1:
-        size = abs(rho - 1) * _frobenius(za)
-        near = np.flatnonzero(rho - size <= 1e-12 + PHI_GUARD * (rho + size))
-        if near.size:
-            poles = near[np.linalg.svd(res[near], compute_uv=False)[:, -1] <= 1e-12]
-            if poles.size:
-                return math.inf, points[poles[0]]
-    phi = za @ np.linalg.inv(res)
-    bound = _frobenius(phi)
-    order = np.argsort(-bound, kind="stable")
-    best, idx, vals = -math.inf, [], []
-    for i in range(0, len(order), PHI_CHUNK):
-        if bound[order[i]] < best * (1 - PHI_GUARD):
-            break
-        chunk = order[i:i + PHI_CHUNK]
-        vals.append(np.linalg.svd(phi[chunk], compute_uv=False)[:, 0])
-        idx.append(chunk)
-        best = max(best, float(vals[-1].max()))
-    idx, vals = np.concatenate(idx), np.concatenate(vals)
-    j = int(idx[vals == vals.max()].min())
-    return float(vals.max()), points[j]
-
-
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a complex stack, without a copy."""
-    flat = stack.reshape(len(stack), -1).view(float)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def _slice_phases_json(w) -> list:
+    """The phases w_2, ..., w_N of a slice as [re, im] pairs; one pair alone
+    for a pair's single phase."""
+    phases = [[float(x.real), float(x.imag)] for x in w]
+    return phases[0] if len(phases) == 1 else phases
 
 
 def _worst_slice(a: OperatorTuple, rho: float):
-    """The worst slice A_1 + w A_2 of a pair (_qep_theta_max) and its counters."""
+    """The worst slice A_1 + w_2 A_2 + ... + w_N A_N of a tuple
+    (_qep_theta_max), its phases w and its counters."""
     scale = sum(op_norm(m) for m in a.mats) or 1.0
     _, w, stats = _qep_theta_max(a.scale(1 / scale), rho)
-    return a[0] + w * a[1], {**stats, "slice_w": [w.real, w.imag]}
+    return _slice_stack(a, w[None])[0], w, {**stats, "slice_w": _slice_phases_json(w)}
+
+
+def _first_out_slice(a: OperatorTuple, rho: float, tol: float):
+    """The level-1 pass of membership_tuple over the first phase grid of
+    _qep_theta_max: the slices that _slice_failures does not show to be
+    members at level 1 (anchor angle 0) go to membership_single in turn,
+    and the pass stops at the first one decided Out.  The anchor test runs
+    before the batched crossing solve, so a slice that fails at its anchor
+    settles the tuple without one.  Returns (phases, verdict) of that slice,
+    or (None, None), and the counters (with the slice's phases)."""
+    w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
+    s = _slice_stack(a, w)
+    top = _top_eigenvalues(s) if rho > 2 else None
+    solves = {"slice_crossing_solves": 0}
+    stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
+    # the Frobenius norms bound the spectral ones, so their guards are safe
+    for rows, _ in _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, solves):
+        stats["level1_crossing_solves"] = solves["slice_crossing_solves"]
+        for i in dict.fromkeys(rows.tolist()):
+            stats["level1_memberships"] += 1
+            v = membership_single(s[i], rho, tol)
+            if v.decision == OUT:
+                return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
+    return None, None, stats
 
 
 def _check_tuple_knobs(rho: float, tol: float, budget: int) -> None:
@@ -924,9 +936,16 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
                      budget: int = DEFAULT_BUDGET) -> MembershipVerdict:
     """Decide membership of an operator tuple at level rho.
 
-    N = 1 delegates to the single-operator test.  N = 2 is decided by that
-    test, without the psi cross-check, of its worst slice A_1 + w A_2,
-    |w| = 1 (_qep_theta_max).  This is exact for pairs: by the two-variable von Neumann inequality
+    N = 1 delegates to the single-operator test.  For N >= 2 the tuple is
+    tested on its torus slices A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, as
+    zeta A = zeta_1 S(zeta_2/zeta_1, ...): a slice that is not a member
+    puts the tuple out of the class.  The level-1 pass (_first_out_slice)
+    comes first and returns Out, from membership_single of the first grid
+    slice that fails, with that slice's margin, witness and phases.
+    Otherwise the worst slice of the phase search (_qep_theta_max, the same
+    search as w_rho_tuple's) is decided by membership_single.
+
+    For a pair that is exact: by the two-variable von Neumann inequality
     (Ando) membership is sup ||phi(zA)|| <= 1 on the closed bidisk, and by
     the maximum principle that holds iff every slice is a member.  If every
     slice is, the spectral radius of zA is at most 1 on the torus, hence on
@@ -935,47 +954,36 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     rho < 1 member slices have ||zA|| <= rho, which excludes poles the same
     way; at rho = 1, phi = -zA has none.
 
-    N >= 3 combines the polydisk sup (necessary) with the disk minima of
+    For N >= 3 a worst slice that passes is followed by the disk minima of
     budget substitutions A(C) of sampled commuting tuples (drawn once per
     process, see sample_commuting_tuple); a passing verdict is then
     NecessaryOnly.  All budget substitutions are formed (certificate
     ``substitutions``) and screened by _screen_witness in sample-order
     chunks, which stops at the Out witness: a substitution whose norm floor
-    is at least the polydisk margin 1 - sup ||phi|| is settled without an
+    is at least the worst slice's kernel margin is settled without an
     eigensolve, the others get their _kernel_circle_floor (-inf for
-    rho > 2), and a disk
-    minimum (``disk_minima``) runs only where a floor is below -tol.  An In
-    margin is the smaller of 1 - sup ||phi|| and the smallest disk minimum,
-    found in increasing order of floor until the floor reaches it.  Verdict
-    and margin are those of running every disk minimum.
+    rho > 2), and a disk minimum (``disk_minima``) runs only where a floor
+    is below -tol.  An In margin is the smaller of the worst slice's kernel
+    margin and the smallest disk minimum, found in increasing order of floor
+    until the floor reaches it.  Verdict and margin are those of running
+    every disk minimum.
     """
     _check_tuple_knobs(rho, tol, budget)
     if a.n_vars == 1:
         return membership_single(a.mats[0], rho, tol)
-    if a.n_vars == 2:
-        b, spec = _worst_slice(a, rho)
-        v = membership_single(b, rho, tol, cross_check=False)
-        z, w = complex(*v.certificate["witness_z"]), complex(*spec["slice_w"])
-        cert = {**v.certificate, **spec, "method": "torus-slice+" + v.certificate["method"],
-                "witness_z": [[z.real, z.imag], [(z * w).real, (z * w).imag]]}
+    w, v, spec = _first_out_slice(a, rho, tol)
+    if v is None:
+        b, w, worst = _worst_slice(a, rho)
+        v, spec = membership_single(b, rho, tol), {**worst, **spec}
+    z = complex(*v.certificate["witness_z"])
+    cert = {**v.certificate, **spec, "method": "torus-slice+" + v.certificate["method"],
+            "witness_z": [[z.real, z.imag]] + [[float((z * x).real), float((z * x).imag)] for x in w]}
+    if a.n_vars > 2:
+        cert.update(method=cert["method"] + "+commuting-substitution", budget=budget,
+                    screen_points=SCREEN_POINTS if rho <= 2 else 0, substitutions=0, disk_minima=0)
+    if a.n_vars == 2 or v.decision == OUT:
         return MembershipVerdict(v.decision, v.margin, cert, CERTIFIED)
 
-    # N >= 3: polydisk sampling is necessary-only; Out is still certified
-    points = _scalar_torus_points(a.n_vars, max(budget * 4, 128))
-    sup, witness = phi_sup(a, rho, points)
-    margin = 1 - sup
-    cert = {
-        "method": "phi-polydisk-sample+commuting-substitution",
-        "polydisk_points": len(points),
-        "budget": budget,
-        "tol": tol,
-        "screen_points": SCREEN_POINTS if rho <= 2 else 0,
-        "substitutions": 0,
-        "disk_minima": 0,
-    }
-    if margin < -tol:
-        cert["witness_z"] = [[z.real, z.imag] for z in np.asarray(witness, dtype=complex)]
-        return MembershipVerdict(OUT, margin, cert, CERTIFIED)
     samples = sample_commuting_tuples(a.n_vars, budget)
     subs = _substitutions(a, samples)
     cert["substitutions"] = len(subs)
@@ -986,15 +994,15 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         minima[i] = kernel_margin(subs[i], rho)
         return minima[i]
 
-    # a floor at or above the polydisk margin can neither be the witness nor
-    # lower the margin below it
-    floors, i = _screen_witness(subs, rho, tol, margin, disk_min)
+    # a floor at or above the worst slice's margin can neither be the
+    # witness nor lower the margin below it
+    floors, i = _screen_witness(subs, rho, tol, v.margin, disk_min)
     if i is not None:
         cert["witness_sample_dim"] = samples[i].dim
         return MembershipVerdict(OUT, minima[i], cert, CERTIFIED)
     # the smallest disk minimum: samples in increasing order of floor, until
     # the floor reaches the smallest minimum found
-    worst = min([margin, *minima.values()])
+    worst = min([v.margin, *minima.values()])
     for i in np.argsort(floors, kind="stable").tolist():
         if floors[i] >= worst:
             break
@@ -1003,58 +1011,47 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     return MembershipVerdict(IN, worst, cert, NECESSARY_ONLY)
 
 
-def torus_pencil_sup(a: OperatorTuple, n_points: int = 64) -> float:
-    """max ||zeta A|| over sampled torus points."""
-    za = _pencils(a, _scalar_torus_points(a.n_vars, n_points, radius=1.0))
-    return float(np.linalg.svd(za, compute_uv=False)[:, 0].max())
-
-
 def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
                 budget: int = 16, tol: float = DEFAULT_TOL) -> RadiusReport:
     """Tuple radius bracket.
 
-    N = 2: w_rho of the worst torus slice A_1 + w A_2 (see membership_tuple).
-    Its lo is proven, since a slice that is not a member makes the pair not
-    a member; its hi rests on the phases of the slice search.  N >= 3: a lower bound from
-    w_rho of sampled substitutions (scalar polydisk points always included),
-    then bisection over the necessary-only tuple test.  That test forms the
-    substitutions of A/u with the cached samples and screens them with
-    _screen_witness at level -tol: a substitution whose norm floor or
-    _kernel_circle_floor is at least -tol passes without its disk minimum.
+    N >= 2 starts from w_rho of the worst torus slice A_1 + w_2 A_2 + ...
+    (_worst_slice; see membership_tuple).  For a pair that is the radius:
+    its lo is proven, since a slice that is not a member makes the pair not
+    a member; its hi rests on the phases of the slice search.
+
+    N >= 3: lo is proven too: the slice's lo, or the last level at which
+    the bisection below finds a failing substitution.  hi is the bound
+    sum ||A_k|| max(1, 2/rho - 1): for commuting contractions C,
+    ||A(C)|| <= sum ||A_k||, and w_rho(T) <= max(1, 2/rho - 1) ||T||.  The
+    bisection over the necessary-only test of budget sampled commuting
+    substitutions, from lo up to hi, gives ``necessary_estimate``, the
+    level where they all pass; it forms the substitutions of A/u with the
+    cached samples and screens them with _screen_witness at level -tol: a
+    substitution whose norm floor or _kernel_circle_floor is at least -tol
+    passes without its disk minimum.
     """
     _check_tuple_knobs(rho, tol, budget)
     _check_positive(width=width)
     start = time.perf_counter()
     if a.n_vars == 1:
         return w_rho(a.mats[0], rho, width, tol)
+    b, _, spec = _worst_slice(a, rho)
+    rep = w_rho(b, rho, width, tol)
     if a.n_vars == 2:
-        b, spec = _worst_slice(a, rho)
-        rep = w_rho(b, rho, width, tol)
         return RadiusReport(rep.lo, rep.hi, "torus-slice+" + rep.method, {**rep.grid_spec, **spec},
                             time.perf_counter() - start)
 
+    method = "torus-slice+tuple-bisection"
     norm_sum = sum(op_norm(m) for m in a.mats)
-    grid_spec = {"budget": budget, "width": width, "tol": tol, "disk_minima": 0}
+    grid_spec = {**spec, "budget": budget, "width": width, "tol": tol, "disk_minima": 0,
+                 "necessary_estimate": 0.0}
     if norm_sum == 0.0:
-        return RadiusReport(0.0, 0.0, "tuple-bisection", grid_spec, time.perf_counter() - start)
-
-    lower = 0.0
-    for z in _scalar_torus_points(a.n_vars, max(8, budget)):
-        rep = w_rho(eval_pencil(a, z), rho, width, tol)
-        lower = max(lower, rep.lo)
+        return RadiusReport(0.0, 0.0, method, grid_spec, time.perf_counter() - start)
     samples = sample_commuting_tuples(a.n_vars, budget, dims=(2, 3))
-    for s in _substitutions(a, samples):
-        rep = w_rho(s, rho, width, tol)
-        lower = max(lower, rep.lo)
-
-    points = _scalar_torus_points(a.n_vars, max(budget * 4, 128))
 
     def feasible(u):
-        scaled = a.scale(1.0 / u)
-        sup, _ = phi_sup(scaled, rho, points)
-        if 1 - sup < -tol:
-            return False
-        subs = _substitutions(scaled, samples)
+        subs = _substitutions(a.scale(1.0 / u), samples)
 
         def disk_min(i):
             grid_spec["disk_minima"] += 1
@@ -1062,8 +1059,7 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
 
         return _screen_witness(subs, rho, tol, -tol, disk_min)[1] is None
 
-    method = "tuple-bisection-necessary-only"
-    lo = max(lower, torus_pencil_sup(a) / rho)
-    hi = max(lo * (1 + 1e-12), norm_sum * max(1.0, 2.0 / rho - 1.0))
-    rep = _bisect_radius(norm_sum, lo, hi, feasible, width, method, grid_spec)
-    return RadiusReport(rep.lo, rep.hi, method, grid_spec, time.perf_counter() - start)
+    hi = norm_sum * max(1.0, 2.0 / rho - 1.0)
+    lo, estimate = _bisect_radius(rep.lo, max(rep.lo * (1 + 1e-12), hi), feasible, width)
+    grid_spec["necessary_estimate"] = estimate
+    return RadiusReport(lo, max(estimate, hi), method, grid_spec, time.perf_counter() - start)

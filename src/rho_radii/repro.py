@@ -33,10 +33,12 @@ from .pencil import OperatorTuple, eval_pencil, k_rho_kernel
 from .radii import (
     IN,
     OUT,
+    _phase_grid,
+    _phi_circle_sup,
+    _slice_stack,
     kernel_margin,
     membership_single,
     membership_tuple,
-    phi_sup,
     sample_commuting_tuples,
     substitute,
     w_rho,
@@ -171,10 +173,11 @@ def repro_nonsimilar_pair(rho: float, eps: float | None = None) -> ExperimentRep
     report.add("pencil cube vanishes exactly", 0.0, worst_cube, 0.0, worst_cube == 0.0, "PAPER")
 
     # (2) the eps = 0 transform sup over the closed bidisk, reached on the
-    # torus (maximum principle; the pencil is nilpotent, so phi has no pole)
-    angles = 2 * np.pi * np.arange(128) / 128
-    t1, t2 = np.meshgrid(angles, angles, indexing="ij")
-    sup0, _ = phi_sup(pair0, rho, np.exp(1j * np.stack([t1.ravel(), t2.ravel()], axis=1)))
+    # torus (maximum principle; the pencil is nilpotent, so phi has no pole):
+    # the level-set sup over the circle of each slice A_1 + w A_2 on the
+    # first phase grid of the slice search
+    slices = _slice_stack(pair0, np.exp(1j * _phase_grid(1)[0]))
+    sup0 = max(_phi_circle_sup(b, rho) for b in slices)
     bound = (2 * rho - 1) / rho**2
     report.add_le("phi sup over bidisk, eps = 0", sup0, bound, 1e-9, "PAPER")
 
@@ -234,7 +237,7 @@ def repro_staircase(rho: float, m: int = 16, depth: int = 5) -> ExperimentReport
         zeta = np.exp(1j * 2 * np.pi * np.array([i / 16, (i * 0.618034) % 1.0]))
         pa = eval_pencil(pair, zeta)
         worst_norm_err = max(worst_norm_err, abs(op_norm(pa) - target))
-        if membership_single(pa, rho, cross_check=False).decision != OUT:
+        if membership_single(pa, rho).decision != OUT:
             all_out = False
     report.add_close("torus pencil norm", worst_norm_err, 0.0, 1e-9, "PAPER")
     report.add("pencil membership Out at 16 torus points", OUT, "Out" if all_out else "not all Out",
@@ -485,8 +488,8 @@ def repro_class_monotonicity(n_vars: int = 1, rho_grid=(0.3, 0.5, 0.7, 1.0, 2.0,
         if not r2 < 1:
             continue
         a = np.array([[r2 / (2 - r2)]], dtype=complex)
-        v_hi = membership_single(a, r2, cross_check=False)
-        v_lo = membership_single(a, r1, cross_check=False)
+        v_hi = membership_single(a, r2)
+        v_lo = membership_single(a, r1)
         if v_hi.decision != IN or v_lo.decision != OUT:
             chain_ok = False
     report.add("scalar witness chain (levels < 1)", True, chain_ok, 0.0, chain_ok, "PAPER")
@@ -496,8 +499,7 @@ def repro_class_monotonicity(n_vars: int = 1, rho_grid=(0.3, 0.5, 0.7, 1.0, 2.0,
     coincide = True
     for _ in range(8):
         a = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / math.sqrt(2)]])
-        verdicts = {membership_single(a, r, cross_check=False).decision
-                    for r in rho_grid if r >= 1}
+        verdicts = {membership_single(a, r).decision for r in rho_grid if r >= 1}
         if len(verdicts) > 1:
             coincide = False
     report.add("scalar verdicts coincide for levels >= 1", True, coincide, 0.0, coincide, "PAPER")
@@ -510,7 +512,7 @@ def repro_class_monotonicity(n_vars: int = 1, rho_grid=(0.3, 0.5, 0.7, 1.0, 2.0,
         if n_vars == 1:
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             a = a / op_norm(a)
-            decisions = [membership_single(a, r, cross_check=False).decision for r in rho_grid]
+            decisions = [membership_single(a, r).decision for r in rho_grid]
         else:
             t = OperatorTuple(tuple(
                 rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
