@@ -11,7 +11,9 @@ Control Lett. 15, 1990): the angles where a level is attained are the
 unimodular roots of a *-palindromic quadratic.  A tuple is tested on its
 torus slices A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, from one level-set
 iteration over many slices; that decides a pair.  Larger tuples also
-substitute sampled commuting strict contractions, a necessary test.
+substitute sampled commuting strict contractions C, a necessary test: the
+substitutions A(C) = sum_k A_k (x) C_k go through the same batched member
+test (_slice_failures) and level-set search (_slices_max) as the slices.
 """
 
 from __future__ import annotations
@@ -46,18 +48,13 @@ SAMPLE_DIMS = (1, 2, 3, 4)
 #: at the library's sample sizes one holds at most N 4 x 4 complex matrices.
 SAMPLE_CACHE_SIZE = 1024
 
-#: Angles of the psi boundary ring of membership_single_all_conditions.
+#: Angles of the ring |z| = 1 - 1e-6 on which _psi_boundary_min evaluates
+#: the Herglotz condition of membership_single_all_conditions.
 THETA_POINTS = 512
-#: Angles of the coarse circle grid that screens commuting substitutions
-#: (N >= 3) before their full disk minimum.
-SCREEN_POINTS = 64
-#: Rounding guard of the screen's floor, per unit of dimension, relative to
-#: the bound rho + 2|rho-1| ||S|| + |rho-2| ||S||^2 on the kernel's norm.
+#: Rounding guard of the member test _slice_failures (slices and commuting
+#: substitutions), per unit of dimension, relative to the bound
+#: rho + 2|rho-1| ||S|| + |rho-2| ||S||^2 on the kernel's norm.
 SCREEN_ROUND_GUARD = 1e-13
-#: Substitutions screened at a time, in sample order, before the witness
-#: search moves on: THETA_POINTS // SCREEN_POINTS of each sample size, so
-#: that every eigvalsh stack of the circle floor holds THETA_POINTS kernels.
-SCREEN_CHUNK = len(SAMPLE_DIMS) * (THETA_POINTS // SCREEN_POINTS)
 #: Equally spaced angles sampled before a level-set iteration starts.
 LEVELSET_START_POINTS = 16
 #: Iterations (crossing solves) allowed per level-set run; reaching the cap
@@ -291,15 +288,16 @@ def _kernel_disk_min(a: np.ndarray, rho: float):
     return run["value"], complex(np.exp(1j * run["theta"])), stats
 
 
-def _psi_boundary_min(a: np.ndarray, rho: float, n_theta: int = THETA_POINTS, r: float = 1 - 1e-6):
-    """min over the ring |z| = r of lambda_min(Re psi(z)); -inf when psi
-    has a pole in the disk: when r(A) > 1, I - zA is singular at z = 1/lam
-    for an eigenvalue lam of A, which a ring near the circle never meets.
-    Otherwise I - zA is invertible on the ring."""
+def _psi_boundary_min(a: np.ndarray, rho: float):
+    """min over THETA_POINTS angles of the ring |z| = 1 - 1e-6 of
+    lambda_min(Re psi(z)); -inf when psi has a pole in the disk: when
+    r(A) > 1, I - zA is singular at z = 1/lam for an eigenvalue lam of A,
+    which a ring near the circle never meets.  Otherwise I - zA is
+    invertible on the ring."""
     if spectral_radius(a) > 1:
         return -math.inf
     d = a.shape[0]
-    zs = r * np.exp(1j * np.linspace(0, 2 * np.pi, n_theta, endpoint=False))
+    zs = (1 - 1e-6) * np.exp(1j * np.linspace(0, 2 * np.pi, THETA_POINTS, endpoint=False))
     psi = (1 - 2 / rho) * np.eye(d) + (2 / rho) * np.linalg.inv(np.eye(d) - zs[:, None, None] * a)
     re = (psi + psi.conj().transpose(0, 2, 1)) / 2
     return float(np.linalg.eigvalsh(re)[:, 0].min())
@@ -336,94 +334,6 @@ def _phi_circle_sup(b: np.ndarray, rho: float) -> float:
 def kernel_margin(a, rho: float) -> float:
     """Signed disk minimum of the membership kernel (fast path, no report)."""
     return _kernel_disk_min(_square(a, "membership"), rho)[0]
-
-
-def _kernel_circle_floor(subs, rho: float) -> np.ndarray:
-    """Lower bounds on the values _kernel_disk_min returns for a sequence of
-    square matrices S (any mix of sizes), as an array.
-
-    For rho <= 2 that value is lambda_min k at a point of the unit circle,
-    and lambda_min k(e^{i theta}) is Lipschitz in theta with constant
-    2|rho-1| ||S|| (Weyl; dk/dtheta has at most that norm).  So the minimum
-    over SCREEN_POINTS angles, less |rho-1| ||S|| 2 pi/SCREEN_POINTS and a
-    rounding guard proportional to ||k||, lies below it.  For rho > 2 the
-    disk minimum may lie inside the disk, and the floors are -inf.  Matrices
-    of one size run as stacks of at most THETA_POINTS kernels per eigvalsh.
-    """
-    floors = np.full(len(subs), -np.inf)
-    if rho > 2:
-        return floors
-    zeta = np.exp(1j * np.linspace(0, 2 * np.pi, SCREEN_POINTS, endpoint=False))[:, None, None]
-    per_call = THETA_POINTS // SCREEN_POINTS
-    for d, idx, stack in _by_size(subs):
-        lam = np.empty(len(idx))
-        for j in range(0, len(idx), per_call):
-            s = stack[j:j + per_call, None]
-            sh = s.conj().swapaxes(-1, -2)
-            k = rho * np.eye(d) - (rho - 1) * (zeta * s + zeta.conj() * sh) + (rho - 2) * (sh @ s)
-            k = (k + k.conj().swapaxes(-1, -2)) / 2
-            lam[j:j + per_call] = np.linalg.eigvalsh(k)[..., 0].min(axis=1)
-        norms = np.linalg.norm(stack, 2, axis=(1, 2))
-        floors[idx] = (lam - abs(rho - 1) * norms * (2 * np.pi / SCREEN_POINTS)
-                       - _screen_guard(norms, d, rho))
-    return floors
-
-
-def _kernel_norm_floor(subs, rho: float) -> np.ndarray:
-    """Lower bounds from the norm s = ||S|| alone on the values
-    _kernel_disk_min returns, for the matrices of _kernel_circle_floor.
-
-    On the closed disk ||zS + (zS)*|| <= 2s, and the term (rho-2)|z|^2 S*S
-    is at least -(2-rho) s^2 for rho <= 2 and positive semidefinite for
-    rho > 2, so lambda_min k is at least rho - 2|rho-1| s - max(2-rho, 0) s^2
-    at every disk point; the floor is that less the rounding guard of
-    _kernel_circle_floor.
-    """
-    floors = np.full(len(subs), -np.inf)
-    for d, idx, stack in _by_size(subs):
-        norms = np.linalg.norm(stack, 2, axis=(1, 2))
-        floors[idx] = (rho - 2 * abs(rho - 1) * norms - max(2 - rho, 0) * norms ** 2
-                       - _screen_guard(norms, d, rho))
-    return floors
-
-
-def _by_size(mats):
-    """(size d, indices, stack) for each size among the square ``mats``."""
-    for d in {m.shape[0] for m in mats}:
-        idx = [i for i, m in enumerate(mats) if m.shape[0] == d]
-        yield d, idx, np.stack([mats[i] for i in idx])
-
-
-def _screen_guard(norms: np.ndarray, d: int, rho: float) -> np.ndarray:
-    """Rounding guard of the screen floors of d x d matrices of these norms:
-    SCREEN_ROUND_GUARD d times a bound on the kernel's norm."""
-    return SCREEN_ROUND_GUARD * d * _kernel_scale(norms, rho)
-
-
-def _screen_witness(subs, rho: float, tol: float, level: float, disk_min):
-    """Screen the substitutions ``subs`` in sample order and find the first
-    whose disk minimum is below -tol.
-
-    Works through chunks of SCREEN_CHUNK samples.  In each, a sample whose
-    _kernel_norm_floor is at least ``level`` keeps that floor; the others get
-    their _kernel_circle_floor.  Then ``disk_min(i)`` runs on every sample of
-    the chunk with a floor below -tol, in order, until one returns a value
-    below -tol.  Returns (floors, index of that sample or None); floors of
-    chunks after the witness are nan.  With level >= -tol the witness is
-    the first failing sample of the unscreened loop.
-    """
-    floors = np.full(len(subs), np.nan)
-    for start in range(0, len(subs), SCREEN_CHUNK):
-        stop = min(start + SCREEN_CHUNK, len(subs))
-        floors[start:stop] = _kernel_norm_floor(subs[start:stop], rho)
-        chunk = range(start, stop)
-        grid = [i for i in chunk if floors[i] < level]
-        if grid:
-            floors[grid] = _kernel_circle_floor([subs[i] for i in grid], rho)
-        for i in chunk:
-            if floors[i] < -tol and disk_min(i) < -tol:
-                return floors, i
-    return floors, None
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +384,9 @@ def membership_single_all_conditions(a, rho: float, tol: float = DEFAULT_TOL) ->
 
     Returns {"kernel": ..., "psi": ..., "phi": ...} decisions plus margins:
     the kernel disk minimum, the psi ring minimum (_psi_boundary_min) and
-    1 - sup ||phi|| (_phi_circle_sup).  Boundary-band cases (|margin| within
-    the grid slack) are reported as Borderline so callers can treat them as
-    wildcards.
+    1 - sup ||phi|| (_phi_circle_sup).  Boundary-band cases (|margin| at
+    most max(tol, 1e-6), which covers the psi ring's sampling) are reported
+    as Borderline so callers can treat them as wildcards.
     """
     m = _square(a, "membership")
     band = max(tol, 1e-6)
@@ -499,25 +409,6 @@ def membership_single_all_conditions(a, rho: float, tol: float = DEFAULT_TOL) ->
         "psi_margin": pmargin,
         "phi_margin": fmargin,
     }
-
-
-def _bisect_radius(lo, hi, feasible, width) -> tuple:
-    """(lo, hi) with feasible(hi) and, unless lo is the given one, not
-    feasible(lo), hi - lo <= width; InternalError if hi is infeasible."""
-    if feasible(lo):
-        return lo, lo
-    if not feasible(hi):
-        hi2 = hi * (1 + 1e-9)
-        if not feasible(hi2):
-            raise InternalError(f"radius bracket inverted: upper endpoint {hi} infeasible")
-        hi = hi2
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def _qep_top_roots(za: np.ndarray, rho: float, gram: np.ndarray | None = None) -> np.ndarray:
@@ -546,7 +437,8 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     w_rho(S) is the maximum over theta of mu*(theta), the largest real root
     of P_theta(mu) = rho mu^2 I - (rho-1) mu H_theta + (rho-2) S*S (w_rho);
     P_theta(L) = L^2 k(e^{i theta}), k the kernel of S/L.  At rho = 1 it is
-    ||S||.  ``best`` = (U, anchor) is an attained root and every slice's
+    ||S||, which is each slice's level.  ``best`` = (U, anchor) is a lower
+    bound on the largest w_rho (an attained root, say) and every slice's
     anchor angle; without it the slices are solved at SLICE_START_POINTS
     angles, U is the best root (at least 0) and anchors the least roots.
 
@@ -607,43 +499,65 @@ def _top_eigenvalues(s: np.ndarray) -> np.ndarray:
     return lam[np.arange(len(s)), np.argmax(np.abs(lam), axis=1)]
 
 
-def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top, out: dict):
-    """The slices S of the stack ``s`` for which S/L, L = ``level``, is not
-    shown a member, in two (rows, angles) batches, each angle one where the
-    slice fails.
+def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top, out: dict,
+                    floor: float = 0.0):
+    """The matrices S of the stack ``s`` for which lambda_min k, k the
+    kernel of S/L, L = ``level``, is not shown to stay above ``floor`` on
+    the closed disk, in two (rows, angles) batches, each angle one where
+    the row fails.  At floor 0 a row not returned has S/L a member.
 
-    The first batch holds the slices where lambda_min k, k the kernel of
-    S/L, is at most the guard _screen_guard(||S||/L, d, rho) at the anchor
-    angle, and, at rho > 2, those with r(S) >= beta L, beta = (rho-1)/(rho-2),
-    at the angle -arg lam of the eigenvalue ``top``.  The second comes from
-    one batched _circle_crossings of the others (which err towards real,
-    counted in out["slice_crossing_solves"]): a row for each midpoint
-    between consecutive crossings where lambda_min k is at most the guard.
-    A slice in neither batch has k definite on the circle, where its disk
-    minimum lies (_kernel_disk_min), so S/L is a member.  The computed r(S)
-    is safe: a k definite on the circle leaves S/L no eigenvalue lam with
-    |lam| in (1, rho/(rho-2)), as at zeta = |lam|/lam,
-    x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for its eigenvector x.
+    ``norms`` bound ||S|| (the Frobenius norms will do), and every test
+    allows the rounding guard SCREEN_ROUND_GUARD d times the kernel's norm
+    bound _kernel_scale(t, rho), t = ||S||/L.  The norm test comes first: on
+    the closed disk ||zU + (zU)*|| <= 2t for U = S/L, and (rho-2)|z|^2 U*U
+    is at least -(2-rho) t^2 for rho <= 2 and positive semidefinite for
+    rho > 2, so lambda_min k >= rho - 2|rho-1| t - max(2-rho, 0) t^2; a row
+    where that is above floor + guard passes without an eigensolve.  The
+    first batch holds the other rows where lambda_min k is at most
+    floor + guard at the anchor angle, and, at rho > 2, those with
+    r(S) >= beta L, beta = (rho-1)/(rho-2), at the angle -arg lam of the
+    eigenvalue ``top``.  The second comes from one batched _circle_crossings
+    of k - floor I for the rest (which err towards real, counted in
+    out["slice_crossing_solves"]): a row for each midpoint between
+    consecutive crossings where lambda_min k is at most floor + guard.  At
+    rho = 1 the kernel on the circle is I - U*U at every angle, so the
+    anchor decides and there is no second batch.  A row in neither batch
+    has lambda_min k above the floor on the circle, where its disk minimum
+    lies (_kernel_disk_min).  The computed r(S) is safe: at zeta = |lam|/lam,
+    x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for an eigenvector x of an
+    eigenvalue lam of U, so a kernel above the floor on the circle leaves U
+    no eigenvalue of modulus beta, unless the floor is below -1/(rho-2),
+    the least value k takes.
     """
     d = s.shape[-1]
-    u, guard, angles = s / level, _screen_guard(norms / level, d, rho), anchors
-    bad = _kernel_lambda_min(u, rho, np.exp(1j * angles)) <= guard
+    t = norms / level
+    cut = floor + SCREEN_ROUND_GUARD * d * _kernel_scale(t, rho)
+    idx = np.flatnonzero(rho - 2 * abs(rho - 1) * t - max(2 - rho, 0) * t ** 2 <= cut)
+    u, angles = s[idx] / level, anchors[idx]
+    bad = _kernel_lambda_min(u, rho, np.exp(1j * angles)) <= cut[idx]
     if rho > 2:
-        wide = (rho - 2) * np.abs(top) >= (rho - 1) * level
-        angles, bad = np.where(wide, -np.angle(top), angles), bad | wide
-    yield np.flatnonzero(bad), angles[bad]
-    idx = np.flatnonzero(~bad)
-    if idx.size:
-        v = u[idx]
-        cross = _circle_crossings(-(rho - 1) * v, rho * np.eye(d) + (rho - 2) * (v.conj().swapaxes(1, 2) @ v),
-                                  anchors[idx])
-        out["slice_crossing_solves"] += idx.size
-        count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
-        nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
-        at, col = np.nonzero(col < count)
-        mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
-        fail = _kernel_lambda_min(v[at], rho, np.exp(1j * mids)) <= guard[idx[at]]
-        yield idx[at[fail]], mids[fail]
+        wide = (rho - 2) * np.abs(top[idx]) >= (rho - 1) * level
+        angles, bad = np.where(wide, -np.angle(top[idx]), angles), bad | wide
+    yield idx[bad], angles[bad]
+    if rho == 1 or bad.all():
+        return
+    u, idx, angles = u[~bad], idx[~bad], angles[~bad]
+    cross = _circle_crossings(-(rho - 1) * u, (rho - floor) * np.eye(d) + (rho - 2) * (u.conj().swapaxes(1, 2) @ u),
+                              angles)
+    out["slice_crossing_solves"] += idx.size
+    count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
+    nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
+    at, col = np.nonzero(col < count)
+    mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
+    fail = _kernel_lambda_min(u[at], rho, np.exp(1j * mids)) <= cut[idx[at]]
+    yield idx[at[fail]], mids[fail]
+
+
+def _level1_failures(s: np.ndarray, rho: float, out: dict, floor: float = 0.0):
+    """_slice_failures of the stack ``s`` at level 1 from the anchor angle 0,
+    with the Frobenius norms, which bound the spectral ones."""
+    top = _top_eigenvalues(s) if rho > 2 else None
+    return _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, out, floor)
 
 
 def _phase_tensor(axis: np.ndarray, k: int) -> np.ndarray:
@@ -873,14 +787,14 @@ def _substitute_stack(a: OperatorTuple, c: np.ndarray) -> np.ndarray:
 
 
 def _substitutions(a: OperatorTuple, samples) -> list:
-    """A(C) for every sample C, in sample order: one _substitute_stack per
-    sample size."""
-    subs = [None] * len(samples)
-    for m in {c.dim for c in samples}:
+    """(indices, stack) for each size among the samples: the indices in
+    ``samples`` of the samples C of that size, in order, and their A(C),
+    one _substitute_stack."""
+    out = []
+    for m in dict.fromkeys(c.dim for c in samples):
         idx = [i for i, c in enumerate(samples) if c.dim == m]
-        for i, s in zip(idx, _substitute_stack(a, np.array([samples[i].mats for i in idx]))):
-            subs[i] = s
-    return subs
+        out.append((idx, _substitute_stack(a, np.array([samples[i].mats for i in idx]))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -904,19 +818,17 @@ def _worst_slice(a: OperatorTuple, rho: float):
 
 def _first_out_slice(a: OperatorTuple, rho: float, tol: float):
     """The level-1 pass of membership_tuple over the first phase grid of
-    _qep_theta_max: the slices that _slice_failures does not show to be
-    members at level 1 (anchor angle 0) go to membership_single in turn,
-    and the pass stops at the first one decided Out.  The anchor test runs
-    before the batched crossing solve, so a slice that fails at its anchor
-    settles the tuple without one.  Returns (phases, verdict) of that slice,
-    or (None, None), and the counters (with the slice's phases)."""
+    _qep_theta_max: the slices that _level1_failures does not show to be
+    members go to membership_single in turn, and the pass stops at the
+    first one decided Out.  The anchor test runs before the batched
+    crossing solve, so a slice that fails at its anchor settles the tuple
+    without one.  Returns (phases, verdict) of that slice, or (None, None),
+    and the counters (with the slice's phases)."""
     w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
     s = _slice_stack(a, w)
-    top = _top_eigenvalues(s) if rho > 2 else None
     solves = {"slice_crossing_solves": 0}
     stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
-    # the Frobenius norms bound the spectral ones, so their guards are safe
-    for rows, _ in _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, solves):
+    for rows, _ in _level1_failures(s, rho, solves):
         stats["level1_crossing_solves"] = solves["slice_crossing_solves"]
         for i in dict.fromkeys(rows.tolist()):
             stats["level1_memberships"] += 1
@@ -954,19 +866,17 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     rho < 1 member slices have ||zA|| <= rho, which excludes poles the same
     way; at rho = 1, phi = -zA has none.
 
-    For N >= 3 a worst slice that passes is followed by the disk minima of
-    budget substitutions A(C) of sampled commuting tuples (drawn once per
-    process, see sample_commuting_tuple); a passing verdict is then
-    NecessaryOnly.  All budget substitutions are formed (certificate
-    ``substitutions``) and screened by _screen_witness in sample-order
-    chunks, which stops at the Out witness: a substitution whose norm floor
-    is at least the worst slice's kernel margin is settled without an
-    eigensolve, the others get their _kernel_circle_floor (-inf for
-    rho > 2), and a disk minimum (``disk_minima``) runs only where a floor
-    is below -tol.  An In margin is the smaller of the worst slice's kernel
-    margin and the smallest disk minimum, found in increasing order of floor
-    until the floor reaches it.  Verdict and margin are those of running
-    every disk minimum.
+    For N >= 3 a worst slice that passes is followed by budget
+    substitutions A(C) of sampled commuting tuples (drawn once per process,
+    see sample_commuting_tuple; certificate ``substitutions``); a passing
+    verdict is then NecessaryOnly.  Each sample size's stack goes through
+    the slices' member test at level 1 (_level1_failures) with the worst
+    slice's kernel margin as its floor (``substitution_crossing_solves``),
+    which returns every substitution whose disk minimum may lie below that
+    margin: only those can be the Out witness or lower the margin.  They get
+    their disk minimum (``disk_minima``) in sample order; the first below
+    -tol is the Out witness, else the In margin is the smallest of them and
+    the slice's.  Verdict and margin are those of every disk minimum.
     """
     _check_tuple_knobs(rho, tol, budget)
     if a.n_vars == 1:
@@ -979,36 +889,26 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     cert = {**v.certificate, **spec, "method": "torus-slice+" + v.certificate["method"],
             "witness_z": [[z.real, z.imag]] + [[float((z * x).real), float((z * x).imag)] for x in w]}
     if a.n_vars > 2:
-        cert.update(method=cert["method"] + "+commuting-substitution", budget=budget,
-                    screen_points=SCREEN_POINTS if rho <= 2 else 0, substitutions=0, disk_minima=0)
+        cert.update(method=cert["method"] + "+commuting-substitution", budget=budget, substitutions=0,
+                    substitution_crossing_solves=0, disk_minima=0)
     if a.n_vars == 2 or v.decision == OUT:
         return MembershipVerdict(v.decision, v.margin, cert, CERTIFIED)
 
     samples = sample_commuting_tuples(a.n_vars, budget)
-    subs = _substitutions(a, samples)
-    cert["substitutions"] = len(subs)
-    minima = {}
-
-    def disk_min(i):
+    solves, failing = {"slice_crossing_solves": 0}, {}
+    for idx, stack in _substitutions(a, samples):
+        for rows, _ in _level1_failures(stack, rho, solves, v.margin):
+            failing.update((idx[i], stack[i]) for i in rows)
+    cert.update(substitutions=len(samples), substitution_crossing_solves=solves["slice_crossing_solves"])
+    margin = v.margin
+    for i in sorted(failing):
         cert["disk_minima"] += 1
-        minima[i] = kernel_margin(subs[i], rho)
-        return minima[i]
-
-    # a floor at or above the worst slice's margin can neither be the
-    # witness nor lower the margin below it
-    floors, i = _screen_witness(subs, rho, tol, v.margin, disk_min)
-    if i is not None:
-        cert["witness_sample_dim"] = samples[i].dim
-        return MembershipVerdict(OUT, minima[i], cert, CERTIFIED)
-    # the smallest disk minimum: samples in increasing order of floor, until
-    # the floor reaches the smallest minimum found
-    worst = min([v.margin, *minima.values()])
-    for i in np.argsort(floors, kind="stable").tolist():
-        if floors[i] >= worst:
-            break
-        if i not in minima:
-            worst = min(worst, disk_min(i))
-    return MembershipVerdict(IN, worst, cert, NECESSARY_ONLY)
+        km = kernel_margin(failing[i], rho)
+        if km < -tol:
+            cert["witness_sample_dim"] = samples[i].dim
+            return MembershipVerdict(OUT, km, cert, CERTIFIED)
+        margin = min(margin, km)
+    return MembershipVerdict(IN, margin, cert, NECESSARY_ONLY)
 
 
 def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
@@ -1020,16 +920,16 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
     its lo is proven, since a slice that is not a member makes the pair not
     a member; its hi rests on the phases of the slice search.
 
-    N >= 3: lo is proven too: the slice's lo, or the last level at which
-    the bisection below finds a failing substitution.  hi is the bound
-    sum ||A_k|| max(1, 2/rho - 1): for commuting contractions C,
-    ||A(C)|| <= sum ||A_k||, and w_rho(T) <= max(1, 2/rho - 1) ||T||.  The
-    bisection over the necessary-only test of budget sampled commuting
-    substitutions, from lo up to hi, gives ``necessary_estimate``, the
-    level where they all pass; it forms the substitutions of A/u with the
-    cached samples and screens them with _screen_witness at level -tol: a
-    substitution whose norm floor or _kernel_circle_floor is at least -tol
-    passes without its disk minimum.
+    N >= 3: hi is the bound sum ||A_k|| max(1, 2/rho - 1): for commuting
+    contractions C, ||A(C)|| <= sum ||A_k||, and
+    w_rho(T) <= max(1, 2/rho - 1) ||T||.  The substitutions of
+    A/sum ||A_k|| with budget sampled commuting tuples go through the
+    slices' level-set search (_slices_max, counted as ``substitution_*``),
+    one stack per sample size, from the slice's lo as the value attained.
+    lo is proven too: the slice's lo, or a substitution's attained root less
+    the radius gap where that is larger (w_rho(A(C)) <= w_rho(A) for
+    commuting strict contractions C).  ``necessary_estimate`` is the largest
+    elimination level, above which every sampled substitution passes.
     """
     _check_tuple_knobs(rho, tol, budget)
     _check_positive(width=width)
@@ -1042,24 +942,22 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
         return RadiusReport(rep.lo, rep.hi, "torus-slice+" + rep.method, {**rep.grid_spec, **spec},
                             time.perf_counter() - start)
 
-    method = "torus-slice+tuple-bisection"
+    method = "torus-slice+commuting-substitution"
     norm_sum = sum(op_norm(m) for m in a.mats)
-    grid_spec = {**spec, "budget": budget, "width": width, "tol": tol, "disk_minima": 0,
-                 "necessary_estimate": 0.0}
+    grid_spec = {**spec, "budget": budget, "width": width, "tol": tol, "substitution_levels": 0,
+                 "substitution_crossing_solves": 0, "substitution_root_solves": 0, "necessary_estimate": 0.0}
     if norm_sum == 0.0:
         return RadiusReport(0.0, 0.0, method, grid_spec, time.perf_counter() - start)
     samples = sample_commuting_tuples(a.n_vars, budget, dims=(2, 3))
-
-    def feasible(u):
-        subs = _substitutions(a.scale(1.0 / u), samples)
-
-        def disk_min(i):
-            grid_spec["disk_minima"] += 1
-            return kernel_margin(subs[i], rho)
-
-        return _screen_witness(subs, rho, tol, -tol, disk_min)[1] is None
-
+    value = top = rep.lo / norm_sum
+    for _, stack in _substitutions(a.scale(1 / norm_sum), samples):
+        run = _slices_max(stack, rho, (value, 0.0))
+        for key in ("levels", "crossing_solves", "root_solves"):
+            grid_spec["substitution_" + key] += run["slice_" + key]
+        # at rho = 1 the levels are the norms, which may lie below the value
+        value, top = run["value"], max(top, run["value"], run["levels"].max())
+    gap = min(RADIUS_GAP * (1 + max(1.0, 2.0 / rho - 1.0)), width / (4 * norm_sum))
+    lo = max(rep.lo, (value - gap) * norm_sum)
     hi = norm_sum * max(1.0, 2.0 / rho - 1.0)
-    lo, estimate = _bisect_radius(rep.lo, max(rep.lo * (1 + 1e-12), hi), feasible, width)
-    grid_spec["necessary_estimate"] = estimate
-    return RadiusReport(lo, max(estimate, hi), method, grid_spec, time.perf_counter() - start)
+    grid_spec["necessary_estimate"] = top * norm_sum
+    return RadiusReport(lo, max(top * norm_sum, hi), method, grid_spec, time.perf_counter() - start)

@@ -17,7 +17,6 @@ from rho_radii.radii import (
     NECESSARY_ONLY,
     OUT,
     MembershipVerdict,
-    _kernel_circle_floor,
     kernel_margin,
     membership_single,
     membership_single_all_conditions,
@@ -421,22 +420,6 @@ def test_non_finite_knobs_rejected(bad):
             fn(a, 2.0, width=bad)
 
 
-def test_kernel_circle_floor_below_disk_minimum():
-    rng = np.random.default_rng(21)
-    mats = []
-    for i, norm in enumerate(np.logspace(-2, 2, 15)):
-        s = _random_matrix(rng, 1 + i % 6)
-        mats.append(s * (norm / op_norm(s)))
-    mats.append(np.diag([0.9, -0.5j]))
-    for rho in (0.05, 0.5, 1.0, 1.5, 1.99, 2.0):
-        floors = _kernel_circle_floor(mats, rho)
-        for s, floor in zip(mats, floors):
-            assert floor <= kernel_margin(s, rho), (rho, s.shape, floor)
-            assert floor == _kernel_circle_floor([s], rho)[0]
-    # inside the disk lies the minimum for rho > 2: no floor
-    assert np.all(_kernel_circle_floor(mats, 2.5) == -np.inf)
-
-
 def _membership_tuple_loop(a, rho, tol=DEFAULT_TOL, budget=radii.DEFAULT_BUDGET):
     """Unscreened reference for N >= 3: the slice verdict (the level-1
     pass, else the worst slice), then the disk minimum of every
@@ -500,34 +483,8 @@ def test_screened_membership_equals_unscreened_loop(monkeypatch):
         cert = v.certificate
         got = "in" if v.decision == IN else "substitution" if _verdict(v)[3] else "slice"
         assert got == outcome, (rho, a.dim, budget)
-        assert cert["screen_points"] == (radii.SCREEN_POINTS if rho <= 2 else 0)
         assert cert["substitutions"] == (0 if outcome == "slice" else budget)
         assert 0 <= cert["disk_minima"] <= cert["substitutions"]
-
-
-def test_screen_exact_under_any_valid_floor(monkeypatch):
-    # floors that are valid but loose, and ordered unlike the disk minima,
-    # still give the verdict and the margin of the unscreened loop
-    rng = np.random.default_rng(22)
-    monkeypatch.setattr(radii, "_kernel_circle_floor", lambda subs, rho: np.array(
-        [kernel_margin(s, rho) - rng.uniform(0, 0.3) for s in subs]))
-    for a, rho, _, outcome in _screened_triples():
-        if outcome != "slice" and rho <= 2:
-            with monkeypatch.context() as m:
-                if outcome == "substitution":
-                    _first_variable_as_slice(m)
-                for b in (a,) if outcome == "in" else (a, a.scale(0.7)):
-                    assert _verdict(membership_tuple(b, rho, budget=16)) == _membership_tuple_loop(b, rho, budget=16)
-
-
-def test_screened_radius_equals_unscreened(monkeypatch):
-    triples = [(_triple(3, 2).scale(0.2), 0.5), (_triple(5, 2).scale(0.2), 2.0)]
-    screened = [w_rho_tuple(a, rho, budget=8) for a, rho in triples]
-    monkeypatch.setattr(radii, "_kernel_circle_floor", lambda subs, rho: np.full(len(subs), -np.inf))
-    for (a, rho), rep in zip(triples, screened):
-        ref = w_rho_tuple(a, rho, budget=8)
-        assert (rep.lo, rep.hi, rep.method) == (ref.lo, ref.hi, ref.method)
-        assert rep.grid_spec["disk_minima"] < ref.grid_spec["disk_minima"]
 
 
 QEP_RHOS = (0.05, 0.5, 0.99, 1.0, 1.01, 1.5, 1.99, 2.0, 2.01, 3.0, 10.0)
@@ -689,56 +646,154 @@ def test_cached_samples_equal_fresh_draws_and_are_read_only():
 
 def test_substitutions_bitwise_kron_sums():
     # the broadcast substitution against the Kronecker-sum definition, with
-    # every sample size in one call
+    # every sample size in one call, which returns one stack per size
     rng = np.random.default_rng(31)
     for n_vars in (2, 3, 4):
         samples = sample_commuting_tuples(n_vars, 10)
         for d in (1, 2, 3, 4):
             a = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(n_vars)))
-            subs = radii._substitutions(a, samples)
-            for c, s in zip(samples, subs):
-                ref = sum(np.kron(ak, ck) for ak, ck in zip(a.mats, c.mats))
-                assert s.shape == ref.shape and s.tobytes() == ref.tobytes(), (n_vars, d, c.dim)
-                assert substitute(a, c).tobytes() == ref.tobytes()
+            stacks = radii._substitutions(a, samples)
+            assert sorted(i for idx, _ in stacks for i in idx) == list(range(len(samples)))
+            for idx, stack in stacks:
+                for i, s in zip(idx, stack):
+                    c = samples[i]
+                    assert c.dim == samples[idx[0]].dim
+                    ref = sum(np.kron(ak, ck) for ak, ck in zip(a.mats, c.mats))
+                    assert s.shape == ref.shape and s.tobytes() == ref.tobytes(), (n_vars, d, c.dim)
+                    assert substitute(a, c).tobytes() == ref.tobytes()
 
 
-def test_kernel_norm_floor_below_disk_minimum():
+def _level1_rows(s, rho, floor):
+    """The rows that _slice_failures returns for the one-matrix stack ``s``
+    at level 1 and anchor angle 0, with its spectral norm, and the
+    crossing solves."""
+    out = {"slice_crossing_solves": 0}
+    stack = s[None].astype(complex)
+    top = radii._top_eigenvalues(stack) if rho > 2 else None
+    batches = radii._slice_failures(stack, rho, 1.0, np.zeros(1), np.array([op_norm(s)]), top, out, floor)
+    return [int(i) for rows, _ in batches for i in rows], out["slice_crossing_solves"]
+
+
+def test_kernel_norm_floor_below_disk_minimum(monkeypatch):
+    # the norm test of _slice_failures: rho - 2|rho-1| s - max(2-rho, 0) s^2
+    # (s = ||S||; for rho > 2 the S*S term is dropped) is below the disk
+    # minimum, and a row whose bound is above the floor passes without an
+    # eigensolve
     rng = np.random.default_rng(21)
     mats = []
     for i, norm in enumerate(np.logspace(-2, 2, 15)):
         s = _random_matrix(rng, 1 + i % 6)
         mats.append(s * (norm / op_norm(s)))
     mats.append(np.diag([0.9, -0.5j]))
-    for rho in (0.05, 0.5, 1.0, 1.5, 1.99, 2.0):
-        floors = radii._kernel_norm_floor(mats, rho)
-        for s, floor in zip(mats, floors):
-            assert floor <= kernel_margin(s, rho), (rho, s.shape, floor)
-        # a positive scalar attains the bound at z = 1 (rho >= 1) or -1
-        s = 0.9
-        exact = rho - 2 * abs(rho - 1) * s - (2 - rho) * s ** 2
-        assert floors[-1] == pytest.approx(exact, abs=1e-12)
-    # for rho > 2 the S*S term is dropped; the disk minimum may lie inside
-    for rho in (2.5, 3.0, 5.0):
-        floors = radii._kernel_norm_floor(mats, rho)
-        for s, floor in zip(mats, floors):
-            assert floor <= kernel_margin(s, rho), (rho, s.shape, floor)
-        assert floors[-1] == pytest.approx(rho - 2 * (rho - 1) * 0.9, abs=1e-11)
+    calls = []
+    lam_min = radii._kernel_lambda_min
+    monkeypatch.setattr(radii, "_kernel_lambda_min", lambda a, rho, zs: calls.append(len(zs)) or lam_min(a, rho, zs))
+    for rho in (0.05, 0.5, 1.0, 1.5, 1.99, 2.0, 2.5, 3.0, 5.0):
+        for s in mats:
+            norm = op_norm(s)
+            bound = rho - 2 * abs(rho - 1) * norm - max(2 - rho, 0) * norm ** 2
+            guard = 2 * radii.SCREEN_ROUND_GUARD * len(s) * radii._kernel_scale(norm, rho)
+            assert bound - guard <= kernel_margin(s, rho), (rho, s.shape)
+            calls.clear()
+            assert _level1_rows(s, rho, bound - guard) == ([], 0) and sum(calls) == 0, (rho, s.shape)
+        # the test is tight: the scalar 0.9 of the last matrix attains the
+        # bound at z = 1 (rho >= 1) or -1 for rho <= 2, and a floor above
+        # the bound needs an eigensolve at every rho
+        rows, _ = _level1_rows(s, rho, bound + guard)
+        assert sum(calls) > 0, rho
+        if rho <= 2:
+            assert kernel_margin(s, rho) == pytest.approx(bound, abs=1e-12)
+            assert rows and set(rows) == {0}, rho
 
 
-def test_out_at_early_substitution_screens_one_chunk(monkeypatch):
-    # a witness among the first samples: later chunks get no circle floor
-    screened = []
-    floor = radii._kernel_circle_floor
-    monkeypatch.setattr(radii, "_kernel_circle_floor",
-                        lambda subs, rho: screened.append(len(subs)) or floor(subs, rho))
+def test_slice_failures_floor_is_sound():
+    # a row that _slice_failures does not return keeps its disk minimum at
+    # or above the floor, and at rho > 2 a row with r(S) >= beta L is
+    # always returned; random, nilpotent, normal and shift first and second
+    # variables on 8 phases, at levels below and above their norms
+    rng = np.random.default_rng(29)
+    phases = np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))[:, None, None]
+    kept = wide = 0
+    for d in range(1, 5):
+        kinds = _kinds(rng, d)
+        for first, second in ((0, 1), (2, 4), (4, 0)):
+            s = kinds[first] + phases * kinds[second]
+            norms = np.linalg.norm(s, axis=(1, 2))
+            for rho in SLICE_RHOS:
+                top = radii._top_eigenvalues(s) if rho > 2 else None
+                for level in (0.6, 1.0, 1.7):
+                    minima = [radii._kernel_disk_min(b, rho)[0] for b in s / level]
+                    must = np.flatnonzero((rho - 2) * np.abs(top) >= (rho - 1) * level) if rho > 2 else []
+                    wide += len(must)
+                    for floor in (0.0, -1e-9, 0.3):
+                        out = {"slice_crossing_solves": 0}
+                        batches = radii._slice_failures(s, rho, level, np.zeros(len(s)), norms, top, out, floor)
+                        rows = {int(i) for r, _ in batches for i in r}
+                        assert rows.issuperset(must), (d, rho, level, floor)
+                        for i, (b, low) in enumerate(zip(s / level, minima)):
+                            if i not in rows:
+                                kept += 1
+                                assert low >= floor - 1e-12 * _scale(b, rho), (d, rho, level, floor, low)
+    assert kept > 0 and wide > 0
+
+
+def test_out_at_early_substitution_equals_unscreened_loop(monkeypatch):
+    # a witness among the first samples of a large budget
     _first_variable_as_slice(monkeypatch)
     for a, rho in ((_triple(4, 2).scale(0.0674), 0.5), (_triple(29, 3).scale(0.153), 1.5)):
-        screened.clear()
         v = membership_tuple(a, rho, budget=256)
         assert _verdict(v) == _membership_tuple_loop(a, rho, budget=256)
         assert v.decision == OUT and "witness_sample_dim" in v.certificate
         assert v.certificate["substitutions"] == 256
-        assert 0 < sum(screened) <= radii.SCREEN_CHUNK
+
+
+def test_in_margin_set_by_a_substitution_equals_unscreened_loop(monkeypatch):
+    # the pinned triples scaled into the class: against the weaker slice A_1
+    # a substitution sets the margin, which only the floor of the
+    # substitutions' member test at the slice's margin finds
+    _first_variable_as_slice(monkeypatch)
+    lowered = 0
+    for a, rho, budget, outcome in _screened_triples():
+        if outcome == "substitution":
+            b = a.scale(0.7)
+            v = membership_tuple(b, rho, budget=budget)
+            assert _verdict(v) == _membership_tuple_loop(b, rho, budget=budget), (rho, budget)
+            lowered += v.decision == IN and v.margin < membership_single(b.mats[0], rho).margin
+    assert lowered > 0
+
+
+def test_level1_pass_at_rho_1_solves_no_crossings():
+    # at rho = 1 the kernel on the circle is I - S*S at every angle, so the
+    # anchor test decides every grid slice
+    for pair in _random_pairs():
+        rep = w_rho_tuple(pair, 1.0)
+        for scale, want in ((rep.hi * (1 + 1e-6), IN), (rep.lo * (1 - 1e-6), OUT)):
+            v = membership_tuple(pair.scale(1 / scale), 1.0)
+            assert v.decision == want and v.certificate["level1_crossing_solves"] == 0, (want, v.certificate)
+
+
+def test_triple_radius_substitutions_on_the_slice_engine(monkeypatch):
+    # necessary_estimate is above every sampled substitution's w_rho, lo is
+    # the worst slice's, and against the weaker slice A_1 lo rises to the
+    # best substitution's w_rho
+    for i, rho in enumerate((0.5, 2.0, 3.0)):
+        for budget in (8, 16):
+            a = _triple(80 + i, 2)
+            a = a.scale(1 / sum(op_norm(m) for m in a.mats))
+            subs = [w_rho(substitute(a, c), rho) for c in sample_commuting_tuples(3, budget, dims=(2, 3))]
+            rep = w_rho_tuple(a, rho, budget=budget)
+            spec = rep.grid_spec
+            assert spec["necessary_estimate"] >= max(r.lo for r in subs), (rho, budget)
+            assert rep.lo == w_rho(radii._worst_slice(a, rho)[0], rho).lo, (rho, budget)
+            assert rep.lo <= spec["necessary_estimate"] <= rep.hi
+            assert spec["substitution_levels"] >= 1 and "disk_minima" not in spec
+            with monkeypatch.context() as m:
+                _first_variable_as_slice(m)
+                weak = w_rho_tuple(a, rho, budget=budget)
+            best = max(subs, key=lambda r: r.hi)
+            assert w_rho(a.mats[0], rho).lo < best.lo, (rho, budget)
+            assert best.lo * (1 - 1e-8) <= weak.lo <= best.hi <= weak.hi, (rho, budget, weak.lo, best)
+            assert weak.lo <= weak.grid_spec["necessary_estimate"] <= weak.hi
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +978,6 @@ def test_norm_floor_screen_above_rho_2_equals_unscreened_loop():
                 v = membership_tuple(a.scale(scale * base), rho, budget=16)
                 assert _verdict(v) == _membership_tuple_loop(a.scale(scale * base), rho, budget=16)
                 cert = v.certificate
-                assert cert["screen_points"] == 0
                 settled += cert["substitutions"] - cert["disk_minima"]
     assert settled > 0
 
