@@ -33,11 +33,6 @@ from .repro import EXPERIMENTS
 from .serialize import embedding_from_json, load_operator_input, matrix_from_json
 
 
-def _load_embedding(path):
-    with open(path) as fh:
-        return embedding_from_json(json.load(fh))
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -82,12 +77,10 @@ def _cmd_numrad(args) -> int:
 def _cmd_verify_dilation(args) -> int:
     small = load_operator_input(args.small)
     big = load_operator_input(args.big)
-    e = _load_embedding(args.embedding)
-    if args.mode == "sym":
-        wit = verify_rho_dilation(small, big, e, args.rho, t_max=args.nmax)
-    else:
-        wit = verify_uniform_rho_dilation(small, big, e, args.rho, n_max=args.nmax)
-    _emit_json(wit.to_json(), args.output)
+    with open(args.embedding) as fh:
+        e = embedding_from_json(json.load(fh))
+    verify = verify_rho_dilation if args.mode == "sym" else verify_uniform_rho_dilation
+    _emit_json(verify(small, big, e, args.rho, args.nmax).to_json(), args.output)
     return 0
 
 

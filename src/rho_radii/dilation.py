@@ -10,15 +10,14 @@ uniform isometric dilation of the staircase pair.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .linalg import Embedding, as_matrix, compress
-from .pencil import OperatorTuple, sym_multipower, word_products
+from .linalg import Embedding, as_matrix
+from .pencil import MAX_WORD_LENGTH, OperatorTuple, sym_multipowers
 
 SYMMETRIZED = "Symmetrized"
 UNIFORM = "Uniform"
@@ -30,6 +29,8 @@ MAX_UNIFORM_WORD = 6
 
 @dataclass(frozen=True)
 class DilationWitness:
+    """A dilation check; *_products count its (dim x dim) @ (dim x k) block products."""
+
     small: OperatorTuple
     big: OperatorTuple
     embedding: Embedding
@@ -38,18 +39,22 @@ class DilationWitness:
     max_residual: float
     mode: str
     worst_word: tuple = ()
+    small_products: int = 0
+    big_products: int = 0
 
     @property
     def passed(self) -> bool:
         return self.max_residual < PASS_RESIDUAL
 
     def to_json(self) -> dict:
-        from .serialize import embedding_to_json, tuple_to_json
+        """The report; it cites each input by shape and serialize.matrices_sha256."""
+        from .serialize import matrices_sha256
 
+        inputs = {"small": self.small.mats, "big": self.big.mats, "embedding": (self.embedding.basis,)}
         return {
-            "small": tuple_to_json(self.small),
-            "big": tuple_to_json(self.big),
-            "embedding": embedding_to_json(self.embedding),
+            "inputs": {name: {"shape": [len(mats), *mats[0].shape], "sha256": matrices_sha256(mats)}
+                       for name, mats in inputs.items()},
+            "products": {"small": self.small_products, "big": self.big_products},
             "rho": self.rho,
             "verified_word_length": self.verified_word_length,
             "max_residual": self.max_residual,
@@ -139,58 +144,58 @@ class DivergenceReport:
         }
 
 
-def _multi_indices(n_vars: int, max_order: int):
-    for order in range(1, max_order + 1):
-        for cuts in itertools.combinations(range(order + n_vars - 1), n_vars - 1):
-            t = []
-            prev = -1
-            for c in cuts:
-                t.append(c - prev - 1)
-                prev = c
-            t.append(order + n_vars - 2 - prev)
-            yield tuple(t)
-
-
-def verify_rho_dilation(small: OperatorTuple, big: OperatorTuple, e: Embedding,
-                        rho: float, t_max: int) -> DilationWitness:
-    """Check the symmetrized-multipower compression identity up to |t| = t_max."""
-    if t_max < 1:
-        raise InputError("t_max must be >= 1")
+def _check(small: OperatorTuple, big: OperatorTuple, e: Embedding, name: str, n: int, cap: int) -> None:
+    if n < 1:
+        raise InputError(f"{name} must be >= 1")
+    if n > cap:
+        raise CapacityError(f"{name} = {n} exceeds cap {cap}")
     if small.n_vars != big.n_vars:
         raise InputError("small and big tuples must have the same number of variables")
     if e.ambient_dim != big.dim or e.dim != small.dim:
         raise InputError("embedding dims do not match the small/big tuples")
-    worst, worst_t = 0.0, ()
-    for t in _multi_indices(small.n_vars, t_max):
-        lhs = sym_multipower(small, t)
-        rhs = rho * compress(sym_multipower(big, t), e)
-        resid = float(np.linalg.norm(lhs - rhs, 2))
-        if resid > worst:
-            worst, worst_t = resid, t
-    return DilationWitness(small, big, e, rho, t_max, worst, SYMMETRIZED, worst_t)
+
+
+def _worse(worst: tuple, s, b, e: Embedding, rho: float, order: int, keys) -> tuple:
+    """The least (-residual, order, key) of worst and of ||S_j - rho basis* B_j|| over
+    stacks of (k x k) and (ambient x k) blocks: the first worst by order, then key."""
+    resid = np.linalg.norm(s - rho * (e.basis.conj().T @ b), 2, axis=(1, 2))
+    j = int(np.argmax(resid))
+    return min(worst, (-float(resid[j]), order, keys[j]))
+
+
+def verify_rho_dilation(small: OperatorTuple, big: OperatorTuple, e: Embedding,
+                        rho: float, t_max: int) -> DilationWitness:
+    """Check the symmetrized-multipower compression identity up to |t| = t_max,
+    with A^t formed on C^k and on the basis (pencil.sym_multipowers), never ambient."""
+    _check(small, big, e, "t_max", t_max, MAX_WORD_LENGTH)
+    worst, small_products, big_products = (-0.0, 0, ()), 0, 0  # all 0: worst_word ()
+    for (ts, s, ns), (_, b, nb) in zip(sym_multipowers(small, np.eye(e.dim), t_max),
+                                       sym_multipowers(big, e.basis, t_max)):
+        worst = _worse(worst, s, b, e, rho, sum(ts[0]), ts)
+        small_products, big_products = small_products + ns, big_products + nb
+    return DilationWitness(small, big, e, rho, t_max, -worst[0], SYMMETRIZED, worst[2],
+                           small_products, big_products)
 
 
 def verify_uniform_rho_dilation(small: OperatorTuple, big: OperatorTuple, e: Embedding,
                                 rho: float, n_max: int) -> DilationWitness:
     """Check the compression identity for every literal word of length <= n_max;
-    worst_word is the first of largest residual by length, then lexicographically."""
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
-    if n_max > MAX_UNIFORM_WORD:
-        raise CapacityError(f"n_max = {n_max} exceeds cap {MAX_UNIFORM_WORD}")
-    if small.n_vars != big.n_vars:
-        raise InputError("small and big tuples must have the same number of variables")
-    if e.ambient_dim != big.dim or e.dim != small.dim:
-        raise InputError("embedding dims do not match the small/big tuples")
-    residuals = {}
-    for (word, lhs), (_, big_word) in zip(word_products(small, n_max), word_products(big, n_max)):
-        rhs = rho * compress(big_word, e)
-        residuals[word] = float(np.linalg.norm(lhs - rhs, 2))
-    worst, worst_word = 0.0, ()
-    for word in sorted(residuals, key=lambda w: (len(w), w)):
-        if residuals[word] > worst:
-            worst, worst_word = residuals[word], word
-    return DilationWitness(small, big, e, rho, n_max, worst, UNIFORM, worst_word)
+    worst_word is the first of largest residual by length, then lexicographically.
+
+    V_{(i,) + w} = A_i V_w from V_() = basis (I on the small side), depth first over
+    batches of at most ambient / k words: under n_max N ambient x ambient blocks held."""
+    _check(small, big, e, "n_max", n_max, MAX_UNIFORM_WORD)
+    small_mats, big_mats = np.stack(small.mats)[:, None], np.stack(big.mats)[:, None]
+    stack, worst, products = [([()], np.eye(e.dim, dtype=complex)[None], e.basis[None])], (-0.0, 0, ()), 0
+    while stack:
+        words, s, b = stack.pop()
+        words = [(i,) + w for i in range(small.n_vars) for w in words]
+        s, b = (small_mats @ s).reshape(-1, *s.shape[1:]), (big_mats @ b).reshape(-1, *b.shape[1:])
+        worst, products = _worse(worst, s, b, e, rho, len(words[0]), words), products + len(words)
+        m = len(words) if len(words) * e.dim <= e.ambient_dim else len(words) // small.n_vars
+        if len(words[0]) < n_max:
+            stack.extend((words[j:j + m], s[j:j + m], b[j:j + m]) for j in reversed(range(0, len(words), m)))
+    return DilationWitness(small, big, e, rho, n_max, -worst[0], UNIFORM, worst[2], products, products)
 
 
 def torus_unitarity(big: OperatorTuple) -> TorusUnitarityCertificate:

@@ -85,18 +85,6 @@ def eval_pencil(a: OperatorTuple, z) -> np.ndarray:
     return out
 
 
-def _multiset_products(a: OperatorTuple, counts, prod):
-    """prod times the products of the distinct words with counts[k] letters
-    k, in lexicographic order, each its prefix's product times its last
-    letter (the matmuls of word_product from prod = I)."""
-    if not any(counts):
-        yield prod
-    for k, count in enumerate(counts):
-        if count:
-            rest = counts[:k] + (count - 1,) + counts[k + 1:]
-            yield from _multiset_products(a, rest, prod @ a.mats[k])
-
-
 def word_product(a: OperatorTuple, word) -> np.ndarray:
     """A_{i_1} ... A_{i_n} for a word of 0-indexed letters."""
     out = np.eye(a.dim, dtype=complex)
@@ -105,17 +93,23 @@ def word_product(a: OperatorTuple, word) -> np.ndarray:
     return out
 
 
-def word_products(a: OperatorTuple, n_max: int):
-    """(word, word_product(a, word)) for every word of 1 to n_max letters,
-    depth first: one matmul per word, its prefix's product times its last
-    letter."""
-    stack = [((), np.eye(a.dim, dtype=complex))]
-    while stack:
-        word, prod = stack.pop()
-        if word:
-            yield word, prod
-        if len(word) < n_max:
-            stack.extend((word + (k,), prod @ a.mats[k]) for k in reversed(range(a.n_vars)))
+def sym_multipowers(a: OperatorTuple, tail, order: int):
+    """Yield (ts, powers, products) for |t| = 1, ..., order: ts the multi-indices
+    of that order, lexicographically, and powers[j] = A^{ts[j]} tail, formed as
+    (t!/|t|!) Sigma_t tail from Sigma_t = sum over k with t_k >= 1 of
+    A_k Sigma_{t - e_k} (Sigma_0 = I), the sum of the distinct words with counts
+    t; products counts the (dim x dim) @ (dim x cols) block products formed."""
+    ts, sums = [(0,) * a.n_vars], tail[None]
+    for n in range(1, order + 1):
+        bumped = [[t[:k] + (t[k] + 1,) + t[k + 1:] for t in ts] for k in range(a.n_vars)]
+        nxt = sorted(set().union(*bumped))
+        pos = {t: j for j, t in enumerate(nxt)}
+        out = np.zeros((len(nxt),) + tail.shape, dtype=complex)
+        for mk, kids in zip(a.mats, bumped):
+            out[[pos[t] for t in kids]] += mk @ sums
+        weights = np.array([math.prod(map(math.factorial, t)) for t in nxt]) / math.factorial(n)
+        yield nxt, weights[:, None, None] * out, a.n_vars * len(ts)
+        ts, sums = nxt, out
 
 
 def sym_multipower(a: OperatorTuple, t) -> np.ndarray:
@@ -131,13 +125,10 @@ def sym_multipower(a: OperatorTuple, t) -> np.ndarray:
     order = sum(t)
     if order > MAX_WORD_LENGTH:
         raise CapacityError(f"|t| = {order} exceeds cap {MAX_WORD_LENGTH}")
-    if order == 0:
-        return np.eye(a.dim, dtype=complex)
-    weight = math.prod(math.factorial(x) for x in t) / math.factorial(order)
-    acc = np.zeros((a.dim, a.dim), dtype=complex)
-    for prod in _multiset_products(a, t, np.eye(a.dim, dtype=complex)):
-        acc += prod
-    return weight * acc
+    ts, powers = [t], np.eye(a.dim, dtype=complex)[None]  # order 0
+    for ts, powers, _ in sym_multipowers(a, powers[0], order):
+        pass
+    return powers[ts.index(t)]
 
 
 def plain_multipower(a: OperatorTuple, t) -> np.ndarray:

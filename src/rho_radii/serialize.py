@@ -57,6 +57,17 @@ def matrix_from_json(obj) -> np.ndarray:
     return as_matrix(flat.reshape(rows, cols))
 
 
+def matrices_sha256(mats) -> str:
+    """Hex SHA-256 of the matrices' canonical bytes: for each in order, its shape
+    as little-endian int64, then its entries as little-endian complex128, C order."""
+    import hashlib  # lazily: only dilation reports need it
+    h = hashlib.sha256()
+    for m in mats:
+        h.update(np.array(m.shape, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(m, dtype="<c16").tobytes())
+    return h.hexdigest()
+
+
 def tuple_to_json(t: OperatorTuple) -> dict:
     return {"n_vars": t.n_vars, "mats": [matrix_to_json(m) for m in t.mats]}
 

@@ -187,6 +187,100 @@ def test_exit_code_capacity_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "capacity"
 
 
+@pytest.mark.parametrize("mode,nmax", [("sym", 17), ("uniform", 7)])
+def test_verify_dilation_capacity_before_any_product(tmp_path, capsys, monkeypatch, mode, nmax):
+    # a word length over the cap is refused before any block product is formed
+    from rho_radii import dilation
+
+    levels = []
+    sym_multipowers, worse = dilation.sym_multipowers, dilation._worse
+
+    def counting_sym_multipowers(*args):
+        for level in sym_multipowers(*args):
+            levels.append(level)
+            yield level
+
+    monkeypatch.setattr(dilation, "sym_multipowers", counting_sym_multipowers)
+    monkeypatch.setattr(dilation, "_worse", lambda *args: levels.append(args) or worse(*args))
+    big, e = build_shift_unitary_rho_dilation(1.0, 8)
+    (tmp_path / "s.json").write_text(json.dumps(tuple_to_json(OperatorTuple((nilpotent_jump(1.0),)))))
+    (tmp_path / "b.json").write_text(json.dumps(tuple_to_json(big)))
+    (tmp_path / "e.json").write_text(json.dumps(embedding_to_json(e)))
+    code, out, err = _run(capsys, [
+        "verify-dilation", "--mode", mode,
+        "--small", str(tmp_path / "s.json"), "--big", str(tmp_path / "b.json"),
+        "--embedding", str(tmp_path / "e.json"), "--rho", "1", "--nmax", str(nmax),
+    ])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "capacity"
+    assert levels == []
+
+
+def _canonical_sha256(mats):
+    import hashlib
+
+    h = hashlib.sha256()
+    for m in mats:
+        h.update(np.array(m.shape, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(m, dtype="<c16").tobytes())
+    return h.hexdigest()
+
+
+def _integral_entries(obj):
+    """obj with every integral float written as a JSON integer."""
+    if isinstance(obj, dict):
+        return {k: _integral_entries(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_integral_entries(v) for v in obj]
+    return int(obj) if isinstance(obj, float) and obj.is_integer() else obj
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_verify_dilation_report_cites_inputs(tmp_path, capsys, mode):
+    # the report names its inputs by dimensions and digest, not by echoing them
+    from rho_radii.dilation import build_staircase_isometric_dilation, build_staircase_pair
+    from rho_radii.serialize import embedding_from_json, load_operator_input
+
+    rho = 2.0
+    v, e, _ = build_staircase_isometric_dilation(rho, 16, 5)
+    objs = {"s": tuple_to_json(build_staircase_pair(rho)), "b": tuple_to_json(v), "e": embedding_to_json(e)}
+
+    def report(name, dump):
+        paths = {}
+        for key, obj in objs.items():
+            paths[key] = tmp_path / f"{name}-{key}.json"
+            paths[key].write_text(dump(obj))
+        code, out, _ = _run(capsys, [
+            "verify-dilation", "--mode", mode, "--small", str(paths["s"]), "--big", str(paths["b"]),
+            "--embedding", str(paths["e"]), "--rho", "2", "--nmax", "4",
+        ])
+        assert code == 0
+        return paths, out
+
+    paths, out = report("plain", json.dumps)
+    rep = json.loads(out)
+    assert rep["passed"] is True and rep["mode"] == ("Symmetrized" if mode == "sym" else "Uniform")
+    assert not {"small", "big", "embedding"} & set(rep)
+    assert len(out.encode()) < 1024
+    inputs = rep["inputs"]
+    small, big = load_operator_input(paths["s"]), load_operator_input(paths["b"])
+    basis = embedding_from_json(json.loads(paths["e"].read_text())).basis
+    assert inputs["small"] == {"shape": [2, 4, 4], "sha256": _canonical_sha256(small.mats)}
+    assert inputs["big"] == {"shape": [2, 80, 80], "sha256": _canonical_sha256(big.mats)}
+    assert inputs["embedding"] == {"shape": [1, 80, 4], "sha256": _canonical_sha256([basis])}
+    assert rep["products"] == {"small": 20 if mode == "sym" else 30, "big": 20 if mode == "sym" else 30}
+
+    # the same matrices written another way digest the same
+    _, out = report("indented", lambda obj: json.dumps(_integral_entries(obj), indent=2))
+    assert json.loads(out)["inputs"] == inputs
+    # one changed entry changes the digest of that input only
+    objs["b"]["mats"][1]["data"][7] = [0.0, 1e-300]
+    _, out = report("changed", json.dumps)
+    changed = json.loads(out)["inputs"]
+    assert changed["big"]["sha256"] != inputs["big"]["sha256"]
+    assert changed["small"] == inputs["small"] and changed["embedding"] == inputs["embedding"]
+
+
 def test_exit_code_bad_sweep_range(nilp, capsys):
     code, _, err = _run(capsys, [
         "sweep", "--rho-from", "2", "--rho-to", "1", "--steps", "3", "--input", nilp,
