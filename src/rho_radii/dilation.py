@@ -226,22 +226,16 @@ def popescu_conditions(v: OperatorTuple, interior: Embedding | None = None) -> P
     """Residuals of the row-isometry conditions for a candidate dilation tuple.
 
     ``interior`` restricts the isometry/orthogonality residuals to a
-    subspace (used for finite truncations whose boundary rows are zeroed).
+    subspace (used for finite truncations whose boundary rows are zeroed):
+    they are ||(V_k* V_j - delta_kj I) B|| on its orthonormal basis B, which
+    equal the norms on the projector B B*.
     """
-    d = v.dim
-    eye = np.eye(d)
-    proj = eye if interior is None else interior.basis @ interior.basis.conj().T
-    resid_iso = 0.0
-    for m in v.mats:
-        resid_iso = max(resid_iso, float(np.linalg.norm((m.conj().T @ m - eye) @ proj, 2)))
-    resid_orth = 0.0
-    for k in range(v.n_vars):
-        for j in range(v.n_vars):
-            if k != j:
-                resid_orth = max(
-                    resid_orth,
-                    float(np.linalg.norm(v.mats[k].conj().T @ v.mats[j] @ proj, 2)),
-                )
+    eye = np.eye(v.dim)
+    basis = eye if interior is None else interior.basis
+    vb = v.mats if interior is None else [m @ basis for m in v.mats]
+    resid_iso = max(float(np.linalg.norm(m.conj().T @ mb - basis, 2)) for m, mb in zip(v.mats, vb))
+    resid_orth = max((float(np.linalg.norm(v.mats[k].conj().T @ vb[j], 2))
+                      for k in range(v.n_vars) for j in range(v.n_vars) if k != j), default=0.0)
     range_sum = eye - sum(m @ m.conj().T for m in v.mats)
     range_sum = (range_sum + range_sum.conj().T) / 2
     min_eig = float(np.linalg.eigvalsh(range_sum)[0])

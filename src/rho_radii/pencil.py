@@ -73,6 +73,10 @@ class OperatorTuple:
     def max_norm(self) -> float:
         return float(np.linalg.norm(np.stack(self.mats), 2, axis=(1, 2)).max())
 
+    def norm_sum(self) -> float:
+        """sum_k ||A_k||, spectral norms summed in variable order."""
+        return float(np.linalg.norm(np.stack(self.mats), 2, axis=(1, 2)).sum())
+
 
 def eval_pencil(a: OperatorTuple, z) -> np.ndarray:
     """zA = sum_k z_k A_k."""

@@ -8,9 +8,11 @@ the circle of the largest root of a quadratic eigenproblem in the scaling.
 Both extrema over the circle come from the level-set iteration of Byers
 (SIAM J. Sci. Stat. Comput. 9, 1988) and Boyd & Balakrishnan (Syst.
 Control Lett. 15, 1990): the angles where a level is attained are the
-unimodular roots of a *-palindromic quadratic.  A tuple is tested on its
-torus slices A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, from one level-set
-iteration over many slices; that decides a pair.  Larger tuples also
+unimodular roots of a *-palindromic quadratic.  A tuple whose norm sum
+keeps every kernel above the scalar floor (_kernel_norm_floor) is a member
+at once.  Otherwise it is tested on its torus slices
+A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, from one level-set iteration
+over many slices; that decides a pair.  Larger tuples also
 substitute sampled commuting strict contractions C, a necessary test: the
 substitutions A(C) = sum_k A_k (x) C_k go through the same batched member
 test (_slice_failures) and level-set search (_slices_max) as the slices.
@@ -241,6 +243,21 @@ def _kernel_scale(norm, rho: float):
     closed disk, for any s >= ||A|| (the Frobenius norm will do); s may be
     an array."""
     return rho + 2 * abs(rho - 1) * norm + abs(rho - 2) * norm ** 2
+
+
+def _kernel_norm_floor(t, rho: float):
+    """rho - 2|rho-1| t + (rho-2) t^2, the disk minimum of the kernel of the
+    scalar t >= 0 (t may be an array), with t capped at beta = (rho-1)/(rho-2)
+    for rho > 2.  It is at most lambda_min k on the closed disk for every U
+    with ||U|| <= t.  For rho <= 2, ||zU + (zU)*|| <= 2t and
+    (rho-2)|z|^2 U*U >= (rho-2) t^2 on the disk.  For rho > 2,
+    k = (rho-2)(zU - beta I)*(zU - beta I) - I/(rho-2) and
+    sigma_min(zU - beta I) >= beta - t, so the completed square
+    (rho-2)(beta - t)^2 - 1/(rho-2) bounds k for t <= beta; at t = beta it
+    is -1/(rho-2), the least value k takes."""
+    if rho > 2:
+        t = np.minimum(t, (rho - 1) / (rho - 2))
+    return rho - 2 * abs(rho - 1) * t + (rho - 2) * t ** 2
 
 
 def _kernel_disk_min(a: np.ndarray, rho: float):
@@ -508,15 +525,12 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
 
     ``norms`` bound ||S|| (the Frobenius norms will do), and every test
     allows the rounding guard SCREEN_ROUND_GUARD d times the kernel's norm
-    bound _kernel_scale(t, rho), t = ||S||/L.  The norm test comes first: on
-    the closed disk ||zU + (zU)*|| <= 2t for U = S/L, and (rho-2)|z|^2 U*U
-    is at least -(2-rho) t^2 for rho <= 2 and positive semidefinite for
-    rho > 2, so lambda_min k >= rho - 2|rho-1| t - max(2-rho, 0) t^2; a row
-    where that is above floor + guard passes without an eigensolve.  The
-    first batch holds the other rows where lambda_min k is at most
-    floor + guard at the anchor angle, and, at rho > 2, those with
-    r(S) >= beta L, beta = (rho-1)/(rho-2), at the angle -arg lam of the
-    eigenvalue ``top``.  The second comes from one batched _circle_crossings
+    bound _kernel_scale(t, rho), t = ||S||/L.  The norm test comes first: a
+    row whose _kernel_norm_floor(t, rho) is above floor + guard passes
+    without an eigensolve.  The first batch holds the other rows where
+    lambda_min k is at most floor + guard at the anchor angle, and, at
+    rho > 2, those with r(S) >= beta L, beta = (rho-1)/(rho-2), at the
+    angle -arg lam of the eigenvalue ``top``.  The second comes from one batched _circle_crossings
     of k - floor I for the rest (which err towards real, counted in
     out["slice_crossing_solves"]): a row for each midpoint between
     consecutive crossings where lambda_min k is at most floor + guard.  At
@@ -532,7 +546,7 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     d = s.shape[-1]
     t = norms / level
     cut = floor + SCREEN_ROUND_GUARD * d * _kernel_scale(t, rho)
-    idx = np.flatnonzero(rho - 2 * abs(rho - 1) * t - max(2 - rho, 0) * t ** 2 <= cut)
+    idx = np.flatnonzero(_kernel_norm_floor(t, rho) <= cut)
     u, angles = s[idx] / level, anchors[idx]
     bad = _kernel_lambda_min(u, rho, np.exp(1j * angles)) <= cut[idx]
     if rho > 2:
@@ -811,7 +825,7 @@ def _slice_phases_json(w) -> list:
 def _worst_slice(a: OperatorTuple, rho: float):
     """The worst slice A_1 + w_2 A_2 + ... + w_N A_N of a tuple
     (_qep_theta_max), its phases w and its counters."""
-    scale = sum(op_norm(m) for m in a.mats) or 1.0
+    scale = a.norm_sum() or 1.0
     _, w, stats = _qep_theta_max(a.scale(1 / scale), rho)
     return _slice_stack(a, w[None])[0], w, {**stats, "slice_w": _slice_phases_json(w)}
 
@@ -848,8 +862,15 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
                      budget: int = DEFAULT_BUDGET) -> MembershipVerdict:
     """Decide membership of an operator tuple at level rho.
 
-    N = 1 delegates to the single-operator test.  For N >= 2 the tuple is
-    tested on its torus slices A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, as
+    N = 1 delegates to the single-operator test.  For N >= 2 the norm
+    bound comes first: every torus slice and every substitution A(C) below
+    has norm at most t = sum ||A_k||, so its kernel stays at or above
+    _kernel_norm_floor(t, rho) on the closed disk.  When that floor is
+    above the member test's rounding guard the verdict is In, Certified,
+    with the floor as its margin (certificate ``method`` "norm-bound" and
+    ``norm_sum`` t); it fires iff t max(1, 2/rho - 1) < 1 up to the guard,
+    and scalar tuples attain the floor.  Otherwise the tuple is tested on
+    its torus slices A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, as
     zeta A = zeta_1 S(zeta_2/zeta_1, ...): a slice that is not a member
     puts the tuple out of the class.  The level-1 pass (_first_out_slice)
     comes first and returns Out, from membership_single of the first grid
@@ -881,6 +902,11 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     _check_tuple_knobs(rho, tol, budget)
     if a.n_vars == 1:
         return membership_single(a.mats[0], rho, tol)
+    norm_sum = a.norm_sum()
+    floor = float(_kernel_norm_floor(norm_sum, rho))
+    if floor > SCREEN_ROUND_GUARD * a.dim * _kernel_scale(norm_sum, rho):
+        cert = {"method": "norm-bound", "norm_sum": norm_sum, "kernel_margin": floor, "tol": tol}
+        return MembershipVerdict(IN, floor, cert, CERTIFIED)
     w, v, spec = _first_out_slice(a, rho, tol)
     if v is None:
         b, w, worst = _worst_slice(a, rho)
@@ -943,7 +969,7 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
                             time.perf_counter() - start)
 
     method = "torus-slice+commuting-substitution"
-    norm_sum = sum(op_norm(m) for m in a.mats)
+    norm_sum = a.norm_sum()
     grid_spec = {**spec, "budget": budget, "width": width, "tol": tol, "substitution_levels": 0,
                  "substitution_crossing_solves": 0, "substitution_root_solves": 0, "necessary_estimate": 0.0}
     if norm_sum == 0.0:

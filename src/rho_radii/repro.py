@@ -440,7 +440,7 @@ def radius_property_suite(seeds: int = 50, dims=(2, 3, 4), rho_set=(0.25, 0.5, 1
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)
         ))
         r = rho_set[s % len(rho_set)]
-        cap = sum(op_norm(x) for x in t.mats) * max(1.0, 2.0 / r - 1.0)
+        cap = t.norm_sum() * max(1.0, 2.0 / r - 1.0)
         t = t.scale(0.98 / cap)
         if membership_tuple(t, r, tol).decision == OUT:
             continue
@@ -518,7 +518,7 @@ def repro_class_monotonicity(n_vars: int = 1, rho_grid=(0.3, 0.5, 0.7, 1.0, 2.0,
                 rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 for _ in range(n_vars)
             ))
-            t = t.scale(1.0 / sum(op_norm(x) for x in t.mats))
+            t = t.scale(1.0 / t.norm_sum())
             decisions = [membership_tuple(t, r).decision for r in rho_grid]
         seen_in = False
         for dec in decisions:

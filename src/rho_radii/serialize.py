@@ -23,13 +23,12 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
-def _integer(obj, key: str) -> int:
-    """``obj[key]`` as an int; InputError unless it is an integral number."""
-    value = obj[key]
+def _integer(value, name: str) -> int:
+    """``value`` as an int; InputError unless it is an integral number."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, int):
-        raise InputError(f"{key} must be an integer, got {value!r}")
+        raise InputError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -37,7 +36,7 @@ def matrix_from_json(obj) -> np.ndarray:
     """The matrix of a matrix JSON object; InputError unless each entry of
     ``data`` is a [re, im] pair of numbers (true and false count as 1, 0)."""
     try:
-        rows, cols, data = _integer(obj, "rows"), _integer(obj, "cols"), obj["data"]
+        rows, cols, data = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols"), obj["data"]
         count = len(data)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
@@ -74,7 +73,7 @@ def tuple_to_json(t: OperatorTuple) -> dict:
 
 def tuple_from_json(obj) -> OperatorTuple:
     try:
-        n_vars, mats = _integer(obj, "n_vars"), obj["mats"]
+        n_vars, mats = _integer(obj["n_vars"], "n_vars"), obj["mats"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed tuple JSON: {exc}") from exc
     if len(mats) != n_vars:
@@ -91,13 +90,19 @@ def polynomial_to_json(f: MatrixPolynomial) -> dict:
 
 
 def polynomial_from_json(obj) -> MatrixPolynomial:
+    """The polynomial of a polynomial JSON object; InputError unless
+    ``n_vars`` and every multi-index entry are integral numbers, every term
+    has an ``index`` and a ``coef``, and no multi-index repeats."""
+    parsed = {}
     try:
-        n_vars, terms = int(obj["n_vars"]), obj["terms"]
+        n_vars, terms = _integer(obj["n_vars"], "n_vars"), obj["terms"]
+        for term in terms:
+            idx = tuple(_integer(x, "multi-index entry") for x in term["index"])
+            if idx in parsed:
+                raise InputError(f"duplicate multi-index {list(idx)}")
+            parsed[idx] = matrix_from_json(term["coef"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polynomial JSON: {exc}") from exc
-    parsed = {}
-    for term in terms:
-        parsed[tuple(term["index"])] = matrix_from_json(term["coef"])
     return MatrixPolynomial(n_vars, parsed)
 
 
@@ -107,7 +112,7 @@ def embedding_to_json(e: Embedding) -> dict:
 
 def embedding_from_json(obj) -> Embedding:
     try:
-        ambient = _integer(obj, "ambient_dim")
+        ambient = _integer(obj["ambient_dim"], "ambient_dim")
         basis = matrix_from_json(obj["basis"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed embedding JSON: {exc}") from exc

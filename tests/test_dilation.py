@@ -94,6 +94,37 @@ def test_staircase_isometric_dilation_popescu():
     assert cert.consistency_flag
 
 
+def _popescu_on_projector(v, basis):
+    """The isometry and orthogonality residuals of popescu_conditions taken
+    on the dense projector B B* of the interior basis B."""
+    proj, eye = basis @ basis.conj().T, np.eye(v.dim)
+    iso = max(op_norm((m.conj().T @ m - eye) @ proj) for m in v.mats)
+    orth = max((op_norm(mk.conj().T @ mj @ proj) for mk, mj in itertools.permutations(v.mats, 2)), default=0.0)
+    return iso, orth
+
+
+def test_popescu_residuals_on_basis_equal_projector_form():
+    # ||X B|| = ||X B B*|| for B with orthonormal columns: the staircase
+    # tree and random tuples under random QR isometries
+    cases = []
+    for rho in (1.5, 2.0, 3.0):
+        v, _, interior = build_staircase_isometric_dilation(rho, 16, depth=5)
+        cases.append((v, interior))
+    rng = np.random.default_rng(17)
+    for n_vars, n, k in ((1, 6, 3), (2, 8, 5), (3, 7, 7), (2, 12, 1)):
+        v = OperatorTuple(tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                                for _ in range(n_vars)))
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        cases.append((v, Embedding(q)))
+    for v, interior in cases:
+        cert = popescu_conditions(v, interior)
+        iso, orth = _popescu_on_projector(v, interior.basis)
+        assert cert.residual_isometry == pytest.approx(iso, abs=1e-12 * max(1.0, iso))
+        assert cert.residual_orthogonality == pytest.approx(orth, abs=1e-12 * max(1.0, orth))
+        if v.n_vars == 1:
+            assert cert.residual_orthogonality == 0.0
+
+
 def test_staircase_uniform_dilation_identity():
     for rho in (1.0, 2.0):
         pair = build_staircase_pair(rho)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rho_radii.errors import CapacityError, InputError, PoleError
+from rho_radii.linalg import op_norm
 from rho_radii.pencil import (
     MatrixPolynomial,
     OperatorTuple,
@@ -30,6 +31,17 @@ def test_tuple_validation():
         OperatorTuple(())
     with pytest.raises(InputError):
         OperatorTuple((np.eye(2), np.eye(3)))
+
+
+def test_norm_sum_equals_summed_op_norms():
+    # bitwise the sum of op_norm in variable order
+    rng = np.random.default_rng(7)
+    for n_vars in (1, 2, 3, 4):
+        for d in (1, 2, 3, 5):
+            t = OperatorTuple(tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                                    for _ in range(n_vars)))
+            assert t.norm_sum() == sum(op_norm(m) for m in t.mats)
+    assert OperatorTuple((np.zeros((2, 2)),) * 3).norm_sum() == 0.0
 
 
 def test_pencil_linearity():

@@ -185,8 +185,13 @@ def test_membership_tuple_pair_out():
 
 
 def test_membership_tuple_three_vars_necessary_only():
+    # under the norm bound sum ||A_k|| max(1, 2/rho - 1) < 1 the verdict is
+    # certified; above it (here 1.5) a passing triple is NecessaryOnly
     t = OperatorTuple(tuple(0.1 * np.eye(2) for _ in range(3)))
     v = membership_tuple(t, 2.0)
+    assert v.decision == IN and v.exactness == CERTIFIED and v.certificate["method"] == "norm-bound"
+    u = OperatorTuple((0.5 * NILP, 0.5 * NILP, 0.5 * NILP))
+    v = membership_tuple(u, 2.0)
     assert v.decision == IN and v.exactness == "NecessaryOnly"
 
 
@@ -328,14 +333,95 @@ def _scalar_triple(rng, rho, factor, n_vars=3):
 
 def test_scalar_triple_membership_closed_form():
     # In iff sum |a_k| max(1, 2/rho - 1) <= 1: the slice search finds a
-    # failing slice 2% outside, and nothing fails 2% inside (also for N = 4)
+    # failing slice 2% outside, and the norm bound certifies 2% inside
+    # (also for N = 4)
     rng = np.random.default_rng(61)
     for rho in (0.5, 1.0, 2.0, 3.0):
         for n_vars in (3, 3, 3, 3, 4):
             for factor, want in ((1.02, OUT), (0.98, IN)):
                 v = membership_tuple(_scalar_triple(rng, rho, factor, n_vars), rho)
                 assert v.decision == want, (rho, n_vars, factor, v)
-                assert v.exactness == (CERTIFIED if want == OUT else NECESSARY_ONLY)
+                assert v.exactness == CERTIFIED
+                assert (v.certificate["method"] == "norm-bound") == (want == IN), (rho, n_vars, factor, v)
+
+
+CERT_RHOS = (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 10.0)
+
+
+def _norm_bound(a, rho):
+    """sum ||A_k|| max(1, 2/rho - 1), the certified tuple radius bound."""
+    return sum(op_norm(m) for m in a.mats) * max(1.0, 2.0 / rho - 1.0)
+
+
+def test_norm_bound_certifies_scalar_tuples():
+    # 2% inside the closed form: In, Certified by the norm bound, with the
+    # scalar kernel's disk minimum rho - 2|rho-1| t + (rho-2) t^2,
+    # t = sum |a_k|, as margin; 2% outside: Out from the slice search
+    rng = np.random.default_rng(63)
+    for rho in CERT_RHOS:
+        for n_vars in (2, 3, 4):
+            a = _scalar_triple(rng, rho, 0.98, n_vars)
+            v = membership_tuple(a, rho)
+            t = sum(abs(m[0, 0]) for m in a.mats)
+            exact = rho - 2 * abs(rho - 1) * t + (rho - 2) * t ** 2
+            assert (v.decision, v.exactness, v.certificate["method"]) == (IN, CERTIFIED, "norm-bound"), (rho, n_vars)
+            assert v.margin == pytest.approx(exact, abs=1e-12), (rho, n_vars)
+            assert v.certificate["norm_sum"] == pytest.approx(t, rel=1e-15)
+            scalar = np.array([[t]])
+            assert abs(v.margin - kernel_margin(scalar, rho)) <= 2 * radii.KERNEL_GAP * _scale(scalar, rho)
+            v = membership_tuple(_scalar_triple(rng, rho, 1.02, n_vars), rho)
+            assert v.decision == OUT and v.exactness == CERTIFIED, (rho, n_vars)
+            assert v.certificate["method"].startswith("torus-slice"), (rho, n_vars)
+
+
+def test_norm_bound_margin_below_slices_and_substitutions():
+    # the certified margin is at most the disk minimum of every first-grid
+    # slice and every sampled substitution, random pairs and triples under
+    # the bound
+    rng = np.random.default_rng(64)
+    for n_vars in (2, 3):
+        samples = sample_commuting_tuples(n_vars, 16)
+        phases = np.exp(1j * radii._phase_grid(n_vars - 1)[0])
+        for d in range(1, 5):
+            for rho in (0.3, 1.5, 3.0):
+                a = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(n_vars)))
+                a = a.scale(rng.uniform(0.5, 1.0) / _norm_bound(a, rho))
+                v = membership_tuple(a, rho, budget=16)
+                assert v.certificate["method"] == "norm-bound", (n_vars, d, rho)
+                for b in list(radii._slice_stack(a, phases)) + [substitute(a, c) for c in samples]:
+                    guard = radii.SCREEN_ROUND_GUARD * len(b) * _scale(b, rho)
+                    assert v.margin <= kernel_margin(b, rho) + guard, (n_vars, d, rho)
+
+
+def test_norm_bound_at_the_bound_runs_the_search():
+    # at sum ||A_k|| max(1, 2/rho - 1) = 1 the floor is within the guard,
+    # so the certificate does not fire and the slice search decides
+    rng = np.random.default_rng(65)
+    for rho in CERT_RHOS:
+        for n_vars in (2, 3):
+            a = OperatorTuple(tuple(_random_matrix(rng, 2) for _ in range(n_vars)))
+            a = a.scale(1 / _norm_bound(a, rho))
+            t = sum(op_norm(m) for m in a.mats)
+            assert abs(radii._kernel_norm_floor(t, rho)) <= radii.SCREEN_ROUND_GUARD * 2 * radii._kernel_scale(t, rho)
+            v = membership_tuple(a, rho, budget=4)
+            assert v.decision == IN and v.certificate["method"].startswith("torus-slice"), (rho, n_vars)
+            assert "norm_sum" not in v.certificate and v.certificate["slice_points"] == radii.SLICE_POINTS
+
+
+def test_norm_bound_fires_iff_triple_radius_hi_below_1():
+    # for N >= 3 the certificate fires iff w_rho_tuple's hi, the same bound,
+    # is below 1 (4 times the bound passes rho/(rho-2), where the uncapped
+    # quadratic turns positive again at rho = 3)
+    rng = np.random.default_rng(66)
+    for n_vars in (3, 4):
+        for rho in (0.5, 1.0, 2.0, 3.0):
+            for d in (1, 2):
+                a = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(n_vars)))
+                for factor in (0.5, 0.999, 1.001, 1.5, 4.0):
+                    b = a.scale(factor / _norm_bound(a, rho))
+                    fired = membership_tuple(b, rho, budget=4).certificate["method"] == "norm-bound"
+                    hi = w_rho_tuple(b, rho, budget=4).hi
+                    assert fired == (hi < 1), (n_vars, rho, d, factor, hi)
 
 
 def test_triples_missed_by_a_torus_curve_are_out():
@@ -421,10 +507,16 @@ def test_non_finite_knobs_rejected(bad):
 
 
 def _membership_tuple_loop(a, rho, tol=DEFAULT_TOL, budget=radii.DEFAULT_BUDGET):
-    """Unscreened reference for N >= 3: the slice verdict (the level-1
-    pass, else the worst slice), then the disk minimum of every
-    substitution, in sample order.  Returns (decision, margin, exactness,
-    size of the witness sample or None)."""
+    """Unscreened reference for N >= 3: In with the closed-form floor
+    rho - 2|rho-1| t + (rho-2) t^2, t = sum ||A_k||, when
+    t max(1, 2/rho - 1) < 1 and that floor is above the member test's
+    guard; else the slice verdict (the level-1 pass, else the worst slice),
+    then the disk minimum of every substitution, in sample order.  Returns
+    (decision, margin, exactness, size of the witness sample or None)."""
+    t = sum(op_norm(m) for m in a.mats)
+    floor = rho - 2 * abs(rho - 1) * t + (rho - 2) * t ** 2
+    if t * max(1.0, 2.0 / rho - 1.0) < 1 and floor > radii.SCREEN_ROUND_GUARD * a.dim * radii._kernel_scale(t, rho):
+        return IN, floor, CERTIFIED, None
     v = radii._first_out_slice(a, rho, tol)[1] or membership_single(radii._worst_slice(a, rho)[0], rho, tol)
     if v.decision == OUT:
         return OUT, v.margin, CERTIFIED, None
@@ -456,8 +548,16 @@ def _first_variable_as_slice(monkeypatch):
     monkeypatch.setattr(radii, "_worst_slice", lambda a, rho: (a.mats[0], np.zeros(a.n_vars - 1), {}))
 
 
+def _inside_above_bound(a, rho):
+    """The scale 0.95/w_rho of the worst slice, which puts a random triple
+    inside the class but, for d >= 2, above the norm bound; None for d = 1,
+    where scalars attain the bound."""
+    return None if a.dim == 1 else 0.95 / w_rho(radii._worst_slice(a, rho)[0], rho).hi
+
+
 def _screened_triples():
-    """(triple, rho, budget, outcome): In and Out at a torus slice for
+    """(triple, rho, budget, outcome): In by the norm bound (0.9 of it), In
+    above the bound from the substitutions, and Out at a torus slice for
     every rho and d, and pinned triples that fail at a substitution (with
     _first_variable_as_slice)."""
     for i, rho in enumerate((0.3, 0.5, 1.0, 1.5, 2.0, 3.0)):
@@ -465,7 +565,9 @@ def _screened_triples():
             budget = 16 if rho > 2 else (16, 64)[(i + d) % 2]
             a = _triple(10 * i + d, d)
             base = 1 / (sum(op_norm(m) for m in a.mats) * max(1.0, 2.0 / rho - 1.0))
-            yield a.scale(0.9 * base), rho, budget, "in"
+            yield a.scale(0.9 * base), rho, budget, "bound"
+            if d > 1:
+                yield a.scale(_inside_above_bound(a, rho)), rho, budget, "in"
             yield a.scale(3.0 * base), rho, budget, "slice"
     for seed, d, rho, scale, budget in ((2, 3, 0.3, 0.0317, 16), (4, 2, 0.5, 0.0674, 64),
                                         (10, 2, 1.5, 0.302, 16), (29, 3, 1.5, 0.153, 64),
@@ -481,6 +583,10 @@ def test_screened_membership_equals_unscreened_loop(monkeypatch):
             v = membership_tuple(a, rho, budget=budget)
             assert _verdict(v) == _membership_tuple_loop(a, rho, budget=budget), (rho, budget, outcome)
         cert = v.certificate
+        if cert["method"] == "norm-bound":
+            assert outcome == "bound" and v.decision == IN and v.exactness == CERTIFIED, (rho, a.dim, budget)
+            assert "substitutions" not in cert and "slice_points" not in cert
+            continue
         got = "in" if v.decision == IN else "substitution" if _verdict(v)[3] else "slice"
         assert got == outcome, (rho, a.dim, budget)
         assert cert["substitutions"] == (0 if outcome == "slice" else budget)
@@ -675,10 +781,10 @@ def _level1_rows(s, rho, floor):
 
 
 def test_kernel_norm_floor_below_disk_minimum(monkeypatch):
-    # the norm test of _slice_failures: rho - 2|rho-1| s - max(2-rho, 0) s^2
-    # (s = ||S||; for rho > 2 the S*S term is dropped) is below the disk
-    # minimum, and a row whose bound is above the floor passes without an
-    # eigensolve
+    # the norm test of _slice_failures, _kernel_norm_floor(||S||, rho) =
+    # rho - 2|rho-1| s + (rho-2) s^2 (s capped at beta above rho = 2), is
+    # below the disk minimum, and a row whose bound is above the floor
+    # passes without an eigensolve
     rng = np.random.default_rng(21)
     mats = []
     for i, norm in enumerate(np.logspace(-2, 2, 15)):
@@ -688,22 +794,33 @@ def test_kernel_norm_floor_below_disk_minimum(monkeypatch):
     calls = []
     lam_min = radii._kernel_lambda_min
     monkeypatch.setattr(radii, "_kernel_lambda_min", lambda a, rho, zs: calls.append(len(zs)) or lam_min(a, rho, zs))
-    for rho in (0.05, 0.5, 1.0, 1.5, 1.99, 2.0, 2.5, 3.0, 5.0):
+    for rho in (0.05, 0.5, 1.0, 1.5, 1.99, 2.0, 2.1, 2.5, 3.0, 5.0, 10.0):
         for s in mats:
             norm = op_norm(s)
-            bound = rho - 2 * abs(rho - 1) * norm - max(2 - rho, 0) * norm ** 2
+            bound = radii._kernel_norm_floor(norm, rho)
             guard = 2 * radii.SCREEN_ROUND_GUARD * len(s) * radii._kernel_scale(norm, rho)
             assert bound - guard <= kernel_margin(s, rho), (rho, s.shape)
             calls.clear()
             assert _level1_rows(s, rho, bound - guard) == ([], 0) and sum(calls) == 0, (rho, s.shape)
         # the test is tight: the scalar 0.9 of the last matrix attains the
-        # bound at z = 1 (rho >= 1) or -1 for rho <= 2, and a floor above
-        # the bound needs an eigensolve at every rho
+        # bound at z = 1 (rho >= 1) or -1 (rho < 1), and a floor above the
+        # bound needs an eigensolve at every rho
         rows, _ = _level1_rows(s, rho, bound + guard)
         assert sum(calls) > 0, rho
-        if rho <= 2:
-            assert kernel_margin(s, rho) == pytest.approx(bound, abs=1e-12)
-            assert rows and set(rows) == {0}, rho
+        assert kernel_margin(s, rho) == pytest.approx(bound, abs=1e-12)
+        assert rows and set(rows) == {0}, rho
+    # above rho = 2 the S*S term lifts the bound: a row with
+    # rho/(2(rho-1)) < ||S|| < 1, where rho - 2(rho-1)||S|| is negative,
+    # passes the member test at floor 0 with no eigensolve
+    for rho in SQUARE_RHOS:
+        for t in np.linspace(rho / (2 * (rho - 1)), 1, 6)[1:-1]:
+            assert rho - 2 * (rho - 1) * t < 0 < radii._kernel_norm_floor(t, rho)
+            for d in range(1, 5):
+                s = _random_matrix(rng, d)
+                s *= t / op_norm(s)
+                calls.clear()
+                assert _level1_rows(s, rho, 0.0) == ([], 0) and sum(calls) == 0, (rho, t, d)
+                assert kernel_margin(s, rho) >= radii._kernel_norm_floor(t, rho) - 1e-13 * _scale(s, rho)
 
 
 def test_slice_failures_floor_is_sound():
@@ -967,18 +1084,21 @@ def test_margin_within_bound_of_grid_engine():
 
 
 def test_norm_floor_screen_above_rho_2_equals_unscreened_loop():
-    # verdict and margin of the unscreened loop, In and Out at a torus
-    # slice, with some substitutions settled by their norm floor
+    # verdict and margin of the unscreened loop: In by the norm bound, In
+    # above it (d = 2) with some substitutions settled by their norm floor,
+    # and Out at a torus slice
     settled = 0
     for i, rho in enumerate((2.5, 3.0, 5.0)):
         for d in (1, 2):
             a = _triple(70 + 10 * i + d, d)
             base = 1 / sum(op_norm(m) for m in a.mats)
-            for scale in (0.9, 3.0):
-                v = membership_tuple(a.scale(scale * base), rho, budget=16)
-                assert _verdict(v) == _membership_tuple_loop(a.scale(scale * base), rho, budget=16)
+            inside = _inside_above_bound(a, rho)
+            for scale in (0.9 * base, 3.0 * base) + (() if inside is None else (inside,)):
+                v = membership_tuple(a.scale(scale), rho, budget=16)
+                assert _verdict(v) == _membership_tuple_loop(a.scale(scale), rho, budget=16)
                 cert = v.certificate
-                settled += cert["substitutions"] - cert["disk_minima"]
+                assert (cert["method"] == "norm-bound") == (scale == 0.9 * base), (rho, d, scale)
+                settled += cert.get("substitutions", 0) - cert.get("disk_minima", 0)
     assert settled > 0
 
 

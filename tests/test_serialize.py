@@ -137,3 +137,38 @@ def test_load_operator_input_rejects_non_object(tmp_path, text):
     p.write_text(text)
     with pytest.raises(InputError):
         load_operator_input(p)
+
+
+def _polynomial_json(*indices, n_vars=1):
+    return {"n_vars": n_vars, "terms": [{"index": idx, "coef": matrix_to_json(np.eye(2))} for idx in indices]}
+
+
+@pytest.mark.parametrize("value", [1.7, "1", None, [1], float("nan")])
+def test_polynomial_non_integral_n_vars_rejected(value):
+    with pytest.raises(InputError):
+        polynomial_from_json({**_polynomial_json([1]), "n_vars": value})
+
+
+@pytest.mark.parametrize("entry", [1.5, "a", "1", None, [1], float("inf")])
+def test_polynomial_non_integral_index_entry_rejected(entry):
+    with pytest.raises(InputError):
+        polynomial_from_json(_polynomial_json([0, entry], n_vars=2))
+
+
+@pytest.mark.parametrize("term", [{"coef": matrix_to_json(np.eye(2))}, {"index": [1]},
+                                  {"index": 1, "coef": matrix_to_json(np.eye(2))}, [1], "index", None])
+def test_polynomial_malformed_term_rejected(term):
+    with pytest.raises(InputError):
+        polynomial_from_json({"n_vars": 1, "terms": [term]})
+
+
+def test_polynomial_duplicate_index_rejected():
+    for first, second in (([1], [1]), ([1], [1.0]), ([0, 2.0], [0, 2])):
+        with pytest.raises(InputError, match="duplicate"):
+            polynomial_from_json(_polynomial_json(first, second, n_vars=len(first)))
+
+
+def test_polynomial_integral_float_counts_accepted():
+    f = polynomial_from_json(_polynomial_json([1.0, 0], [0, 2], n_vars=2.0))
+    assert f.n_vars == 2 and set(f.terms) == {(1, 0), (0, 2)}
+    assert all(type(x) is int for idx in f.terms for x in idx)
