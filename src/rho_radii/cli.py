@@ -26,7 +26,6 @@ from .radii import (
     DEFAULT_WIDTH,
     membership_tuple,
     numerical_radius,
-    w_rho,
     w_rho_tuple,
 )
 from .repro import EXPERIMENTS
@@ -52,10 +51,7 @@ def _emit_json(obj, output: str | None) -> None:
 
 def _cmd_radius(args) -> int:
     t = load_operator_input(args.input)
-    if t.n_vars == 1:
-        rep = w_rho(t.mats[0], args.rho, width=args.width)
-    else:
-        rep = w_rho_tuple(t, args.rho, width=args.width)
+    rep = w_rho_tuple(t, args.rho, width=args.width)
     _emit_json(rep.to_json(), args.output)
     return 0
 
@@ -116,10 +112,7 @@ def _cmd_sweep(args) -> int:
     buf = io.StringIO()
     buf.write("rho,w_rho\n")
     for rho in np.linspace(args.rho_from, args.rho_to, args.steps):
-        if t.n_vars == 1:
-            rep = w_rho(t.mats[0], float(rho))
-        else:
-            rep = w_rho_tuple(t, float(rho))
+        rep = w_rho_tuple(t, float(rho))
         buf.write(f"{float(rho):.12g},{rep.mid:.12g}\n")
     _emit(buf.getvalue(), args.output)
     return 0

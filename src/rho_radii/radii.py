@@ -12,7 +12,10 @@ unimodular roots of a *-palindromic quadratic.  A tuple whose norm sum
 keeps every kernel above the scalar floor (_kernel_norm_floor) is a member
 at once.  Otherwise it is tested on its torus slices
 A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, from one level-set iteration
-over many slices; that decides a pair.  Larger tuples also
+over many slices; that decides a pair, and the largest root it attains
+and the largest level at which it eliminates a slice bracket a pair's
+radius (the radii take rho and width; tol and budget are membership's).
+Larger tuples also
 substitute sampled commuting strict contractions C, a necessary test: the
 substitutions A(C) = sum_k A_k (x) C_k go through the same batched member
 test (_slice_failures) and level-set search (_slices_max) as the slices.
@@ -41,6 +44,8 @@ NECESSARY_ONLY = "NecessaryOnly"
 DEFAULT_TOL = 1e-9
 DEFAULT_WIDTH = 1e-6
 DEFAULT_BUDGET = 64
+#: Sampled commuting tuples substituted by the N >= 3 radius (w_rho_tuple).
+RADIUS_BUDGET = 16
 
 #: Strict-contraction cap for sampled commuting tuples.
 NORM_CAP = 1 - 1e-6
@@ -609,7 +614,9 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
     rounds of p angles per w_k (p odd, p^(N-1) about SLICE_REFINE_POINTS)
     spanning +- one spacing of the phases before (half the span before
     when p = 3) around the best, whose slice is skipped; each round is one
-    _slices_max run from the best root so far.  Returns (maximum, phases w* as an array, counters).
+    _slices_max run from the best root so far.  Returns (maximum attained,
+    largest elimination level, phases w* as an array, counters): the level
+    bounds w_rho of every slice searched, in every run.
     """
     k = a.n_vars - 1
     phases, span, p = _phase_grid(k)
@@ -623,7 +630,7 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
         span *= min(0.5, 2 / (p - 1))
     stats.update({key: sum(run[key] for run in runs)
                   for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves")})
-    return best[0], np.exp(1j * phi), stats
+    return best[0], max(float(run["levels"].max()) for run in runs), np.exp(1j * phi), stats
 
 
 def _mu_star_max(a: np.ndarray, rho: float, gap: float, extra=()) -> dict:
@@ -655,7 +662,7 @@ def _mu_star_max(a: np.ndarray, rho: float, gap: float, extra=()) -> dict:
     return {**run, "value": -run["value"], "level": -run["level"]}
 
 
-def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL) -> RadiusReport:
+def w_rho(a, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
     """Operator radius w_rho(A) = inf{u > 0 : A/u passes membership at rho}.
 
     Scaling A -> A/u moves the kernel at a disk point z = r e^{i theta}
@@ -679,15 +686,13 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH, tol: float = DEFAULT_TOL)
     angles: for mu just below |lam|, e^{i theta} lam/mu is within 1/(rho-2)
     of beta, the pencil is indefinite, and mu*(theta) >= r(A).  So
     hi > r(A)/beta (else InternalError) and hi is certified at every rho.
-    ``tol`` is checked and recorded; the kernel test does not enter the
-    radius.
     """
     m = _square(a, "radius")
-    _check_positive(rho=rho, width=width, tol=tol)
+    _check_positive(rho=rho, width=width)
     start = time.perf_counter()
     norm = op_norm(m)
     grid_spec = {"start_points": LEVELSET_START_POINTS, "levelset_iterations": 0, "crossing_solves": 0,
-                 "certified_level": 0.0, "tol": tol, "width": width}
+                 "certified_level": 0.0, "width": width}
     if norm == 0.0:
         return RadiusReport(0.0, 0.0, LEVELSET_METHOD, grid_spec, 0.0)
     unit = m / norm
@@ -823,11 +828,13 @@ def _slice_phases_json(w) -> list:
 
 
 def _worst_slice(a: OperatorTuple, rho: float):
-    """The worst slice A_1 + w_2 A_2 + ... + w_N A_N of a tuple
-    (_qep_theta_max), its phases w and its counters."""
-    scale = a.norm_sum() or 1.0
-    _, w, stats = _qep_theta_max(a.scale(1 / scale), rho)
-    return _slice_stack(a, w[None])[0], w, {**stats, "slice_w": _slice_phases_json(w)}
+    """The worst slice A_1 + w_2 A_2 + ... + w_N A_N of a tuple of nonzero
+    norm (_qep_theta_max on A/sum ||A_k||), its phases w, the largest root
+    attained and the largest elimination level, both in the tuple's units,
+    and the counters."""
+    scale = a.norm_sum()
+    root, level, w, stats = _qep_theta_max(a.scale(1 / scale), rho)
+    return _slice_stack(a, w[None])[0], w, root * scale, level * scale, {**stats, "slice_w": _slice_phases_json(w)}
 
 
 def _first_out_slice(a: OperatorTuple, rho: float, tol: float):
@@ -850,12 +857,6 @@ def _first_out_slice(a: OperatorTuple, rho: float, tol: float):
             if v.decision == OUT:
                 return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
     return None, None, stats
-
-
-def _check_tuple_knobs(rho: float, tol: float, budget: int) -> None:
-    _check_positive(rho=rho, tol=tol)
-    if budget < 1:
-        raise InputError("budget must be at least 1")
 
 
 def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
@@ -899,7 +900,9 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     -tol is the Out witness, else the In margin is the smallest of them and
     the slice's.  Verdict and margin are those of every disk minimum.
     """
-    _check_tuple_knobs(rho, tol, budget)
+    _check_positive(rho=rho, tol=tol)
+    if budget < 1:
+        raise InputError("budget must be at least 1")
     if a.n_vars == 1:
         return membership_single(a.mats[0], rho, tol)
     norm_sum = a.norm_sum()
@@ -909,7 +912,7 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
         return MembershipVerdict(IN, floor, cert, CERTIFIED)
     w, v, spec = _first_out_slice(a, rho, tol)
     if v is None:
-        b, w, worst = _worst_slice(a, rho)
+        b, w, _, _, worst = _worst_slice(a, rho)
         v, spec = membership_single(b, rho, tol), {**worst, **spec}
     z = complex(*v.certificate["witness_z"])
     cert = {**v.certificate, **spec, "method": "torus-slice+" + v.certificate["method"],
@@ -937,53 +940,55 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     return MembershipVerdict(IN, margin, cert, NECESSARY_ONLY)
 
 
-def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH,
-                budget: int = 16, tol: float = DEFAULT_TOL) -> RadiusReport:
+def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
     """Tuple radius bracket.
 
-    N >= 2 starts from w_rho of the worst torus slice A_1 + w_2 A_2 + ...
-    (_worst_slice; see membership_tuple).  For a pair that is the radius:
-    its lo is proven, since a slice that is not a member makes the pair not
-    a member; its hi rests on the phases of the slice search.
+    N = 1 delegates to w_rho.  For N >= 2 the bracket comes from the search
+    over the torus slices A_1 + w_2 A_2 + ... + w_N A_N (_worst_slice; see
+    membership_tuple).  lo is the largest root attained less the radius
+    gap, RADIUS_GAP (1 + max(1, 2/rho - 1)) sum ||A_k|| and at most width/4.
+    It is proven: a slice that is not a member puts the tuple out of the
+    class.  For a pair the largest w_rho of the slices is the radius, and hi
+    is the search's largest elimination level (``certified_level``), at
+    which every slice searched passes the member test; between the phases
+    searched it rests on the search.  Its bracket is at least the search's
+    level gap (SLICE_GAP, relative) wide, whatever the width.
 
     N >= 3: hi is the bound sum ||A_k|| max(1, 2/rho - 1): for commuting
     contractions C, ||A(C)|| <= sum ||A_k||, and
     w_rho(T) <= max(1, 2/rho - 1) ||T||.  The substitutions of
-    A/sum ||A_k|| with budget sampled commuting tuples go through the
-    slices' level-set search (_slices_max, counted as ``substitution_*``),
-    one stack per sample size, from the slice's lo as the value attained.
-    lo is proven too: the slice's lo, or a substitution's attained root less
-    the radius gap where that is larger (w_rho(A(C)) <= w_rho(A) for
-    commuting strict contractions C).  ``necessary_estimate`` is the largest
+    A/sum ||A_k|| with RADIUS_BUDGET sampled commuting tuples go through
+    the slices' level-set search (_slices_max, counted as
+    ``substitution_*``), one stack per sample size, from the slices' root
+    as the value attained.  lo rises to a substitution's attained root less
+    the gap where that is larger (w_rho(A(C)) <= w_rho(A) for commuting
+    strict contractions C).  ``necessary_estimate`` is the largest
     elimination level, above which every sampled substitution passes.
     """
-    _check_tuple_knobs(rho, tol, budget)
-    _check_positive(width=width)
-    start = time.perf_counter()
+    _check_positive(rho=rho, width=width)
     if a.n_vars == 1:
-        return w_rho(a.mats[0], rho, width, tol)
-    b, _, spec = _worst_slice(a, rho)
-    rep = w_rho(b, rho, width, tol)
-    if a.n_vars == 2:
-        return RadiusReport(rep.lo, rep.hi, "torus-slice+" + rep.method, {**rep.grid_spec, **spec},
-                            time.perf_counter() - start)
-
-    method = "torus-slice+commuting-substitution"
+        return w_rho(a.mats[0], rho, width)
+    start = time.perf_counter()
+    method = "torus-slice+levelset" if a.n_vars == 2 else "torus-slice+commuting-substitution"
     norm_sum = a.norm_sum()
-    grid_spec = {**spec, "budget": budget, "width": width, "tol": tol, "substitution_levels": 0,
-                 "substitution_crossing_solves": 0, "substitution_root_solves": 0, "necessary_estimate": 0.0}
     if norm_sum == 0.0:
-        return RadiusReport(0.0, 0.0, method, grid_spec, time.perf_counter() - start)
-    samples = sample_commuting_tuples(a.n_vars, budget, dims=(2, 3))
-    value = top = rep.lo / norm_sum
-    for _, stack in _substitutions(a.scale(1 / norm_sum), samples):
-        run = _slices_max(stack, rho, (value, 0.0))
-        for key in ("levels", "crossing_solves", "root_solves"):
-            grid_spec["substitution_" + key] += run["slice_" + key]
-        # at rho = 1 the levels are the norms, which may lie below the value
-        value, top = run["value"], max(top, run["value"], run["levels"].max())
-    gap = min(RADIUS_GAP * (1 + max(1.0, 2.0 / rho - 1.0)), width / (4 * norm_sum))
-    lo = max(rep.lo, (value - gap) * norm_sum)
-    hi = norm_sum * max(1.0, 2.0 / rho - 1.0)
-    grid_spec["necessary_estimate"] = top * norm_sum
-    return RadiusReport(lo, max(top * norm_sum, hi), method, grid_spec, time.perf_counter() - start)
+        return RadiusReport(0.0, 0.0, method, {"width": width}, time.perf_counter() - start)
+    _, _, root, level, spec = _worst_slice(a, rho)
+    grid_spec, value = {**spec, "width": width}, root / norm_sum
+    bound = max(1.0, 2.0 / rho - 1.0)
+    if a.n_vars == 2:
+        hi = grid_spec["certified_level"] = level
+    else:
+        grid_spec.update(budget=RADIUS_BUDGET, substitution_levels=0, substitution_crossing_solves=0,
+                         substitution_root_solves=0)
+        top, samples = value, sample_commuting_tuples(a.n_vars, RADIUS_BUDGET, dims=(2, 3))
+        for _, stack in _substitutions(a.scale(1 / norm_sum), samples):
+            run = _slices_max(stack, rho, (value, 0.0))
+            for key in ("levels", "crossing_solves", "root_solves"):
+                grid_spec["substitution_" + key] += run["slice_" + key]
+            # at rho = 1 the levels are the norms, which may lie below the value
+            value, top = run["value"], max(top, run["value"], run["levels"].max())
+        grid_spec["necessary_estimate"] = top * norm_sum
+        hi = max(top, bound) * norm_sum
+    gap = min(RADIUS_GAP * (1 + bound), width / (4 * norm_sum))
+    return RadiusReport((value - gap) * norm_sum, hi, method, grid_spec, time.perf_counter() - start)

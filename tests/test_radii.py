@@ -420,7 +420,7 @@ def test_norm_bound_fires_iff_triple_radius_hi_below_1():
                 for factor in (0.5, 0.999, 1.001, 1.5, 4.0):
                     b = a.scale(factor / _norm_bound(a, rho))
                     fired = membership_tuple(b, rho, budget=4).certificate["method"] == "norm-bound"
-                    hi = w_rho_tuple(b, rho, budget=4).hi
+                    hi = w_rho_tuple(b, rho).hi
                     assert fired == (hi < 1), (n_vars, rho, d, factor, hi)
 
 
@@ -472,6 +472,19 @@ def test_pair_verdict_agrees_with_radius():
             assert v_in.certificate["slice_root_solves"] == spec["slice_root_solves"]
 
 
+def test_pair_hi_bounds_every_grid_slice():
+    # hi is the slice search's largest elimination level, so it bounds
+    # w_rho of every slice searched, the first phase grid among them
+    rng = np.random.default_rng(31)
+    w = np.exp(1j * radii._phase_grid(1)[0])
+    for d in (1, 2, 3):
+        pair = OperatorTuple((_random_matrix(rng, d), _random_matrix(rng, d)))
+        for rho in (0.5, 1.0, 2.0, 3.0):
+            rep = w_rho_tuple(pair, rho)
+            for s in radii._slice_stack(pair, w):
+                assert rep.hi >= w_rho(s, rho).lo, (d, rho, rep)
+
+
 def test_pair_radius_above_commuting_substitutions():
     # commuting strict contractions substituted into a member give members
     samples = sample_commuting_tuples(2, 16, dims=(2, 3))
@@ -488,19 +501,17 @@ def test_tuple_knobs_rejected(n_vars):
     for kwargs in ({"tol": 0.0}, {"tol": -1.0}, {"budget": 0}, {"budget": -5}):
         with pytest.raises(InputError):
             membership_tuple(t, 2.0, **kwargs)
-        with pytest.raises(InputError):
-            w_rho_tuple(t, 2.0, **kwargs)
-    with pytest.raises(InputError):
-        w_rho(NILP, 2.0, tol=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_knobs_rejected(bad):
     pair = OperatorTuple((0.1 * NILP, 0.1 * np.eye(2)))
     for fn, a in ((w_rho, NILP), (membership_single, NILP), (membership_tuple, pair), (w_rho_tuple, pair)):
-        for kwargs in ({"rho": bad}, {"rho": 2.0, "tol": bad}):
-            with pytest.raises(InputError):
-                fn(a, **kwargs)
+        with pytest.raises(InputError):
+            fn(a, rho=bad)
+    for fn, a in ((membership_single, NILP), (membership_tuple, pair)):
+        with pytest.raises(InputError):
+            fn(a, rho=2.0, tol=bad)
     for fn, a in ((w_rho, NILP), (w_rho_tuple, pair)):
         with pytest.raises(InputError):
             fn(a, 2.0, width=bad)
@@ -540,12 +551,17 @@ def _triple(seed, d):
 
 
 def _first_variable_as_slice(monkeypatch):
-    """Put A_1 in place of the worst torus slice.  No sampled substitution
+    """Put A_1 in place of the worst torus slice, with the ends of its w_rho
+    bracket as the root attained and the level.  No sampled substitution
     of a random triple was seen to fail above its worst slice, so the
     pinned triples below reach an Out substitution only against this
     weaker slice."""
+    def first_variable(a, rho):
+        rep = w_rho(a.mats[0], rho)
+        return a.mats[0], np.zeros(a.n_vars - 1), rep.lo, rep.hi, {}
+
     monkeypatch.setattr(radii, "_first_out_slice", lambda a, rho, tol: (None, None, {}))
-    monkeypatch.setattr(radii, "_worst_slice", lambda a, rho: (a.mats[0], np.zeros(a.n_vars - 1), {}))
+    monkeypatch.setattr(radii, "_worst_slice", first_variable)
 
 
 def _inside_above_bound(a, rho):
@@ -650,9 +666,9 @@ def test_slice_search_not_below_full_grid():
         kinds = _kinds(rng, d)
         pair = OperatorTuple((kinds[d % 3] / 2, kinds[(d + 1) % 3] / 2))
         for rho in QEP_RHOS:
-            got, w, stats = radii._qep_theta_max(pair, rho)
+            got, level, w, stats = radii._qep_theta_max(pair, rho)
             ref = _qep_theta_max_full(pair, rho)
-            assert got >= ref - radii.SLICE_GAP * (1 + ref), (d, rho, got, ref)
+            assert ref - radii.SLICE_GAP * (1 + ref) <= got <= level, (d, rho, got, level, ref)
             assert w.shape == (1,) and abs(w[0]) == pytest.approx(1.0, abs=1e-15)
             assert (stats["slice_points"], stats["slice_refine_rounds"]) == (radii.SLICE_POINTS,
                                                                              radii.SLICE_REFINE_ROUNDS)
@@ -891,26 +907,27 @@ def test_level1_pass_at_rho_1_solves_no_crossings():
 
 def test_triple_radius_substitutions_on_the_slice_engine(monkeypatch):
     # necessary_estimate is above every sampled substitution's w_rho, lo is
-    # the worst slice's, and against the weaker slice A_1 lo rises to the
-    # best substitution's w_rho
+    # the slice search's attained root less the gap, and against the weaker
+    # slice A_1 lo rises to the best substitution's w_rho
+    budget = radii.RADIUS_BUDGET
     for i, rho in enumerate((0.5, 2.0, 3.0)):
-        for budget in (8, 16):
-            a = _triple(80 + i, 2)
-            a = a.scale(1 / sum(op_norm(m) for m in a.mats))
-            subs = [w_rho(substitute(a, c), rho) for c in sample_commuting_tuples(3, budget, dims=(2, 3))]
-            rep = w_rho_tuple(a, rho, budget=budget)
-            spec = rep.grid_spec
-            assert spec["necessary_estimate"] >= max(r.lo for r in subs), (rho, budget)
-            assert rep.lo == w_rho(radii._worst_slice(a, rho)[0], rho).lo, (rho, budget)
-            assert rep.lo <= spec["necessary_estimate"] <= rep.hi
-            assert spec["substitution_levels"] >= 1 and "disk_minima" not in spec
-            with monkeypatch.context() as m:
-                _first_variable_as_slice(m)
-                weak = w_rho_tuple(a, rho, budget=budget)
-            best = max(subs, key=lambda r: r.hi)
-            assert w_rho(a.mats[0], rho).lo < best.lo, (rho, budget)
-            assert best.lo * (1 - 1e-8) <= weak.lo <= best.hi <= weak.hi, (rho, budget, weak.lo, best)
-            assert weak.lo <= weak.grid_spec["necessary_estimate"] <= weak.hi
+        a = _triple(80 + i, 2)
+        a = a.scale(1 / sum(op_norm(m) for m in a.mats))
+        subs = [w_rho(substitute(a, c), rho) for c in sample_commuting_tuples(3, budget, dims=(2, 3))]
+        rep = w_rho_tuple(a, rho)
+        spec = rep.grid_spec
+        assert spec["necessary_estimate"] >= max(r.lo for r in subs), rho
+        root, gap = radii._worst_slice(a, rho)[2], radii.RADIUS_GAP * (1 + max(1.0, 2.0 / rho - 1.0))
+        assert rep.lo == pytest.approx(root - gap * a.norm_sum(), rel=1e-14, abs=0), rho
+        assert rep.lo <= spec["necessary_estimate"] <= rep.hi
+        assert spec["substitution_levels"] >= 1 and "disk_minima" not in spec
+        with monkeypatch.context() as m:
+            _first_variable_as_slice(m)
+            weak = w_rho_tuple(a, rho)
+        best = max(subs, key=lambda r: r.hi)
+        assert w_rho(a.mats[0], rho).lo < best.lo, rho
+        assert best.lo * (1 - 1e-8) <= weak.lo <= best.hi <= weak.hi, (rho, weak.lo, best)
+        assert weak.lo <= weak.grid_spec["necessary_estimate"] <= weak.hi
 
 
 # ---------------------------------------------------------------------------
