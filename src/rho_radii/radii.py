@@ -11,14 +11,15 @@ Control Lett. 15, 1990): the angles where a level is attained are the
 unimodular roots of a *-palindromic quadratic.  A tuple whose norm sum
 keeps every kernel above the scalar floor (_kernel_norm_floor) is a member
 at once.  Otherwise it is tested on its torus slices
-A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, from one level-set iteration
-over many slices; that decides a pair, and the largest root it attains
-and the largest level at which it eliminates a slice bracket a pair's
-radius (the radii take rho and width; tol and budget are membership's).
-Larger tuples also
-substitute sampled commuting strict contractions C, a necessary test: the
-substitutions A(C) = sum_k A_k (x) C_k go through the same batched member
-test (_slice_failures) and level-set search (_slices_max) as the slices.
+A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1: Out where the batched member
+test (_slice_failures) of the first phase grid computes a lambda_min k
+below -tol, that attained value the margin; else one level-set iteration
+over many slices decides a pair, and the largest root it attains and the
+largest level at which it eliminates a slice bracket a pair's radius (the
+radii take rho and width; tol and budget are membership's).  Larger tuples
+also substitute sampled commuting strict contractions C, a necessary test:
+the substitutions A(C) = sum_k A_k (x) C_k go through the same member test
+and level-set search (_slices_max) as the slices.
 """
 
 from __future__ import annotations
@@ -503,7 +504,7 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
         level += SLICE_GAP * (1 + level)
         failures = list(_slice_failures(s[live], rho, level, anchors[live], norms[live],
                                         None if top is None else top[live], out))
-        rows, angles = (np.concatenate(parts) for parts in zip(*failures))
+        rows, angles = (np.concatenate(parts) for parts in list(zip(*failures))[:2])
         failed = np.isin(np.arange(live.size), rows)
         levels[live[~failed]] = level
         if rows.size:
@@ -525,8 +526,10 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
                     floor: float = 0.0):
     """The matrices S of the stack ``s`` for which lambda_min k, k the
     kernel of S/L, L = ``level``, is not shown to stay above ``floor`` on
-    the closed disk, in two (rows, angles) batches, each angle one where
-    the row fails.  At floor 0 a row not returned has S/L a member.
+    the closed disk, in two (rows, angles, values) batches, each angle one
+    where the row fails and each value lambda_min k computed there (nan
+    for a rho > 2 row with r(S) >= beta L, whose angle is not where a
+    kernel was evaluated).  At floor 0 a row not returned has S/L a member.
 
     ``norms`` bound ||S|| (the Frobenius norms will do), and every test
     allows the rounding guard SCREEN_ROUND_GUARD d times the kernel's norm
@@ -553,11 +556,12 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     cut = floor + SCREEN_ROUND_GUARD * d * _kernel_scale(t, rho)
     idx = np.flatnonzero(_kernel_norm_floor(t, rho) <= cut)
     u, angles = s[idx] / level, anchors[idx]
-    bad = _kernel_lambda_min(u, rho, np.exp(1j * angles)) <= cut[idx]
+    vals = _kernel_lambda_min(u, rho, np.exp(1j * angles))
+    bad = vals <= cut[idx]
     if rho > 2:
         wide = (rho - 2) * np.abs(top[idx]) >= (rho - 1) * level
-        angles, bad = np.where(wide, -np.angle(top[idx]), angles), bad | wide
-    yield idx[bad], angles[bad]
+        angles, bad, vals = np.where(wide, -np.angle(top[idx]), angles), bad | wide, np.where(wide, np.nan, vals)
+    yield idx[bad], angles[bad], vals[bad]
     if rho == 1 or bad.all():
         return
     u, idx, angles = u[~bad], idx[~bad], angles[~bad]
@@ -568,8 +572,9 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
     at, col = np.nonzero(col < count)
     mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
-    fail = _kernel_lambda_min(u[at], rho, np.exp(1j * mids)) <= cut[idx[at]]
-    yield idx[at[fail]], mids[fail]
+    vals = _kernel_lambda_min(u[at], rho, np.exp(1j * mids))
+    fail = vals <= cut[idx[at]]
+    yield idx[at[fail]], mids[fail], vals[fail]
 
 
 def _level1_failures(s: np.ndarray, rho: float, out: dict, floor: float = 0.0):
@@ -585,13 +590,17 @@ def _phase_tensor(axis: np.ndarray, k: int) -> np.ndarray:
     return np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
 
 
+@functools.lru_cache(maxsize=None)
 def _phase_grid(k: int) -> tuple:
     """The first phase grid of _qep_theta_max for k = N - 1 phases: the
     (n^k, k) array of angles, their spacing 2 pi/n, and the refinement's
-    points per phase p."""
+    points per phase p.  Memoised per k and shared by every caller, so the
+    array is read-only."""
     n = round(SLICE_POINTS ** (1 / k))
     p = 2 * round((SLICE_REFINE_POINTS - 1) ** (1 / k) / 2) + 1
-    return _phase_tensor(np.linspace(0, 2 * np.pi, n, endpoint=False), k), 2 * np.pi / n, p
+    phases = _phase_tensor(np.linspace(0, 2 * np.pi, n, endpoint=False), k)
+    phases.setflags(write=False)
+    return phases, 2 * np.pi / n, p
 
 
 def _slice_stack(a: OperatorTuple, w: np.ndarray) -> np.ndarray:
@@ -840,20 +849,29 @@ def _worst_slice(a: OperatorTuple, rho: float):
 def _first_out_slice(a: OperatorTuple, rho: float, tol: float):
     """The level-1 pass of membership_tuple over the first phase grid of
     _qep_theta_max: the slices that _level1_failures does not show to be
-    members go to membership_single in turn, and the pass stops at the
-    first one decided Out.  The anchor test runs before the batched
-    crossing solve, so a slice that fails at its anchor settles the tuple
-    without one.  Returns (phases, verdict) of that slice, or (None, None),
-    and the counters (with the slice's phases)."""
+    members are taken in turn, and the pass stops at the first one decided
+    Out.  A slice whose smallest value from _level1_failures is below -tol
+    is Out with that value as margin and its angle as witness
+    ("kernel-witness"); the others (nan, or in [-tol, guard]) go to
+    membership_single.  The anchor test runs before the batched crossing
+    solve, so a slice that fails at its anchor settles the tuple without
+    one.  Returns (phases, verdict) of that slice, or (None, None), and
+    the counters (with the slice's phases)."""
     w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
     s = _slice_stack(a, w)
     solves = {"slice_crossing_solves": 0}
     stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
-    for rows, _ in _level1_failures(s, rho, solves):
+    for rows, angles, vals in _level1_failures(s, rho, solves):
         stats["level1_crossing_solves"] = solves["slice_crossing_solves"]
         for i in dict.fromkeys(rows.tolist()):
-            stats["level1_memberships"] += 1
-            v = membership_single(s[i], rho, tol)
+            j = np.flatnonzero(rows == i)[np.argmin(vals[rows == i])]
+            if vals[j] < -tol:
+                z, km = complex(np.exp(1j * angles[j])), float(vals[j])
+                v = MembershipVerdict(OUT, km, {"method": "kernel-witness", "witness_z": [z.real, z.imag],
+                                                "kernel_margin": km, "tol": tol})
+            else:
+                stats["level1_memberships"] += 1
+                v = membership_single(s[i], rho, tol)
             if v.decision == OUT:
                 return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
     return None, None, stats
@@ -874,10 +892,12 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     its torus slices A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, as
     zeta A = zeta_1 S(zeta_2/zeta_1, ...): a slice that is not a member
     puts the tuple out of the class.  The level-1 pass (_first_out_slice)
-    comes first and returns Out, from membership_single of the first grid
-    slice that fails, with that slice's margin, witness and phases.
-    Otherwise the worst slice of the phase search (_qep_theta_max, the same
-    search as w_rho_tuple's) is decided by membership_single.
+    comes first and returns Out at the first grid slice that fails, with
+    its phases; its margin is lambda_min k at the witness, an attained
+    value (at least the slice's disk minimum), unless membership_single
+    decided that slice.  Otherwise the worst slice of the phase search
+    (_qep_theta_max, the same search as w_rho_tuple's) is decided by
+    membership_single.
 
     For a pair that is exact: by the two-variable von Neumann inequality
     (Ando) membership is sup ||phi(zA)|| <= 1 on the closed bidisk, and by
@@ -896,9 +916,10 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     slice's kernel margin as its floor (``substitution_crossing_solves``),
     which returns every substitution whose disk minimum may lie below that
     margin: only those can be the Out witness or lower the margin.  They get
-    their disk minimum (``disk_minima``) in sample order; the first below
-    -tol is the Out witness, else the In margin is the smallest of them and
-    the slice's.  Verdict and margin are those of every disk minimum.
+    their disk minimum (``disk_minima``, not the member test's values) in
+    sample order; the first below -tol is the Out witness, else the In
+    margin is the smallest of them and the slice's.  Verdict and margin are
+    those of every disk minimum.
     """
     _check_positive(rho=rho, tol=tol)
     if budget < 1:
@@ -926,7 +947,7 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     samples = sample_commuting_tuples(a.n_vars, budget)
     solves, failing = {"slice_crossing_solves": 0}, {}
     for idx, stack in _substitutions(a, samples):
-        for rows, _ in _level1_failures(stack, rho, solves, v.margin):
+        for rows, _, _ in _level1_failures(stack, rho, solves, v.margin):
             failing.update((idx[i], stack[i]) for i in rows)
     cert.update(substitutions=len(samples), substitution_crossing_solves=solves["slice_crossing_solves"])
     margin = v.margin

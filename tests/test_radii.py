@@ -793,7 +793,7 @@ def _level1_rows(s, rho, floor):
     stack = s[None].astype(complex)
     top = radii._top_eigenvalues(stack) if rho > 2 else None
     batches = radii._slice_failures(stack, rho, 1.0, np.zeros(1), np.array([op_norm(s)]), top, out, floor)
-    return [int(i) for rows, _ in batches for i in rows], out["slice_crossing_solves"]
+    return [int(i) for rows, _, _ in batches for i in rows], out["slice_crossing_solves"]
 
 
 def test_kernel_norm_floor_below_disk_minimum(monkeypatch):
@@ -861,7 +861,7 @@ def test_slice_failures_floor_is_sound():
                     for floor in (0.0, -1e-9, 0.3):
                         out = {"slice_crossing_solves": 0}
                         batches = radii._slice_failures(s, rho, level, np.zeros(len(s)), norms, top, out, floor)
-                        rows = {int(i) for r, _ in batches for i in r}
+                        rows = {int(i) for r, _, _ in batches for i in r}
                         assert rows.issuperset(must), (d, rho, level, floor)
                         for i, (b, low) in enumerate(zip(s / level, minima)):
                             if i not in rows:
@@ -903,6 +903,87 @@ def test_level1_pass_at_rho_1_solves_no_crossings():
         for scale, want in ((rep.hi * (1 + 1e-6), IN), (rep.lo * (1 - 1e-6), OUT)):
             v = membership_tuple(pair.scale(1 / scale), 1.0)
             assert v.decision == want and v.certificate["level1_crossing_solves"] == 0, (want, v.certificate)
+
+
+def _first_grid_reference(a, rho, tol):
+    """The Out slice as membership_single decides it: every first-grid
+    slice that the level-1 member test returns, in its order, then the
+    worst slice of the search.  Returns (decision, slice_w)."""
+    w = np.exp(1j * radii._phase_grid(a.n_vars - 1)[0])
+    s = radii._slice_stack(a, w)
+    for rows, _, _ in radii._level1_failures(s, rho, {"slice_crossing_solves": 0}):
+        for i in dict.fromkeys(rows.tolist()):
+            if membership_single(s[i], rho, tol).decision == OUT:
+                return OUT, radii._slice_phases_json(w[i])
+    b, _, _, _, spec = radii._worst_slice(a, rho)
+    return membership_single(b, rho, tol).decision, spec["slice_w"]
+
+
+def _slice_of(a, cert):
+    """The slice A_1 + w_2 A_2 + ... named by a certificate's slice_w."""
+    w = np.array(cert["slice_w"], dtype=float).reshape(-1, 2) @ [1, 1j]
+    return radii._slice_stack(a, w[None])[0]
+
+
+def _out_tuples(rng):
+    """(tuple, rho): random pairs and triples, d 1-4, scaled 1.001-2x
+    beyond the proven lower end of their radius bracket, so outside the
+    class."""
+    for n_vars in (2, 3):
+        for d in range(1, 5):
+            for rho in (0.5, 1.0, 2.0, 3.0, 10.0):
+                a = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(n_vars)))
+                lo = w_rho_tuple(a, rho).lo
+                for factor in (1.001, rng.uniform(1.001, 2.0), 2.0):
+                    yield a.scale(factor / lo), rho
+
+
+def test_out_witness_equals_membership_single_path():
+    # an Out verdict read from the member test's own kernel value decides
+    # as membership_single of every failing grid slice in order, on the
+    # same slice, and its margin is attained at its witness: below -tol,
+    # lambda_min k of the pencil there, and at least the slice's minimum
+    rng = np.random.default_rng(71)
+    witnessed = 0
+    for a, rho in _out_tuples(rng):
+        v = membership_tuple(a, rho, budget=16)
+        cert = v.certificate
+        assert v.decision == OUT and v.exactness == CERTIFIED, (a.n_vars, a.dim, rho)
+        assert (v.decision, cert["slice_w"]) == _first_grid_reference(a, rho, DEFAULT_TOL), cert
+        assert v.margin < -DEFAULT_TOL
+        za = eval_pencil(a, np.array(cert["witness_z"]) @ [1, 1j])
+        scale = _scale(za, rho)
+        assert abs(v.margin - radii._kernel_lambda_min(za, rho, np.ones(1))[0]) <= 1e-12 * scale, cert
+        b = _slice_of(a, cert)
+        assert v.margin >= kernel_margin(b, rho) - 2 * radii.KERNEL_GAP * _scale(b, rho), cert
+        if cert["method"].startswith("torus-slice+kernel-witness"):
+            witnessed += 1
+            assert "certified_level" not in cert and "levelset_iterations" not in cert
+            assert cert["kernel_margin"] == v.margin
+    assert witnessed > 0
+
+
+def test_out_witness_falls_back_to_membership_single():
+    rng = np.random.default_rng(72)
+    # a rho > 2 slice with r(S) >= beta keeps its exact margin -1/(rho-2)
+    for rho in (3.0, 10.0):
+        for d in range(1, 5):
+            a = OperatorTuple((_random_matrix(rng, d), _random_matrix(rng, d)))
+            a = a.scale(1.01 * _beta(rho) / spectral_radius(a.mats[0] + a.mats[1]))
+            v = membership_tuple(a, rho)
+            assert v.decision == OUT and v.margin == -1 / (rho - 2), (rho, d)
+            assert v.certificate["method"] == "torus-slice+kernel-levelset"
+            assert v.certificate["level1_memberships"] >= 1
+    # with a large tol, a slice just outside the class has its values in
+    # [-tol, guard], so membership_single decides it
+    tol = 0.05
+    for d in range(1, 5):
+        for rho in (0.5, 2.0, 3.0):
+            a = OperatorTuple((_random_matrix(rng, d), _random_matrix(rng, d)))
+            a = a.scale(1.001 / w_rho_tuple(a, rho).lo)
+            v = membership_tuple(a, rho, tol)
+            assert v.certificate["level1_memberships"] >= 1, (d, rho, v.certificate)
+            assert (v.decision, v.certificate["slice_w"]) == _first_grid_reference(a, rho, tol), (d, rho)
 
 
 def test_triple_radius_substitutions_on_the_slice_engine(monkeypatch):
