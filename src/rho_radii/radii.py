@@ -8,7 +8,9 @@ the circle of the largest root of a quadratic eigenproblem in the scaling.
 Both extrema over the circle come from the level-set iteration of Byers
 (SIAM J. Sci. Stat. Comput. 9, 1988) and Boyd & Balakrishnan (Syst.
 Control Lett. 15, 1990): the angles where a level is attained are the
-unimodular roots of a *-palindromic quadratic.  A tuple whose norm sum
+unimodular roots of a *-palindromic quadratic.  One radius engine serves
+every N: the joint level-set search over a stack of slices (_slices_max),
+which for a single operator is a stack of one.  A tuple whose norm sum
 keeps every kernel above the scalar floor (_kernel_norm_floor) is a member
 at once.  Otherwise it is tested on its torus slices
 A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1: Out where the batched member
@@ -76,9 +78,9 @@ LEVELSET_REAL_TOL = 1e-7
 #: margin, relative to the kernel's norm bound; it bounds how far the
 #: reported margin can lie above the minimum.
 KERNEL_GAP = 1e-12
-#: Gap of the radius iteration, relative to 1 + max(1, 2/rho - 1) for a
-#: matrix of norm 1 (at most width/4 in absolute terms).  It is also the
-#: rounding guard that puts lo below the attained root.
+#: Gap between the best root attained and a radius's lo, relative to
+#: 1 + max(1, 2/rho - 1) for a matrix of norm 1 (at most width/4 in
+#: absolute terms): the rounding guard that puts lo below the attained root.
 RADIUS_GAP = 1e-9
 
 #: Phases (w_2, ..., w_N) of the slices A_1 + w_2 A_2 + ... + w_N A_N
@@ -203,7 +205,7 @@ def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
     return theta[0, :np.count_nonzero(real)] if single else theta
 
 
-def _levelset_min(h, pencil, gap: float, bound: float = math.inf, extra=()) -> dict:
+def _levelset_min(h, pencil, gap: float) -> dict:
     """Minimum over the circle of a continuous function h(theta), by the
     level-set iteration.
 
@@ -211,23 +213,21 @@ def _levelset_min(h, pencil, gap: float, bound: float = math.inf, extra=()) -> d
     returns (E, M) such that k(theta) of _circle_crossings is singular where
     h(theta) = level and positive definite where h(theta) > level (other
     branches may be singular too).  It starts from the best value at
-    LEVELSET_START_POINTS equal-spaced and the ``extra`` angles, capped at
-    ``bound`` (a value h is known to reach).  At level = best - gap it finds
-    the crossings, evaluates h at the midpoints between consecutive
+    LEVELSET_START_POINTS equal-spaced angles.  At level = best - gap it
+    finds the crossings, evaluates h at the midpoints between consecutive
     crossings and takes the smallest.  It stops at a level with no
     crossing, or at one where no midpoint falls below the level.  Then
     h >= level everywhere: a set where h < level is open, bounded by
     crossings, so it would hold the midpoint of a gap between two of them.
 
     Returns {"value", "theta", "level", "iterations"}: the best value, the
-    angle that attains it (None if no sample fell below ``bound``), the
-    certified stop level, and the crossing solves.
+    angle that attains it, the certified stop level, and the crossing
+    solves.
     """
-    thetas = np.append(np.linspace(0, 2 * np.pi, LEVELSET_START_POINTS, endpoint=False),
-                       np.mod(extra, 2 * np.pi))
+    thetas = np.linspace(0, 2 * np.pi, LEVELSET_START_POINTS, endpoint=False)
     vals = h(thetas)
     i = int(np.argmin(vals))
-    best, theta = (float(vals[i]), float(thetas[i])) if vals[i] <= bound else (bound, None)
+    best, theta = float(vals[i]), float(thetas[i])
     psi = float(thetas[int(np.argmax(vals))])
     for it in range(1, LEVELSET_MAX_ITERATIONS + 1):
         level = best - gap
@@ -290,8 +290,7 @@ def _kernel_disk_min(a: np.ndarray, rho: float):
     scale = _kernel_scale(float(np.linalg.norm(a)), rho)
     stats = {"theta_points": 1, "levelset_iterations": 0, "crossing_solves": 0}
     if rho > 2:
-        lam = np.linalg.eigvals(a)
-        top = lam[int(np.argmax(np.abs(lam)))]
+        top = _top_eigenvalues(a[None])[0]
         stats["spectral_radius"] = float(abs(top))
         beta = (rho - 1) / (rho - 2)
         if abs(top) >= beta:
@@ -434,19 +433,17 @@ def membership_single_all_conditions(a, rho: float, tol: float = DEFAULT_TOL) ->
     }
 
 
-def _qep_top_roots(za: np.ndarray, rho: float, gram: np.ndarray | None = None) -> np.ndarray:
+def _qep_top_roots(za: np.ndarray, rho: float) -> np.ndarray:
     """Largest real root mu*(zeta) of the quadratic pencil
     rho mu^2 I - (rho-1) mu (zeta A + (zeta A)*) + (rho-2) (zeta A)*(zeta A)
     for each pencil value zeta A in the stack ``za`` (-inf where no root is
     real), from batched eigenvalues of the 2d x 2d companion matrix
-    [[0, I], [-(rho-2)/rho G, (rho-1)/rho H]].  ``gram`` is G when it is
-    the same at every point (A*A for a single operator on the circle);
-    otherwise G is formed per point."""
+    [[0, I], [-(rho-2)/rho G, (rho-1)/rho H]], G = (zeta A)*(zeta A)."""
     d = za.shape[1]
     zah = za.conj().transpose(0, 2, 1)
     comp = np.zeros((len(za), 2 * d, 2 * d), dtype=complex)
     comp[:, :d, d:] = np.eye(d)
-    comp[:, d:, :d] = -(rho - 2) / rho * (zah @ za if gram is None else gram)
+    comp[:, d:, :d] = -(rho - 2) / rho * (zah @ za)
     comp[:, d:, d:] = (rho - 1) / rho * (za + zah)
     roots = np.linalg.eigvals(comp)
     real = np.abs(roots.imag) <= QEP_REAL_TOL * (1 + np.abs(roots.real))
@@ -642,35 +639,6 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
     return best[0], max(float(run["levels"].max()) for run in runs), np.exp(1j * phi), stats
 
 
-def _mu_star_max(a: np.ndarray, rho: float, gap: float, extra=()) -> dict:
-    """Level-set maximum over the circle of mu*(theta), the largest real
-    root of P_theta(mu) = rho mu^2 I - (rho-1) mu H(theta) + (rho-2) A*A,
-    H(theta) = e^{i theta} A + e^{-i theta} A*, for a matrix of norm 1.
-
-    u is a root of P_theta where the *-palindromic quadratic
-    -(rho-1) u A zeta^2 + (rho u^2 I + (rho-2) A*A) zeta - (rho-1) u A* has
-    the unimodular root zeta = e^{i theta}; P_theta(u) is positive definite
-    where mu*(theta) < u.  So this is _levelset_min of -mu*, floored at the
-    lower bound 1/rho, from the start angles and the ``extra`` angles.
-    Returns {"value", "theta", "level", "iterations"} with value the best
-    root attained (or 1/rho, theta None, if no sample reached it) and level
-    the stop level above it.
-    """
-    gram = a.conj().T @ a
-    e = -(rho - 1) * a
-    base = (rho - 2) * gram
-    eye = np.eye(a.shape[0])
-
-    def h(thetas):
-        return -_qep_top_roots(np.exp(1j * thetas)[:, None, None] * a, rho, gram)
-
-    def pencil(level):
-        return -level * e, rho * level ** 2 * eye + base
-
-    run = _levelset_min(h, pencil, gap, -1 / rho, extra)
-    return {**run, "value": -run["value"], "level": -run["level"]}
-
-
 def w_rho(a, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
     """Operator radius w_rho(A) = inf{u > 0 : A/u passes membership at rho}.
 
@@ -678,59 +646,54 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
     only through s = r/u, so w_rho(A) is the maximum over theta of the
     largest real root mu*(theta) of the quadratic pencil
     rho mu^2 I - (rho-1) mu (e^{i theta} A + e^{-i theta} A*) + (rho-2) A*A
-    (the norm at rho = 1, the numerical radius at rho = 2), found by the
-    level-set iteration (_mu_star_max) on A/||A||.  hi is its stop level:
-    the pencil at hi is positive semidefinite at every angle (between two
-    crossings it is nonsingular, and definite at the midpoint, where
-    mu* <= hi), so A/hi passes the kernel test on the circle.  lo is the
-    best root attained less the gap, floored at the lower bound ||A||/rho,
-    so that A/lo fails the kernel test at the witness angle.  The gap is
-    RADIUS_GAP (1 + bound) relative, and at most width/4, so
-    hi - lo <= width/2.
+    (the norm at rho = 1, the numerical radius at rho = 2).  It is the
+    one-slice case of the tuple search: _slices_max of the stack that holds
+    A/||A|| alone.
 
-    For rho <= 2 the disk minimum of the kernel lies on the circle, so hi is
-    certified (``certified_level``).  For rho > 2 it does when
-    r(A/hi) < beta = (rho-1)/(rho-2) (_kernel_disk_min), so the angle
-    theta = -arg lam of an eigenvalue of largest modulus joins the start
-    angles: for mu just below |lam|, e^{i theta} lam/mu is within 1/(rho-2)
-    of beta, the pencil is indefinite, and mu*(theta) >= r(A).  So
-    hi > r(A)/beta (else InternalError) and hi is certified at every rho.
+    hi is the slice's elimination level L (``certified_level``), at which
+    A/L passes the member test _slice_failures: the kernel of A/L is
+    nonnegative on the circle.  For rho <= 2 its disk minimum lies on the
+    circle.  For rho > 2 it does when r(A/L) < beta = (rho-1)/(rho-2)
+    (_kernel_disk_min), and the test passes no level with r(A) >= beta L:
+    it fails that row at the angle theta = -arg lam of an eigenvalue of
+    largest modulus.  There, for mu just below |lam|, e^{i theta} lam/mu is
+    within 1/(rho-2) of beta, the pencil is indefinite, and
+    mu*(theta) >= r(A); so the root solved there lifts the next level above
+    r(A) > r(A)/beta, and hi is certified at every rho.  At
+    rho = 1 the level is the computed norm of A/||A||, which can round an
+    ulp below 1, so hi is floored at lo.  lo is the best root attained less
+    the gap, floored at the lower bound ||A||/rho, so that A/lo fails the
+    kernel test at the witness angle.  The gap is
+    RADIUS_GAP (1 + max(1, 2/rho - 1)) relative, and at most width/4.  hi
+    lies a few SLICE_GAP (1 + U) above the best root U, so hi - lo is at
+    most width/2 unless width/(4 ||A||) is below that level gap.
     """
     m = _square(a, "radius")
     _check_positive(rho=rho, width=width)
     start = time.perf_counter()
     norm = op_norm(m)
-    grid_spec = {"start_points": LEVELSET_START_POINTS, "levelset_iterations": 0, "crossing_solves": 0,
+    grid_spec = {"slice_levels": 0, "slice_crossing_solves": 0, "slice_root_solves": 0,
                  "certified_level": 0.0, "width": width}
     if norm == 0.0:
         return RadiusReport(0.0, 0.0, LEVELSET_METHOD, grid_spec, 0.0)
-    unit = m / norm
     gap = min(RADIUS_GAP * (1 + max(1.0, 2.0 / rho - 1.0)), width / (4 * norm))
-    extra = ()
-    if rho > 2:
-        lam = np.linalg.eigvals(unit)
-        top = lam[int(np.argmax(np.abs(lam)))]
-        extra = (-float(np.angle(top)),)
-        grid_spec.update(start_points=LEVELSET_START_POINTS + 1, spectral_radius=float(abs(top)) * norm)
-    run = _mu_star_max(unit, rho, gap, extra)
-    if rho > 2 and (rho - 1) * run["level"] <= (rho - 2) * abs(top):
-        raise InternalError(f"radius level {run['level']} not above r(A)/beta at rho = {rho} (norm 1)")
-    grid_spec.update(levelset_iterations=run["iterations"], crossing_solves=run["iterations"],
-                     certified_level=run["level"] * norm)
+    run = _slices_max((m / norm)[None], rho)
     lo = max(norm / rho, (run["value"] - gap) * norm)
-    hi = run["level"] * norm
+    hi = max(lo, float(run["levels"][0]) * norm)
+    grid_spec.update({key: run[key] for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves")},
+                     certified_level=hi)
     return RadiusReport(lo, hi, LEVELSET_METHOD, grid_spec, time.perf_counter() - start)
 
 
 def numerical_radius(a) -> float:
     """w(A) = max over theta of lambda_max(Re(e^{i theta} A)), the rho = 2
-    case of w_rho: the largest value attained by its level-set iteration,
-    within the gap below the certified level."""
+    case of w_rho: the largest root attained by its slice search, within
+    the search's level gap below the certified level."""
     m = _square(a, "numerical radius")
     norm = op_norm(m)
     if norm == 0.0:
         return 0.0
-    return _mu_star_max(m / norm, 2.0, 2 * RADIUS_GAP)["value"] * norm
+    return _slices_max((m / norm)[None], 2.0)["value"] * norm
 
 
 # ---------------------------------------------------------------------------

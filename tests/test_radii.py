@@ -151,6 +151,17 @@ def test_all_conditions_agree():
         assert len(decisions) <= 1, (a, rho, res)
 
 
+def test_psi_margin_with_poles_on_the_circle():
+    # an eigenvalue on the unit circle puts the pole of (I - zA)^{-1} on
+    # the circle, just outside the ring; for normal A the ring minimum is
+    # min_k 1 - 2/rho + (2/rho)/(1 + |lam_k|), up to the ring's radius
+    for lam in ([1.0, 0.5], [1j, -0.3], [1.0, 1.0]):
+        for rho in (0.5, 1.5, 2.0, 3.0):
+            exact = min(1 - 2 / rho + (2 / rho) / (1 + abs(x)) for x in lam)
+            margin = membership_single_all_conditions(np.diag(lam), rho)["psi_margin"]
+            assert margin == pytest.approx(exact, abs=1e-5), (lam, rho, margin)
+
+
 def test_sampled_tuples_commute_and_contract():
     for seed in range(6):
         ct = sample_commuting_tuple(3, 2, seed)
@@ -245,10 +256,25 @@ def test_w_rho_bracket_ends_confirmed_by_kernel():
             rep = w_rho(a, rho)
             _assert_bracket_confirmed(a, rho, rep)
             spec = rep.grid_spec
-            assert 1 <= spec["levelset_iterations"] <= spec["crossing_solves"], (d, rho, spec)
-            assert spec["levelset_iterations"] <= 4
+            # rho = 1 reads the norm and runs no level
+            assert (rho != 1.0) <= spec["slice_levels"] <= 5, (d, rho, spec)
             assert spec["certified_level"] == rep.hi, (d, rho, spec)
             assert rep.method == radii.LEVELSET_METHOD
+
+
+def test_radius_brackets_are_ordered():
+    # lo <= hi for one operator and for pairs; at rho = 1 the bracket holds
+    # the computed norm exactly, where the slice's level can round an ulp
+    # below ||A||/rho
+    rng = np.random.default_rng(17)
+    for d in range(1, 9):
+        for _ in range(4):
+            a, b = _random_matrix(rng, d), _random_matrix(rng, d)
+            for rho in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0):
+                one, pair = w_rho(a, rho), w_rho_tuple(OperatorTuple((a, b)), rho)
+                assert one.lo <= one.hi and pair.lo <= pair.hi, (d, rho, one, pair)
+                if rho == 1.0:
+                    assert one.lo <= np.linalg.svd(a, compute_uv=False)[0] <= one.hi, (d, one)
 
 
 def test_w_rho_shift_above_dim_64():
@@ -1123,7 +1149,7 @@ def test_radius_never_crossed_above_certified_level():
                 p = rho * level ** 2 * np.eye(len(a)) - (rho - 1) * level * (za + za.conj().swapaxes(1, 2)) + (rho - 2) * gram
                 assert np.linalg.eigvalsh(p)[:, 0].min() >= -1e-13 * (1 + level) ** 2, (a.shape, rho)
             elif i % 2:
-                mu = radii._qep_top_roots(DENSE[:, None, None] * a, rho, gram)
+                mu = radii._qep_top_roots(DENSE[:, None, None] * a, rho)
                 assert mu.max() <= level * (1 + 1e-12) + 1e-15, (a.shape, rho)
 
 
@@ -1151,10 +1177,10 @@ def test_levelset_closed_forms():
             rep = w_rho(n, rho)
             assert rep.lo == op_norm(n) / rho
             assert rep.hi - rep.lo <= 2 * radii.RADIUS_GAP * op_norm(n) * max(2.0, 2.0 / rho), (d, rho, rep)
-    # the 65 x 65 shift at rho = 2: cos(pi/66), one crossing solve
+    # the 65 x 65 shift at rho = 2: cos(pi/66), one level
     rep = w_rho(_shift(65), 2.0)
     assert rep.lo <= math.cos(math.pi / 66) * (1 + 1e-14) and math.cos(math.pi / 66) <= rep.hi
-    assert rep.grid_spec["levelset_iterations"] == 1 and rep.grid_spec["certified_level"] == rep.hi
+    assert rep.grid_spec["slice_levels"] == 1 and rep.grid_spec["certified_level"] == rep.hi
 
 
 #: Largest distance between the level-set margin and the grid engine's,
