@@ -15,10 +15,12 @@ keeps every kernel above the scalar floor (_kernel_norm_floor) is a member
 at once.  Otherwise it is tested on its torus slices
 A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1: Out where the batched member
 test (_slice_failures) of the first phase grid computes a lambda_min k
-below -tol, that attained value the margin; else one level-set iteration
-over many slices decides a pair, and the largest root it attains and the
-largest level at which it eliminates a slice bracket a pair's radius (the
-radii take rho and width; tol and budget are membership's).  Larger tuples
+below -tol, that attained value the margin; else cells over the phase
+circle, each proven from its centre by the completed square, decide a
+pair, and one level-set iteration over many slices brackets a pair's
+radius between the largest root it attains and the largest level at which
+it eliminates a slice (the radii take rho and width; tol and budget are
+membership's).  Larger tuples
 also substitute sampled commuting strict contractions C, a necessary test:
 the substitutions A(C) = sum_k A_k (x) C_k go through the same member test
 and level-set search (_slices_max) as the slices.
@@ -99,6 +101,15 @@ SLICE_GAP = 1e-11
 QEP_REAL_TOL = 1e-7
 
 LEVELSET_METHOD = "levelset"
+
+#: Cell slices (cell centres tested, the first grid's among them) that pair
+#: membership may take before an In verdict is left NecessaryOnly.
+CELL_BUDGET = 16 * SLICE_POINTS
+#: Bound to which a pair cell is proven, relative to its floor
+#: Delta = _cell_floor(eps, rho): its centre is tested at the floor
+#: _cell_floor(eps, rho, CELL_RAISE Delta), so the proof leaves a margin.
+CELL_RAISE = 0.125
+CELLS_METHOD = "torus-slice+cells"
 
 
 @dataclass(frozen=True)
@@ -520,10 +531,11 @@ def _top_eigenvalues(s: np.ndarray) -> np.ndarray:
 
 
 def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top, out: dict,
-                    floor: float = 0.0):
+                    floor=0.0):
     """The matrices S of the stack ``s`` for which lambda_min k, k the
-    kernel of S/L, L = ``level``, is not shown to stay above ``floor`` on
-    the closed disk, in two (rows, angles, values) batches, each angle one
+    kernel of S/L, L = ``level``, is not shown to stay above ``floor`` (one
+    value, or one per row) on the closed disk, in two (rows, angles,
+    values) batches, each angle one
     where the row fails and each value lambda_min k computed there (nan
     for a rho > 2 row with r(S) >= beta L, whose angle is not where a
     kernel was evaluated).  At floor 0 a row not returned has S/L a member.
@@ -550,6 +562,7 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     """
     d = s.shape[-1]
     t = norms / level
+    floor = np.broadcast_to(floor, t.shape)
     cut = floor + SCREEN_ROUND_GUARD * d * _kernel_scale(t, rho)
     idx = np.flatnonzero(_kernel_norm_floor(t, rho) <= cut)
     u, angles = s[idx] / level, anchors[idx]
@@ -562,8 +575,8 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     if rho == 1 or bad.all():
         return
     u, idx, angles = u[~bad], idx[~bad], angles[~bad]
-    cross = _circle_crossings(-(rho - 1) * u, (rho - floor) * np.eye(d) + (rho - 2) * (u.conj().swapaxes(1, 2) @ u),
-                              angles)
+    cross = _circle_crossings(-(rho - 1) * u, (rho - floor[idx])[:, None, None] * np.eye(d)
+                              + (rho - 2) * (u.conj().swapaxes(1, 2) @ u), angles)
     out["slice_crossing_solves"] += idx.size
     count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
     nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
@@ -574,10 +587,12 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     yield idx[at[fail]], mids[fail], vals[fail]
 
 
-def _level1_failures(s: np.ndarray, rho: float, out: dict, floor: float = 0.0):
+def _level1_failures(s: np.ndarray, rho: float, out: dict, floor=0.0, top=None):
     """_slice_failures of the stack ``s`` at level 1 from the anchor angle 0,
-    with the Frobenius norms, which bound the spectral ones."""
-    top = _top_eigenvalues(s) if rho > 2 else None
+    with the Frobenius norms, which bound the spectral ones, and the top
+    eigenvalues ``top`` (computed here when rho > 2 and not given)."""
+    if rho > 2 and top is None:
+        top = _top_eigenvalues(s)
     return _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, out, floor)
 
 
@@ -809,23 +824,16 @@ def _worst_slice(a: OperatorTuple, rho: float):
     return _slice_stack(a, w[None])[0], w, root * scale, level * scale, {**stats, "slice_w": _slice_phases_json(w)}
 
 
-def _first_out_slice(a: OperatorTuple, rho: float, tol: float):
-    """The level-1 pass of membership_tuple over the first phase grid of
-    _qep_theta_max: the slices that _level1_failures does not show to be
-    members are taken in turn, and the pass stops at the first one decided
-    Out.  A slice whose smallest value from _level1_failures is below -tol
-    is Out with that value as margin and its angle as witness
-    ("kernel-witness"); the others (nan, or in [-tol, guard]) go to
-    membership_single.  The anchor test runs before the batched crossing
-    solve, so a slice that fails at its anchor settles the tuple without
-    one.  Returns (phases, verdict) of that slice, or (None, None), and
-    the counters (with the slice's phases)."""
-    w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
-    s = _slice_stack(a, w)
-    solves = {"slice_crossing_solves": 0}
-    stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
-    for rows, angles, vals in _level1_failures(s, rho, solves):
-        stats["level1_crossing_solves"] = solves["slice_crossing_solves"]
+def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict):
+    """The first row of the stack ``s`` decided Out among the (rows,
+    angles, values) batches ``failures`` of its member test at floor 0, and
+    its verdict, else (None, None).  The rows are taken in turn: one whose
+    smallest value is below -tol is Out with that value as margin and its
+    angle as witness ("kernel-witness"); the others (nan, or in [-tol,
+    guard]) go to membership_single, counted in stats["level1_memberships"].
+    The batches are drawn lazily, so a row that fails at its anchor settles
+    the tuple before the batched crossing solve."""
+    for rows, angles, vals in failures:
         for i in dict.fromkeys(rows.tolist()):
             j = np.flatnonzero(rows == i)[np.argmin(vals[rows == i])]
             if vals[j] < -tol:
@@ -836,8 +844,148 @@ def _first_out_slice(a: OperatorTuple, rho: float, tol: float):
                 stats["level1_memberships"] += 1
                 v = membership_single(s[i], rho, tol)
             if v.decision == OUT:
-                return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
-    return None, None, stats
+                return i, v
+    return None, None
+
+
+def _member_test_tops(s: np.ndarray, rho: float) -> np.ndarray:
+    """The top eigenvalues that the member test reads at rho > 2
+    (_top_eigenvalues of the stack ``s``); nan at rho <= 2."""
+    return _top_eigenvalues(s) if rho > 2 else np.full(len(s), np.nan)
+
+
+def _first_grid(a: OperatorTuple, rho: float):
+    """The first phase grid of _qep_theta_max as (phases, slices,
+    _member_test_tops of the slices)."""
+    w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
+    s = _slice_stack(a, w)
+    return w, s, _member_test_tops(s, rho)
+
+
+def _first_out_slice(a: OperatorTuple, rho: float, tol: float, grid=None):
+    """The level-1 pass of membership_tuple over the first phase grid
+    (``grid``, else _first_grid): the first grid slice decided Out
+    (_first_out) among those that _level1_failures does not show to be
+    members.  Returns (phases, verdict) of that slice, or (None, None), and
+    the counters (with the slice's phases)."""
+    w, s, top = grid or _first_grid(a, rho)
+    solves = {"slice_crossing_solves": 0}
+    stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
+    i, v = _first_out(s, _level1_failures(s, rho, solves, top=top), rho, tol, stats)
+    stats["level1_crossing_solves"] = solves["slice_crossing_solves"]
+    if v is None:
+        return None, None, stats
+    return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
+
+
+def _cell_floor(eps, rho: float, target: float = 0.0):
+    """Floor F such that a slice S whose kernel stays at or above F on the
+    closed disk keeps every slice within ``eps`` of it (in norm) at or above
+    ``target``: F = target + 2 eps sqrt(1 + q target) + q eps^2, q = rho-2,
+    or +inf where no such F below rho follows from the bound (eps may be an
+    array).  At target 0 it is Delta = 2 eps + q eps^2.
+
+    For q != 0, k = q (zS - beta I)*(zS - beta I) - I/q with
+    beta = (rho-1)/q, so lambda_min k = q sigma^2 - 1/q with sigma the
+    least (q > 0) or largest (q < 0) singular value of zS - beta I, which
+    moves by at most |z| eps <= eps when S does; at q = 0, k = 2 I - (zS +
+    (zS)*) moves by at most 2 eps.  Hence _cell_bound(F, eps) = target.
+    The q < 0 branch needs sqrt(1 + q target) + q eps > 0, |q| eps < 1 at
+    target 0.  F must lie below rho: k(0) = rho I, and at rho <= 2, where
+    lambda_min k is concave along each radius, a kernel at or above F on
+    the circle is at or above min(rho, F) on the disk."""
+    q = rho - 2
+    root = np.sqrt(1 + q * target)
+    floor = target + 2 * eps * root + q * eps ** 2
+    return np.where((root + q * eps > 0) & (floor < rho), floor, np.inf)
+
+
+def _cell_bound(f, eps, rho: float):
+    """G(f, eps) = f - 2 eps sqrt(1 + q f) + q eps^2, q = rho-2, f capped at
+    rho: a lower bound on lambda_min k over the closed disk for every slice
+    within ``eps`` of one whose kernel stays at or above f there
+    (_cell_floor), -1/q at q > 0 where q eps exceeds sqrt(1 + q f), the
+    least value k takes."""
+    q = rho - 2
+    f = np.minimum(f, rho)
+    root = np.sqrt(1 + q * f)
+    bound = f - 2 * eps * root + q * eps ** 2
+    return np.where(root >= q * eps, bound, -1 / q if q > 0 else bound)
+
+
+def _pair_cells(a: OperatorTuple, rho: float, tol: float):
+    """Pair membership by cells over the circle of phases w of the slices
+    S(w) = A_1 + w A_2: (phases, verdict, counters) as _first_out_slice,
+    with the In verdict of the cells ("torus-slice+cells"), or (None, None,
+    counters) when a slice that the member test cannot place above 0 is
+    decided In by membership_single (within tol of the boundary).
+
+    The level-1 pass over the first phase grid (_first_out_slice) runs
+    first, for Out.  Each grid phase c is then the centre of a cell of
+    half-width h = pi/SLICE_POINTS, whose slices lie within
+    eps = 2 sin(h/2) ||A_2|| of S(c).  A centre that passes the member test
+    at the per-row floor _cell_floor(eps, rho, CELL_RAISE Delta),
+    Delta = _cell_floor(eps, rho), proves that every slice of its cell
+    keeps its kernel at or above CELL_RAISE Delta on the closed disk.  A cell whose centre fails, or
+    whose floor is +inf, is split in two; the new centres take the floor
+    test first, and those that fail it the floor-0 test, for Out
+    (_first_out).  A cell whose centre passes floor 0 with
+    _cell_bound(0, eps) >= -tol stops splitting, with that bound.  The
+    margin is the least bound, a proven lower bound on every slice's disk
+    minimum, and the verdict In, Certified.  Past CELL_BUDGET cell slices
+    it is In, NecessaryOnly, with the cells left (``cells_unproven``), and
+    the margin covers the proven cells and the centres tested (0)."""
+    grid = _, s, top = _first_grid(a, rho)
+    w, v, stats = _first_out_slice(a, rho, tol, grid)
+    if v is not None or stats["level1_memberships"]:
+        return w, v, stats
+    theta, h = _phase_grid(1)[0][:, 0], np.full(SLICE_POINTS, np.pi / SLICE_POINTS)
+    norm, solves = op_norm(a.mats[1]), {"slice_crossing_solves": 0}
+    cells = {"slice_points": len(theta), "cell_slices": len(theta), "cell_rounds": 0, "cell_crossing_solves": 0,
+             "cells_unproven": 0}
+    proven, fresh = [], False
+    while theta.size:
+        cells["cell_rounds"] += 1
+        eps = 2 * np.sin(h / 2) * norm
+        delta = _cell_floor(eps, rho)
+        target = CELL_RAISE * np.where(np.isfinite(delta), delta, 0.0)
+        floor = _cell_floor(eps, rho, target)
+        failed = ~np.isfinite(floor)
+        test = np.flatnonzero(~failed)
+        for rows, _, _ in _level1_failures(s[test], rho, solves, floor[test], top[test]):
+            failed[test[rows]] = True
+        keep = ~failed
+        proven.append(target[keep])
+        if fresh and failed.any():
+            idx = np.flatnonzero(failed)
+            i, v = _first_out(s[idx], _level1_failures(s[idx], rho, solves, top=top[idx]), rho, tol, stats)
+            if v is not None or stats["level1_memberships"]:
+                cells["cell_crossing_solves"] = solves["slice_crossing_solves"]
+                if v is None:
+                    return None, None, {**stats, **cells}
+                wi = np.exp(1j * theta[idx[i]])[None]
+                return wi, v, {**stats, **cells, "slice_w": _slice_phases_json(wi)}
+        bound = _cell_bound(0.0, eps, rho)
+        stop = failed & (bound >= -tol)
+        proven.append(bound[stop])
+        split = failed & ~stop
+        if cells["cell_slices"] + 2 * np.count_nonzero(split) > CELL_BUDGET:
+            cells["cells_unproven"] = int(np.count_nonzero(split))
+            break
+        h = np.repeat(h[split] / 2, 2)
+        theta = np.repeat(theta[split], 2) + h * np.tile([-1.0, 1.0], np.count_nonzero(split))
+        s = _slice_stack(a, np.exp(1j * theta)[:, None])
+        top = _member_test_tops(s, rho)
+        cells["cell_slices"] += theta.size
+        fresh = True
+    bounds = np.concatenate(proven)
+    if cells["cells_unproven"]:
+        margin, exactness = float(bounds.min(initial=0.0)), NECESSARY_ONLY
+    else:
+        margin, exactness = float(bounds.min()), CERTIFIED
+    cells["cell_crossing_solves"] = solves["slice_crossing_solves"]
+    cert = {"method": CELLS_METHOD, **stats, **cells, "kernel_margin": margin, "tol": tol}
+    return None, MembershipVerdict(IN, margin, cert, exactness), cert
 
 
 def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
@@ -858,11 +1006,24 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     comes first and returns Out at the first grid slice that fails, with
     its phases; its margin is lambda_min k at the witness, an attained
     value (at least the slice's disk minimum), unless membership_single
-    decided that slice.  Otherwise the worst slice of the phase search
-    (_qep_theta_max, the same search as w_rho_tuple's) is decided by
-    membership_single.
+    decided that slice.
 
-    For a pair that is exact: by the two-variable von Neumann inequality
+    A pair then goes on to the phase cells (_pair_cells, method
+    "torus-slice+cells"): each first-grid phase is the centre of a cell,
+    and a centre that passes the member test at the per-row floor of
+    the completed square (_cell_floor) proves that every slice of its cell
+    is a member; the others are split, and a new centre that fails floor 0
+    can be the Out witness.  An In margin is then a proven lower bound on
+    every slice's disk minimum (the least cell bound), and past CELL_BUDGET
+    cell slices the In verdict is NecessaryOnly, with the cells left in
+    ``cells_unproven``.  A pair within tol of the boundary, some slice of
+    which membership_single decides In although the member test cannot
+    place it above 0, and a tuple with N >= 3, are decided on the worst
+    slice of the phase search (_qep_theta_max, the same search as
+    w_rho_tuple's) by membership_single; that pair In rests on the phases
+    searched, so it is NecessaryOnly.
+
+    Slices decide a pair: by the two-variable von Neumann inequality
     (Ando) membership is sup ||phi(zA)|| <= 1 on the closed bidisk, and by
     the maximum principle that holds iff every slice is a member.  If every
     slice is, the spectral radius of zA is at most 1 on the torus, hence on
@@ -894,7 +1055,9 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     if floor > SCREEN_ROUND_GUARD * a.dim * _kernel_scale(norm_sum, rho):
         cert = {"method": "norm-bound", "norm_sum": norm_sum, "kernel_margin": floor, "tol": tol}
         return MembershipVerdict(IN, floor, cert, CERTIFIED)
-    w, v, spec = _first_out_slice(a, rho, tol)
+    w, v, spec = (_pair_cells if a.n_vars == 2 else _first_out_slice)(a, rho, tol)
+    if v is not None and v.certificate["method"] == CELLS_METHOD:
+        return v
     if v is None:
         b, w, _, _, worst = _worst_slice(a, rho)
         v, spec = membership_single(b, rho, tol), {**worst, **spec}
@@ -904,8 +1067,10 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     if a.n_vars > 2:
         cert.update(method=cert["method"] + "+commuting-substitution", budget=budget, substitutions=0,
                     substitution_crossing_solves=0, disk_minima=0)
-    if a.n_vars == 2 or v.decision == OUT:
-        return MembershipVerdict(v.decision, v.margin, cert, CERTIFIED)
+    if v.decision == OUT:
+        return MembershipVerdict(OUT, v.margin, cert, CERTIFIED)
+    if a.n_vars == 2:
+        return MembershipVerdict(IN, v.margin, cert, NECESSARY_ONLY)
 
     samples = sample_commuting_tuples(a.n_vars, budget)
     solves, failing = {"slice_crossing_solves": 0}, {}
@@ -935,8 +1100,10 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH) -> R
     class.  For a pair the largest w_rho of the slices is the radius, and hi
     is the search's largest elimination level (``certified_level``), at
     which every slice searched passes the member test; between the phases
-    searched it rests on the search.  Its bracket is at least the search's
-    level gap (SLICE_GAP, relative) wide, whatever the width.
+    searched it rests on the search (``hi_basis`` "phase-search"), unlike
+    a pair In verdict, which the phase cells prove.  Its bracket is at
+    least the search's level gap (SLICE_GAP, relative) wide, whatever the
+    width.
 
     N >= 3: hi is the bound sum ||A_k|| max(1, 2/rho - 1): for commuting
     contractions C, ||A(C)|| <= sum ||A_k||, and
@@ -962,6 +1129,7 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH) -> R
     bound = max(1.0, 2.0 / rho - 1.0)
     if a.n_vars == 2:
         hi = grid_spec["certified_level"] = level
+        grid_spec["hi_basis"] = "phase-search"
     else:
         grid_spec.update(budget=RADIUS_BUDGET, substitution_levels=0, substitution_crossing_solves=0,
                          substitution_root_solves=0)

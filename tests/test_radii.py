@@ -1,6 +1,8 @@
 """Membership decisions and radius computations."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from rho_radii.radii import (
     w_rho_tuple,
 )
 from rho_radii.repro import admissible_eps
+from rho_radii.serialize import matrix_from_json
 
 NILP = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -494,8 +497,11 @@ def test_pair_verdict_agrees_with_radius():
             v_in = membership_tuple(pair.scale(1 / (rep.hi * (1 + 1e-6))), rho)
             v_out = membership_tuple(pair.scale(1 / (rep.lo * (1 - 1e-6))), rho)
             assert (v_in.decision, v_out.decision) == (IN, OUT), (rho, rep, v_in, v_out)
-            # no grid slice fails at level 1, so v_in runs the radius's search
-            assert v_in.certificate["slice_root_solves"] == spec["slice_root_solves"]
+            # the phase cells decide v_in: Certified, or NecessaryOnly only
+            # with cells left unproven at the budget
+            cert = v_in.certificate
+            assert cert["method"] == radii.CELLS_METHOD and cert["cell_slices"] <= radii.CELL_BUDGET, cert
+            assert (v_in.exactness == CERTIFIED) == (cert["cells_unproven"] == 0), cert
 
 
 def test_pair_hi_bounds_every_grid_slice():
@@ -519,6 +525,116 @@ def test_pair_radius_above_commuting_substitutions():
             rep = w_rho_tuple(pair, rho)
             for c in samples:
                 assert rep.hi >= w_rho(substitute(pair, c), rho).lo - rep.width, (rho, rep)
+
+
+def _cell_stack(a, centre, half, points=257):
+    """The slices A_1 + w A_2 of a pair at ``points`` phases w spanning the
+    cell of centre angle ``centre`` and half-width ``half``; the middle one
+    is the centre's."""
+    w = np.exp(1j * (centre + np.linspace(-half, half, points)))
+    return radii._slice_stack(a, w[:, None])
+
+
+def test_cell_bound_is_sound():
+    # every slice of a cell keeps its disk minimum at or above
+    # G(f, eps) = _cell_bound(f, eps), f the centre's disk minimum and
+    # eps = 2 sin(h/2) ||A_2||, wherever |rho-2| eps < 1 and Delta < rho;
+    # G(Delta, eps) is 0, and _cell_floor is +inf exactly where Delta is
+    # not a valid floor
+    rng = np.random.default_rng(83)
+    for i, rho in enumerate(CERT_RHOS):
+        q = rho - 2
+        for d in (1 + (2 * i) % 4, 2 + (2 * i) % 4):
+            a = OperatorTuple((_random_matrix(rng, d), _random_matrix(rng, d)))
+            a = a.scale(rng.uniform(0.5, 1.2) / w_rho_tuple(a, rho).hi)
+            norm = op_norm(a.mats[1])
+            while True:
+                half = 10 ** rng.uniform(-3, -1)
+                eps = 2 * math.sin(half / 2) * norm
+                delta = 2 * eps + q * eps ** 2
+                if abs(q) * eps < 1 and delta < rho:
+                    break
+            assert radii._cell_floor(eps, rho) == delta
+            assert abs(radii._cell_bound(delta, eps, rho)) <= 1e-15 * (1 + rho + delta), (rho, eps)
+            s = _cell_stack(a, rng.uniform(0, 2 * np.pi), half)
+            low = min(kernel_margin(b, rho) for b in s)
+            bound = radii._cell_bound(kernel_margin(s[len(s) // 2], rho), eps, rho)
+            scale = max(_scale(b, rho) for b in s)
+            assert low >= bound - 1e-12 * scale, (rho, d, half, low, bound)
+        for eps in np.linspace(0.01, 3.0, 60):
+            delta = 2 * eps + q * eps ** 2
+            valid = 1 + q * eps > 0 and delta < rho
+            assert np.isfinite(radii._cell_floor(eps, rho)) == valid, (rho, eps)
+
+
+def _diagonal_pair(rng, d):
+    """diag(a), diag(b) with random complex entries, the largest |a_i| in
+    coordinate 0 and the largest |b_i| in coordinate 1, and the exact
+    radius factor max_i |a_i| + |b_i|."""
+    a, b = (rng.uniform(0.1, 0.6, d) * np.exp(2j * np.pi * rng.uniform(0, 1, d)) for _ in range(2))
+    a[0], b[1] = np.exp(2j * np.pi * rng.uniform()), np.exp(2j * np.pi * rng.uniform())
+    return OperatorTuple((np.diag(a), np.diag(b))), float(np.max(np.abs(a) + np.abs(b)))
+
+
+def test_diagonal_pair_closed_form():
+    # a diagonal pair is a sum of scalar pairs (a_i, b_i), whose radius is
+    # (|a_i| + |b_i|) max(1, 2/rho - 1); with the largest entries in
+    # different coordinates the norm bound does not fire, and the cells
+    # prove In just inside: their margin is a lower bound on the least
+    # slice disk minimum, the scalar floor of the worst coordinate
+    rng = np.random.default_rng(85)
+    for rho in CERT_RHOS:
+        for d in (2, 3, 4):
+            pair, top = _diagonal_pair(rng, d)
+            exact = top * max(1.0, 2.0 / rho - 1.0)
+            inside = pair.scale(0.98 / exact)
+            v = membership_tuple(inside, rho)
+            cert = v.certificate
+            assert (v.decision, v.exactness, cert["method"]) == (IN, CERTIFIED, radii.CELLS_METHOD), (rho, d, cert)
+            diag = np.abs(np.diagonal(inside.mats[0])) + np.abs(np.diagonal(inside.mats[1]))
+            assert 0 <= v.margin <= float(radii._kernel_norm_floor(diag, rho).min()), (rho, d, v.margin)
+            assert membership_tuple(pair.scale(1.02 / exact), rho).decision == OUT, (rho, d)
+
+
+def test_cells_find_out_slices_between_grid_phases():
+    # the worst slice of a diagonal pair whose largest coordinate is
+    # (1/2, e^{-i pi/64}/2) has phase pi/64, midway between two phases of
+    # the first grid, where the slices lie 3e-4 below it: 1e-4 outside the
+    # class every grid slice is a member, and the split cells find an Out
+    # slice
+    rng = np.random.default_rng(87)
+    for rho in CERT_RHOS:
+        for d in (1, 2, 3):
+            a = np.append(0.5, rng.uniform(0.1, 0.4, d - 1)) * np.exp(2j * np.pi * rng.uniform(0, 1, d))
+            b = np.append(0.5, rng.uniform(0.1, 0.4, d - 1)) * np.exp(2j * np.pi * rng.uniform(0, 1, d))
+            b[0] = 0.5 * a[0] / abs(a[0]) * np.exp(-1j * np.pi / radii.SLICE_POINTS)
+            exact = max(1.0, 2.0 / rho - 1.0)
+            pair = OperatorTuple((np.diag(a), np.diag(b))).scale(1.0001 / exact)
+            v = membership_tuple(pair, rho)
+            cert = v.certificate
+            assert (v.decision, v.exactness) == (OUT, CERTIFIED), (rho, d, cert)
+            assert cert["cell_rounds"] > 1 and cert["cells_unproven"] == 0, (rho, d, cert)
+
+
+def _reference_pairs():
+    """(pair, rho, midpoint) for every pair and level of the recorded
+    reference radii bench/ref_pairs.json."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "ref_pairs.json"
+    for entry in json.loads(path.read_text())["entries"]:
+        pair = OperatorTuple(tuple(matrix_from_json(m) for m in entry["mats"]))
+        for rho, (lo, hi) in entry["w"].items():
+            yield pair, float(rho), (lo + hi) / 2
+
+
+def test_reference_pairs_decided_near_their_radius():
+    # 5% and 0.1% either side of each recorded radius; just inside, the
+    # cells prove In within their budget
+    for pair, rho, mid in _reference_pairs():
+        for factor, want in ((0.95, IN), (0.999, IN), (1.001, OUT), (1.05, OUT)):
+            v = membership_tuple(pair.scale(factor / mid), rho)
+            assert v.decision == want, (rho, mid, factor, v.certificate)
+            if want == IN:
+                assert v.exactness == CERTIFIED and v.certificate["cells_unproven"] == 0, (rho, factor)
 
 
 @pytest.mark.parametrize("n_vars", [1, 2, 3])
