@@ -102,6 +102,10 @@ QEP_REAL_TOL = 1e-7
 
 LEVELSET_METHOD = "levelset"
 
+#: Rows in the first crossing batch of the N >= 3 level-1 pass
+#: (_first_out_slice); later batches double.
+LEVEL1_FIRST_BATCH = 4
+
 #: Cell slices (cell centres tested, the first grid's among them) that pair
 #: membership may take before an In verdict is left NecessaryOnly.
 CELL_BUDGET = 16 * SLICE_POINTS
@@ -531,11 +535,11 @@ def _top_eigenvalues(s: np.ndarray) -> np.ndarray:
 
 
 def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top, out: dict,
-                    floor=0.0):
+                    floor=0.0, batch=None):
     """The matrices S of the stack ``s`` for which lambda_min k, k the
     kernel of S/L, L = ``level``, is not shown to stay above ``floor`` (one
-    value, or one per row) on the closed disk, in two (rows, angles,
-    values) batches, each angle one
+    value, or one per row) on the closed disk, in (rows, angles, values)
+    batches, each angle one
     where the row fails and each value lambda_min k computed there (nan
     for a rho > 2 row with r(S) >= beta L, whose angle is not where a
     kernel was evaluated).  At floor 0 a row not returned has S/L a member.
@@ -547,18 +551,21 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     without an eigensolve.  The first batch holds the other rows where
     lambda_min k is at most floor + guard at the anchor angle, and, at
     rho > 2, those with r(S) >= beta L, beta = (rho-1)/(rho-2), at the
-    angle -arg lam of the eigenvalue ``top``.  The second comes from one batched _circle_crossings
-    of k - floor I for the rest (which err towards real, counted in
-    out["slice_crossing_solves"]): a row for each midpoint between
-    consecutive crossings where lambda_min k is at most floor + guard.  At
-    rho = 1 the kernel on the circle is I - U*U at every angle, so the
-    anchor decides and there is no second batch.  A row in neither batch
-    has lambda_min k above the floor on the circle, where its disk minimum
-    lies (_kernel_disk_min).  The computed r(S) is safe: at zeta = |lam|/lam,
-    x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for an eigenvector x of an
-    eigenvalue lam of U, so a kernel above the floor on the circle leaves U
-    no eigenvalue of modulus beta, unless the floor is below -1/(rho-2),
-    the least value k takes.
+    angle -arg lam of the eigenvalue ``top``.  The others come from
+    _circle_crossings of k - floor I (which err towards real, counted per
+    row in out["slice_crossing_solves"]): a row for each midpoint between
+    consecutive crossings where lambda_min k is at most floor + guard.
+    They are solved in row order, in one batch, or in batches of ``batch``,
+    2 batch, ... rows (_row_batches), one per draw, so a caller that stops
+    at an Out row solves no later batch; a row's result does not depend on
+    its batch.  At rho = 1 the kernel on the circle is I - U*U at every
+    angle, so the anchor decides and no crossing is solved.  A row in no
+    batch has lambda_min k above the floor on the circle, where its disk
+    minimum lies (_kernel_disk_min).  The computed r(S) is safe: at
+    zeta = |lam|/lam, x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for an
+    eigenvector x of an eigenvalue lam of U, so a kernel above the floor on
+    the circle leaves U no eigenvalue of modulus beta, unless the floor is
+    below -1/(rho-2), the least value k takes.
     """
     d = s.shape[-1]
     t = norms / level
@@ -575,25 +582,36 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     if rho == 1 or bad.all():
         return
     u, idx, angles = u[~bad], idx[~bad], angles[~bad]
-    cross = _circle_crossings(-(rho - 1) * u, (rho - floor[idx])[:, None, None] * np.eye(d)
-                              + (rho - 2) * (u.conj().swapaxes(1, 2) @ u), angles)
-    out["slice_crossing_solves"] += idx.size
-    count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
-    nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
-    at, col = np.nonzero(col < count)
-    mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
-    vals = _kernel_lambda_min(u[at], rho, np.exp(1j * mids))
-    fail = vals <= cut[idx[at]]
-    yield idx[at[fail]], mids[fail], vals[fail]
+    for lo, hi in _row_batches(idx.size, batch):
+        ub, ib = u[lo:hi], idx[lo:hi]
+        cross = _circle_crossings(-(rho - 1) * ub, (rho - floor[ib])[:, None, None] * np.eye(d)
+                                  + (rho - 2) * (ub.conj().swapaxes(1, 2) @ ub), angles[lo:hi])
+        out["slice_crossing_solves"] += ib.size
+        count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
+        nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
+        at, col = np.nonzero(col < count)
+        mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
+        vals = _kernel_lambda_min(ub[at], rho, np.exp(1j * mids))
+        fail = vals <= cut[ib[at]]
+        yield ib[at[fail]], mids[fail], vals[fail]
 
 
-def _level1_failures(s: np.ndarray, rho: float, out: dict, floor=0.0, top=None):
+def _row_batches(n: int, first=None):
+    """Consecutive (start, stop) ranges that cover rows 0..n-1 once, in
+    order: one range, or ranges of first, 2 first, 4 first, ... rows."""
+    start, size = 0, first or n
+    while start < n:
+        yield start, min(start + size, n)
+        start, size = start + size, 2 * size
+
+
+def _level1_failures(s: np.ndarray, rho: float, out: dict, floor=0.0, top=None, batch=None):
     """_slice_failures of the stack ``s`` at level 1 from the anchor angle 0,
     with the Frobenius norms, which bound the spectral ones, and the top
     eigenvalues ``top`` (computed here when rho > 2 and not given)."""
     if rho > 2 and top is None:
         top = _top_eigenvalues(s)
-    return _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, out, floor)
+    return _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, out, floor, batch)
 
 
 def _phase_tensor(axis: np.ndarray, k: int) -> np.ndarray:
@@ -832,7 +850,8 @@ def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict):
     angle as witness ("kernel-witness"); the others (nan, or in [-tol,
     guard]) go to membership_single, counted in stats["level1_memberships"].
     The batches are drawn lazily, so a row that fails at its anchor settles
-    the tuple before the batched crossing solve."""
+    the tuple before any crossing solve, and one found in a crossing batch
+    before the batches after it."""
     for rows, angles, vals in failures:
         for i in dict.fromkeys(rows.tolist()):
             j = np.flatnonzero(rows == i)[np.argmin(vals[rows == i])]
@@ -862,16 +881,19 @@ def _first_grid(a: OperatorTuple, rho: float):
     return w, s, _member_test_tops(s, rho)
 
 
-def _first_out_slice(a: OperatorTuple, rho: float, tol: float, grid=None):
+def _first_out_slice(a: OperatorTuple, rho: float, tol: float, grid=None, batch=LEVEL1_FIRST_BATCH):
     """The level-1 pass of membership_tuple over the first phase grid
     (``grid``, else _first_grid): the first grid slice decided Out
     (_first_out) among those that _level1_failures does not show to be
     members.  Returns (phases, verdict) of that slice, or (None, None), and
-    the counters (with the slice's phases)."""
+    the counters (with the slice's phases).  Crossings are solved in
+    batches of ``batch``, 2 batch, ... slices (one if None) up to the
+    witness's: an Out triple's witness is most often among the first
+    slices solved, while a pair In solves them all, so pairs take one."""
     w, s, top = grid or _first_grid(a, rho)
     solves = {"slice_crossing_solves": 0}
     stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
-    i, v = _first_out(s, _level1_failures(s, rho, solves, top=top), rho, tol, stats)
+    i, v = _first_out(s, _level1_failures(s, rho, solves, top=top, batch=batch), rho, tol, stats)
     stats["level1_crossing_solves"] = solves["slice_crossing_solves"]
     if v is None:
         return None, None, stats
@@ -936,7 +958,7 @@ def _pair_cells(a: OperatorTuple, rho: float, tol: float):
     it is In, NecessaryOnly, with the cells left (``cells_unproven``), and
     the margin covers the proven cells and the centres tested (0)."""
     grid = _, s, top = _first_grid(a, rho)
-    w, v, stats = _first_out_slice(a, rho, tol, grid)
+    w, v, stats = _first_out_slice(a, rho, tol, grid, batch=None)
     if v is not None or stats["level1_memberships"]:
         return w, v, stats
     theta, h = _phase_grid(1)[0][:, 0], np.full(SLICE_POINTS, np.pi / SLICE_POINTS)
@@ -1006,7 +1028,8 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     comes first and returns Out at the first grid slice that fails, with
     its phases; its margin is lambda_min k at the witness, an attained
     value (at least the slice's disk minimum), unless membership_single
-    decided that slice.
+    decided that slice.  For N >= 3 it stops at its witness's crossing
+    batch; only ``level1_crossing_solves`` depends on the batches.
 
     A pair then goes on to the phase cells (_pair_cells, method
     "torus-slice+cells"): each first-grid phase is the centre of a cell,

@@ -24,10 +24,11 @@ def matrix_to_json(m) -> dict:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; InputError unless it is an integral number."""
+    """``value`` as an int; InputError unless it is an integral number
+    (true and false are not, although bool is an int subclass)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return value
 

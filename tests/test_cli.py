@@ -131,6 +131,18 @@ def test_exit_code_non_object_or_fractional_count(tmp_path, capsys, text):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("text", [json.dumps({"rows": True, "cols": 1, "data": [[0.5, 0]]}),
+                                  json.dumps({"n_vars": True, "mats": [matrix_to_json(np.eye(2))]})])
+def test_exit_code_boolean_count(tmp_path, capsys, text):
+    # a JSON boolean is not a row or variable count
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (["radius", "--rho", "1"], ["membership", "--rho", "1"]):
+        code, out, err = _run(capsys, argv + ["--input", str(bad)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "input"
+
+
 @pytest.mark.parametrize("knob", [["--tol", "-1"], ["--tol", "0"], ["--budget", "0"], ["--budget", "-5"]])
 @pytest.mark.parametrize("n_vars", [1, 3])
 def test_exit_code_bad_membership_knobs(tmp_path, capsys, knob, n_vars):

@@ -1067,13 +1067,13 @@ def _slice_of(a, cert):
     return radii._slice_stack(a, w[None])[0]
 
 
-def _out_tuples(rng):
-    """(tuple, rho): random pairs and triples, d 1-4, scaled 1.001-2x
-    beyond the proven lower end of their radius bracket, so outside the
-    class."""
-    for n_vars in (2, 3):
+def _out_tuples(rng, sizes=(2, 3), rhos=(0.5, 1.0, 2.0, 3.0, 10.0)):
+    """(tuple, rho): random tuples of each of the ``sizes``, d 1-4, scaled
+    1.001-2x beyond the proven lower end of their radius bracket, so
+    outside the class."""
+    for n_vars in sizes:
         for d in range(1, 5):
-            for rho in (0.5, 1.0, 2.0, 3.0, 10.0):
+            for rho in rhos:
                 a = OperatorTuple(tuple(_random_matrix(rng, d) for _ in range(n_vars)))
                 lo = w_rho_tuple(a, rho).lo
                 for factor in (1.001, rng.uniform(1.001, 2.0), 2.0):
@@ -1126,6 +1126,61 @@ def test_out_witness_falls_back_to_membership_single():
             v = membership_tuple(a, rho, tol)
             assert v.certificate["level1_memberships"] >= 1, (d, rho, v.certificate)
             assert (v.decision, v.certificate["slice_w"]) == _first_grid_reference(a, rho, tol), (d, rho)
+
+
+TRIPLE_RHOS = (0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0)
+
+
+def test_row_batches_cover_each_row_once_in_order():
+    for n in (0, 1, 3, 4, 5, 64, 65):
+        for first in (None, 1, radii.LEVEL1_FIRST_BATCH):
+            ranges = list(radii._row_batches(n, first))
+            assert [i for lo, hi in ranges for i in range(lo, hi)] == list(range(n)), (n, first)
+            assert all(lo < hi for lo, hi in ranges), (n, first)
+            if first is None:
+                assert len(ranges) == min(n, 1)
+            else:
+                assert [hi - lo for lo, hi in ranges[:-1]] == [first * 2 ** k for k in range(len(ranges) - 1)]
+
+
+def test_level1_out_search_stops_at_its_witness():
+    # the N >= 3 level-1 pass solves crossings in doubling batches and
+    # stops at its witness's batch: a triple whose first slice solved is
+    # its witness (one crossing solve in batches of 1, 2, 4, ...) solves at
+    # most the first batch, and no triple solves more than in one batch
+    first_out_slice = radii._first_out_slice
+    early = saved = 0
+    for a, rho in _out_tuples(np.random.default_rng(73), (3,), TRIPLE_RHOS):
+        lazy = membership_tuple(a, rho, budget=16).certificate["level1_crossing_solves"]
+        full = first_out_slice(a, rho, DEFAULT_TOL, batch=None)[2]["level1_crossing_solves"]
+        assert lazy <= full, (a.dim, rho)
+        if first_out_slice(a, rho, DEFAULT_TOL, batch=1)[2]["level1_crossing_solves"] == 1:
+            early += 1
+            assert lazy <= radii.LEVEL1_FIRST_BATCH, (a.dim, rho, lazy)
+            saved += full > radii.LEVEL1_FIRST_BATCH
+    assert early > 0 and saved > 0
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.05])
+def test_level1_batches_leave_verdicts_unchanged(monkeypatch, tol):
+    # decision, margin, witness, slice phases, exactness and method equal
+    # the one-batch pass's; only level1_crossing_solves may differ.  At tol
+    # 0.05 some slice past the first batch goes to membership_single
+    def report(v):
+        j = v.to_json()
+        return j, j["certificate"].pop("level1_crossing_solves")
+
+    first_out_slice = radii._first_out_slice
+    later = 0
+    for a, rho in _out_tuples(np.random.default_rng(74), (3,), TRIPLE_RHOS):
+        got, lazy = report(membership_tuple(a, rho, tol, budget=16))
+        with monkeypatch.context() as m:
+            m.setattr(radii, "_first_out_slice", lambda a, rho, tol: first_out_slice(a, rho, tol, batch=None))
+            want, full = report(membership_tuple(a, rho, tol, budget=16))
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), (a.dim, rho)
+        assert lazy <= full
+        later += got["certificate"]["level1_memberships"] > 0 and lazy > radii.LEVEL1_FIRST_BATCH
+    assert later > 0 or tol == DEFAULT_TOL
 
 
 def test_triple_radius_substitutions_on_the_slice_engine(monkeypatch):

@@ -125,6 +125,24 @@ def test_non_integral_counts_rejected(value):
         embedding_from_json({**embedding_to_json(Embedding(np.eye(3)[:, :2])), "ambient_dim": value})
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_counts_rejected(value):
+    # JSON true and false load as Python bools, an int subclass: a count
+    # rejects them, while matrix data reads them as 1 and 0
+    m = matrix_to_json(np.eye(1))
+    for key in ("rows", "cols"):
+        with pytest.raises(InputError, match="integer"):
+            matrix_from_json({**m, key: value})
+    with pytest.raises(InputError, match="integer"):
+        tuple_from_json({**tuple_to_json(OperatorTuple((np.eye(1),))), "n_vars": value})
+    with pytest.raises(InputError, match="integer"):
+        embedding_from_json({**embedding_to_json(Embedding(np.eye(2)[:, :1])), "ambient_dim": value})
+    with pytest.raises(InputError, match="integer"):
+        polynomial_from_json({**_polynomial_json([1]), "n_vars": value})
+    with pytest.raises(InputError, match="integer"):
+        polynomial_from_json(_polynomial_json([0, value], n_vars=2))
+
+
 def test_integral_float_counts_accepted():
     m = matrix_from_json({**matrix_to_json(np.eye(2)), "rows": 2.0, "cols": 2.0})
     np.testing.assert_array_equal(m, np.eye(2))
