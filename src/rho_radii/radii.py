@@ -8,22 +8,18 @@ the circle of the largest root of a quadratic eigenproblem in the scaling.
 Both extrema over the circle come from the level-set iteration of Byers
 (SIAM J. Sci. Stat. Comput. 9, 1988) and Boyd & Balakrishnan (Syst.
 Control Lett. 15, 1990): the angles where a level is attained are the
-unimodular roots of a *-palindromic quadratic.  One radius engine serves
-every N: the joint level-set search over a stack of slices (_slices_max),
-which for a single operator is a stack of one.  A tuple whose norm sum
-keeps every kernel above the scalar floor (_kernel_norm_floor) is a member
-at once.  Otherwise it is tested on its torus slices
-A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1: Out where the batched member
-test (_slice_failures) of the first phase grid computes a lambda_min k
-below -tol, that attained value the margin; else cells over the phase
-circle, each proven from its centre by the completed square, decide a
-pair, and one level-set iteration over many slices brackets a pair's
-radius between the largest root it attains and the largest level at which
-it eliminates a slice (the radii take rho and width; tol and budget are
-membership's).  Larger tuples
-also substitute sampled commuting strict contractions C, a necessary test:
-the substitutions A(C) = sum_k A_k (x) C_k go through the same member test
-and level-set search (_slices_max) as the slices.
+unimodular roots of a *-palindromic quadratic; a joint level set over a
+stack of slices (_slices_max) gives w_rho.  A tuple whose norm sum keeps
+every kernel above the scalar floor (_kernel_norm_floor) is a member at
+once.  Otherwise it is tested on its torus slices
+A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, through the batched member test
+(_slice_failures).  A pair's membership and radius both come from one
+recursion over cells of its phase circle, each proven by three pencils
+(_pair_cells).  Larger tuples take the first grid's Out slices and the
+phase search's worst slice (_qep_theta_max), and substitute sampled
+commuting strict contractions C, a necessary test: A(C) = sum_k A_k (x) C_k
+goes through the same member test and level set (the radii take rho and
+width; tol and budget are membership's).
 """
 
 from __future__ import annotations
@@ -85,10 +81,10 @@ KERNEL_GAP = 1e-12
 #: absolute terms): the rounding guard that puts lo below the attained root.
 RADIUS_GAP = 1e-9
 
-#: Phases (w_2, ..., w_N) of the slices A_1 + w_2 A_2 + ... + w_N A_N
-#: among which a tuple's worst slice is sought (_qep_theta_max): a tensor
-#: grid of about SLICE_POINTS phases, then local rounds of about
-#: SLICE_REFINE_POINTS (64 and 17 for a pair, 8 x 8 and 5 x 5 for a triple).
+#: Phases (w_2, ..., w_N) of the slices A_1 + w_2 A_2 + ... + w_N A_N of
+#: the N >= 3 level-1 pass and worst-slice search (_qep_theta_max): a
+#: tensor grid of about SLICE_POINTS phases (8 x 8 for a triple; 64 for the
+#: pair grid of repro), then local rounds of about SLICE_REFINE_POINTS.
 SLICE_POINTS = 64
 SLICE_REFINE_ROUNDS = 3
 SLICE_REFINE_POINTS = 17
@@ -106,13 +102,16 @@ LEVELSET_METHOD = "levelset"
 #: (_first_out_slice); later batches double.
 LEVEL1_FIRST_BATCH = 4
 
-#: Cell slices (cell centres tested, the first grid's among them) that pair
-#: membership may take before an In verdict is left NecessaryOnly.
+#: Cells over the phase circle from which _pair_cells starts, and the parts
+#: it cuts a failing cell into.
+CELL_START = 8
+CELL_WAYS = 4
+#: Failing cells that one round of the pair radius may cut, and vertices
+#: that pair membership may test; past them no cell is cut, nor one
+#: narrower than CELL_WAYS 2 pi/(CELL_START 2^CELL_DEPTH).
+CELL_SPLITS = 16
 CELL_BUDGET = 16 * SLICE_POINTS
-#: Bound to which a pair cell is proven, relative to its floor
-#: Delta = _cell_floor(eps, rho): its centre is tested at the floor
-#: _cell_floor(eps, rho, CELL_RAISE Delta), so the proof leaves a margin.
-CELL_RAISE = 0.125
+CELL_DEPTH = 32
 CELLS_METHOD = "torus-slice+cells"
 
 
@@ -166,11 +165,12 @@ class RadiusReport:
 # batched kernel / transform evaluation
 
 
-def _kernel_lambda_min(a: np.ndarray, rho: float, zs: np.ndarray) -> np.ndarray:
+def _kernel_lambda_min(a: np.ndarray, rho: float, zs: np.ndarray, gram=None) -> np.ndarray:
     """lambda_min of k(z, z) for a batch of scalar disk points ``zs``, of
-    one matrix ``a`` or of a stack of matrices paired with the points."""
+    one matrix ``a`` or of a stack of matrices paired with the points;
+    ``gram`` replaces A*A (the tangent pencils of _pair_cells)."""
     ah = a.conj().swapaxes(-1, -2)
-    aha = ah @ a
+    aha = ah @ a if gram is None else gram
     eye = np.eye(a.shape[-1])
     z = zs[:, None, None]
     k = (
@@ -448,17 +448,18 @@ def membership_single_all_conditions(a, rho: float, tol: float = DEFAULT_TOL) ->
     }
 
 
-def _qep_top_roots(za: np.ndarray, rho: float) -> np.ndarray:
+def _qep_top_roots(za: np.ndarray, rho: float, gram=None) -> np.ndarray:
     """Largest real root mu*(zeta) of the quadratic pencil
-    rho mu^2 I - (rho-1) mu (zeta A + (zeta A)*) + (rho-2) (zeta A)*(zeta A)
+    rho mu^2 I - (rho-1) mu (zeta A + (zeta A)*) + (rho-2) G
     for each pencil value zeta A in the stack ``za`` (-inf where no root is
     real), from batched eigenvalues of the 2d x 2d companion matrix
-    [[0, I], [-(rho-2)/rho G, (rho-1)/rho H]], G = (zeta A)*(zeta A)."""
+    [[0, I], [-(rho-2)/rho G, (rho-1)/rho H]], G = ``gram``, else
+    (zeta A)*(zeta A)."""
     d = za.shape[1]
     zah = za.conj().transpose(0, 2, 1)
     comp = np.zeros((len(za), 2 * d, 2 * d), dtype=complex)
     comp[:, :d, d:] = np.eye(d)
-    comp[:, d:, :d] = -(rho - 2) / rho * (zah @ za)
+    comp[:, d:, :d] = -(rho - 2) / rho * (zah @ za if gram is None else gram)
     comp[:, d:, d:] = (rho - 1) / rho * (za + zah)
     roots = np.linalg.eigvals(comp)
     real = np.abs(roots.imag) <= QEP_REAL_TOL * (1 + np.abs(roots.real))
@@ -535,21 +536,24 @@ def _top_eigenvalues(s: np.ndarray) -> np.ndarray:
 
 
 def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top, out: dict,
-                    floor=0.0, batch=None):
+                    floor: float = 0.0, batch=None, gram=None):
     """The matrices S of the stack ``s`` for which lambda_min k, k the
-    kernel of S/L, L = ``level``, is not shown to stay above ``floor`` (one
-    value, or one per row) on the closed disk, in (rows, angles, values)
-    batches, each angle one
+    kernel of S/L, L = ``level``, is not shown to stay above ``floor`` on
+    the closed disk, in (rows, angles, values) batches, each angle one
     where the row fails and each value lambda_min k computed there (nan
     for a rho > 2 row with r(S) >= beta L, whose angle is not where a
     kernel was evaluated).  At floor 0 a row not returned has S/L a member.
 
     ``norms`` bound ||S|| (the Frobenius norms will do), and every test
     allows the rounding guard SCREEN_ROUND_GUARD d times the kernel's norm
-    bound _kernel_scale(t, rho), t = ||S||/L.  The norm test comes first: a
-    row whose _kernel_norm_floor(t, rho) is above floor + guard passes
-    without an eigensolve.  The first batch holds the other rows where
-    lambda_min k is at most floor + guard at the anchor angle, and, at
+    bound _kernel_scale(t, rho), t = ||S||/L.  The norm test comes first:
+    a row whose _kernel_norm_floor(t, rho) is above floor + guard passes
+    without an eigensolve.  ``gram``, when given, replaces S*S in each
+    kernel (the tangent pencils of _pair_cells, with a nan ``top`` and
+    ||G|| <= norm^2); the norm test is then skipped, and a row not returned
+    has its kernel above the floor on the circle.  The first batch holds
+    the other rows where lambda_min k is at most floor + guard at the
+    anchor angle, and, at
     rho > 2, those with r(S) >= beta L, beta = (rho-1)/(rho-2), at the
     angle -arg lam of the eigenvalue ``top``.  The others come from
     _circle_crossings of k - floor I (which err towards real, counted per
@@ -559,21 +563,23 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     2 batch, ... rows (_row_batches), one per draw, so a caller that stops
     at an Out row solves no later batch; a row's result does not depend on
     its batch.  At rho = 1 the kernel on the circle is I - U*U at every
-    angle, so the anchor decides and no crossing is solved.  A row in no
-    batch has lambda_min k above the floor on the circle, where its disk
-    minimum lies (_kernel_disk_min).  The computed r(S) is safe: at
-    zeta = |lam|/lam, x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for an
-    eigenvector x of an eigenvalue lam of U, so a kernel above the floor on
-    the circle leaves U no eigenvalue of modulus beta, unless the floor is
-    below -1/(rho-2), the least value k takes.
+    angle, so the anchor decides.  A row in no batch has lambda_min k above
+    the floor on the circle, where its disk minimum lies (_kernel_disk_min):
+    at zeta = |lam|/lam, x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for an
+    eigenvector x of an eigenvalue lam of U, so a kernel above a floor
+    above -1/(rho-2) on the circle leaves U no eigenvalue of modulus beta.
     """
     d = s.shape[-1]
     t = norms / level
-    floor = np.broadcast_to(floor, t.shape)
     cut = floor + SCREEN_ROUND_GUARD * d * _kernel_scale(t, rho)
-    idx = np.flatnonzero(_kernel_norm_floor(t, rho) <= cut)
+    idx = np.arange(len(s)) if gram is not None else np.flatnonzero(_kernel_norm_floor(t, rho) <= cut)
     u, angles = s[idx] / level, anchors[idx]
-    vals = _kernel_lambda_min(u, rho, np.exp(1j * angles))
+    g = None if gram is None else gram[idx] / level ** 2
+
+    def lam(rows, zs):
+        return _kernel_lambda_min(u[rows], rho, zs) if g is None else _kernel_lambda_min(u[rows], rho, zs, g[rows])
+
+    vals = lam(slice(None), np.exp(1j * angles))
     bad = vals <= cut[idx]
     if rho > 2:
         wide = (rho - 2) * np.abs(top[idx]) >= (rho - 1) * level
@@ -581,17 +587,18 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     yield idx[bad], angles[bad], vals[bad]
     if rho == 1 or bad.all():
         return
-    u, idx, angles = u[~bad], idx[~bad], angles[~bad]
-    for lo, hi in _row_batches(idx.size, batch):
-        ub, ib = u[lo:hi], idx[lo:hi]
-        cross = _circle_crossings(-(rho - 1) * ub, (rho - floor[ib])[:, None, None] * np.eye(d)
-                                  + (rho - 2) * (ub.conj().swapaxes(1, 2) @ ub), angles[lo:hi])
+    keep = np.flatnonzero(~bad)
+    for lo, hi in _row_batches(keep.size, batch):
+        rows = keep[lo:hi]
+        ub, ib = u[rows], idx[rows]
+        gb = ub.conj().swapaxes(1, 2) @ ub if g is None else g[rows]
+        cross = _circle_crossings(-(rho - 1) * ub, (rho - floor) * np.eye(d) + (rho - 2) * gb, angles[rows])
         out["slice_crossing_solves"] += ib.size
         count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
         nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
         at, col = np.nonzero(col < count)
         mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
-        vals = _kernel_lambda_min(ub[at], rho, np.exp(1j * mids))
+        vals = lam(rows[at], np.exp(1j * mids))
         fail = vals <= cut[ib[at]]
         yield ib[at[fail]], mids[fail], vals[fail]
 
@@ -605,12 +612,10 @@ def _row_batches(n: int, first=None):
         start, size = start + size, 2 * size
 
 
-def _level1_failures(s: np.ndarray, rho: float, out: dict, floor=0.0, top=None, batch=None):
+def _level1_failures(s: np.ndarray, rho: float, out: dict, floor=0.0, batch=None):
     """_slice_failures of the stack ``s`` at level 1 from the anchor angle 0,
-    with the Frobenius norms, which bound the spectral ones, and the top
-    eigenvalues ``top`` (computed here when rho > 2 and not given)."""
-    if rho > 2 and top is None:
-        top = _top_eigenvalues(s)
+    with the Frobenius norms, which bound the spectral ones."""
+    top = _top_eigenvalues(s) if rho > 2 else None
     return _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, out, floor, batch)
 
 
@@ -842,13 +847,14 @@ def _worst_slice(a: OperatorTuple, rho: float):
     return _slice_stack(a, w[None])[0], w, root * scale, level * scale, {**stats, "slice_w": _slice_phases_json(w)}
 
 
-def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict):
+def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict, undecided=None):
     """The first row of the stack ``s`` decided Out among the (rows,
     angles, values) batches ``failures`` of its member test at floor 0, and
     its verdict, else (None, None).  The rows are taken in turn: one whose
     smallest value is below -tol is Out with that value as margin and its
     angle as witness ("kernel-witness"); the others (nan, or in [-tol,
-    guard]) go to membership_single, counted in stats["level1_memberships"].
+    guard]) go to membership_single, counted in stats["level1_memberships"],
+    and those it decides In are appended to ``undecided`` as (row, margin).
     The batches are drawn lazily, so a row that fails at its anchor settles
     the tuple before any crossing solve, and one found in a crossing batch
     before the batches after it."""
@@ -864,150 +870,154 @@ def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict):
                 v = membership_single(s[i], rho, tol)
             if v.decision == OUT:
                 return i, v
+            if undecided is not None:
+                undecided.append((i, v.margin))
     return None, None
 
 
-def _member_test_tops(s: np.ndarray, rho: float) -> np.ndarray:
-    """The top eigenvalues that the member test reads at rho > 2
-    (_top_eigenvalues of the stack ``s``); nan at rho <= 2."""
-    return _top_eigenvalues(s) if rho > 2 else np.full(len(s), np.nan)
-
-
-def _first_grid(a: OperatorTuple, rho: float):
-    """The first phase grid of _qep_theta_max as (phases, slices,
-    _member_test_tops of the slices)."""
+def _first_out_slice(a: OperatorTuple, rho: float, tol: float, batch=LEVEL1_FIRST_BATCH):
+    """The level-1 pass of membership_tuple (N >= 3) over the first phase
+    grid of _qep_theta_max: the first grid slice decided Out (_first_out)
+    among those that _level1_failures does not show to be members.
+    Returns (phases, verdict) of that slice, or (None, None), and the
+    counters (with the slice's phases).  Crossings are solved in batches of
+    ``batch``, 2 batch, ... slices (one if None) up to the witness's: an
+    Out triple's witness is most often among the first slices solved."""
     w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
     s = _slice_stack(a, w)
-    return w, s, _member_test_tops(s, rho)
-
-
-def _first_out_slice(a: OperatorTuple, rho: float, tol: float, grid=None, batch=LEVEL1_FIRST_BATCH):
-    """The level-1 pass of membership_tuple over the first phase grid
-    (``grid``, else _first_grid): the first grid slice decided Out
-    (_first_out) among those that _level1_failures does not show to be
-    members.  Returns (phases, verdict) of that slice, or (None, None), and
-    the counters (with the slice's phases).  Crossings are solved in
-    batches of ``batch``, 2 batch, ... slices (one if None) up to the
-    witness's: an Out triple's witness is most often among the first
-    slices solved, while a pair In solves them all, so pairs take one."""
-    w, s, top = grid or _first_grid(a, rho)
     solves = {"slice_crossing_solves": 0}
     stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
-    i, v = _first_out(s, _level1_failures(s, rho, solves, top=top, batch=batch), rho, tol, stats)
+    i, v = _first_out(s, _level1_failures(s, rho, solves, batch=batch), rho, tol, stats)
     stats["level1_crossing_solves"] = solves["slice_crossing_solves"]
     if v is None:
         return None, None, stats
     return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
 
 
-def _cell_floor(eps, rho: float, target: float = 0.0):
-    """Floor F such that a slice S whose kernel stays at or above F on the
-    closed disk keeps every slice within ``eps`` of it (in norm) at or above
-    ``target``: F = target + 2 eps sqrt(1 + q target) + q eps^2, q = rho-2,
-    or +inf where no such F below rho follows from the bound (eps may be an
-    array).  At target 0 it is Delta = 2 eps + q eps^2.
+def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
+    """The cell recursion over the circle of phases w of the slices
+    S_w = A_1 + w A_2: pair membership at level 1 (``tol`` given), as
+    (phases, verdict, counters) like _first_out_slice, or the radius of a
+    pair with sum ||A_k|| = 1 (``gap`` its radius gap), as (best root,
+    proven level, counters).
 
-    For q != 0, k = q (zS - beta I)*(zS - beta I) - I/q with
-    beta = (rho-1)/q, so lambda_min k = q sigma^2 - 1/q with sigma the
-    least (q > 0) or largest (q < 0) singular value of zS - beta I, which
-    moves by at most |z| eps <= eps when S does; at q = 0, k = 2 I - (zS +
-    (zS)*) moves by at most 2 eps.  Hence _cell_bound(F, eps) = target.
-    The q < 0 branch needs sqrt(1 + q target) + q eps > 0, |q| eps < 1 at
-    target 0.  F must lie below rho: k(0) = rho I, and at rho <= 2, where
-    lambda_min k is concave along each radius, a kernel at or above F on
-    the circle is at or above min(rho, F) on the disk."""
-    q = rho - 2
-    root = np.sqrt(1 + q * target)
-    floor = target + 2 * eps * root + q * eps ** 2
-    return np.where((root + q * eps > 0) & (floor < rho), floor, np.inf)
+    A cell's arc |t - c| <= h lies in the triangle with vertices
+    e^{i(c-h)}, e^{i(c+h)} and e^{ic}/cos h, where the end tangents meet.
+    With G_w = A_1*A_1 + A_2*A_2 + w A_1*A_2 + conj(w) A_2*A_1 the kernel
+    rho I - (rho-1)(zS_w + (zS_w)*) + (rho-2) G_w is real-affine in w, the
+    slice's kernel for |w| = 1, and lambda_min is concave: so a cell whose
+    real end slices and tangent pencil (S_w, G_w) pass the member test at a
+    level L (_slice_failures) has every slice a member at L (at rho > 2 no
+    slice of the arc has r(S) = beta L, so r(S) < beta L, as at its ends).
+    A round tests in one batch the tangents of the live cells and their
+    ends not passed yet (a member at L is one above L).  A cell whose
+    tangent fails while its ends pass is cut in CELL_WAYS, unless the radius
+    has more than CELL_SPLITS such cells in the round, membership would test
+    more than CELL_BUDGET vertices, or the cell is at depth CELL_DEPTH.
 
+    Membership runs at level 1 from the anchor angle 0, at floor 0.  A
+    failing real slice goes to _first_out: the first decided Out is the
+    witness.  One decided In (within tol of the boundary) starts the
+    recursion again at the floor -tol, where such a slice leaves its cells
+    unproven, as does a failing cell not cut.  The verdict is In,
+    Certified, its margin the floor (a proven lower bound on every slice's
+    disk minimum; at rho > 2 one below -1/(rho-2) holds for every slice),
+    or with cells unproven NecessaryOnly, margin the least of the floor and
+    the In slices'.
 
-def _cell_bound(f, eps, rho: float):
-    """G(f, eps) = f - 2 eps sqrt(1 + q f) + q eps^2, q = rho-2, f capped at
-    rho: a lower bound on lambda_min k over the closed disk for every slice
-    within ``eps`` of one whose kernel stays at or above f there
-    (_cell_floor), -1/q at q > 0 where q eps exceeds sqrt(1 + q f), the
-    least value k takes."""
-    q = rho - 2
-    f = np.minimum(f, rho)
-    root = np.sqrt(1 + q * f)
-    bound = f - 2 * eps * root + q * eps ** 2
-    return np.where(root >= q * eps, bound, -1 / q if q > 0 else bound)
+    The radius solves its first real slices at the angles 0 and pi for the
+    best root U, then runs a joint level set at L = max(U + gap,
+    L + SLICE_GAP (1 + L)), anchored opposite U's angle.  A failing vertex
+    gets its root where it fails (_qep_top_roots, with G_w for a tangent):
+    a real slice's raises U and names ``slice_w``; a tangent's at most
+    U + gap, or one whose cell is not cut, raises L above it instead.  The
+    level at which the last cell passes bounds every slice.
+    """
+    a1, a2 = a.mats
+    g0, g1 = a1.conj().T @ a1 + a2.conj().T @ a2, a1.conj().T @ a2
+    radius, margins, solves = tol is None, [], {"slice_crossing_solves": 0}
+    cells = dict.fromkeys(("cell_rounds", "cell_vertices", "cell_crossing_solves", "cell_root_solves",
+                           "cells_unproven"), 0)
+    n, floor = CELL_START << CELL_DEPTH, 0.0
 
+    def start():  # the first cells, and whether each one's left and right ends passed
+        return (np.arange(CELL_START, dtype=np.int64) << CELL_DEPTH, np.full(CELL_START, 1 << CELL_DEPTH),
+                np.zeros((2, CELL_START), dtype=bool))
 
-def _pair_cells(a: OperatorTuple, rho: float, tol: float):
-    """Pair membership by cells over the circle of phases w of the slices
-    S(w) = A_1 + w A_2: (phases, verdict, counters) as _first_out_slice,
-    with the In verdict of the cells ("torus-slice+cells"), or (None, None,
-    counters) when a slice that the member test cannot place above 0 is
-    decided In by membership_single (within tol of the boundary).
-
-    The level-1 pass over the first phase grid (_first_out_slice) runs
-    first, for Out.  Each grid phase c is then the centre of a cell of
-    half-width h = pi/SLICE_POINTS, whose slices lie within
-    eps = 2 sin(h/2) ||A_2|| of S(c).  A centre that passes the member test
-    at the per-row floor _cell_floor(eps, rho, CELL_RAISE Delta),
-    Delta = _cell_floor(eps, rho), proves that every slice of its cell
-    keeps its kernel at or above CELL_RAISE Delta on the closed disk.  A cell whose centre fails, or
-    whose floor is +inf, is split in two; the new centres take the floor
-    test first, and those that fail it the floor-0 test, for Out
-    (_first_out).  A cell whose centre passes floor 0 with
-    _cell_bound(0, eps) >= -tol stops splitting, with that bound.  The
-    margin is the least bound, a proven lower bound on every slice's disk
-    minimum, and the verdict In, Certified.  Past CELL_BUDGET cell slices
-    it is In, NecessaryOnly, with the cells left (``cells_unproven``), and
-    the margin covers the proven cells and the centres tested (0)."""
-    grid = _, s, top = _first_grid(a, rho)
-    w, v, stats = _first_out_slice(a, rho, tol, grid, batch=None)
-    if v is not None or stats["level1_memberships"]:
-        return w, v, stats
-    theta, h = _phase_grid(1)[0][:, 0], np.full(SLICE_POINTS, np.pi / SLICE_POINTS)
-    norm, solves = op_norm(a.mats[1]), {"slice_crossing_solves": 0}
-    cells = {"slice_points": len(theta), "cell_slices": len(theta), "cell_rounds": 0, "cell_crossing_solves": 0,
-             "cells_unproven": 0}
-    proven, fresh = [], False
-    while theta.size:
-        cells["cell_rounds"] += 1
-        eps = 2 * np.sin(h / 2) * norm
-        delta = _cell_floor(eps, rho)
-        target = CELL_RAISE * np.where(np.isfinite(delta), delta, 0.0)
-        floor = _cell_floor(eps, rho, target)
-        failed = ~np.isfinite(floor)
-        test = np.flatnonzero(~failed)
-        for rows, _, _ in _level1_failures(s[test], rho, solves, floor[test], top[test]):
-            failed[test[rows]] = True
-        keep = ~failed
-        proven.append(target[keep])
-        if fresh and failed.any():
-            idx = np.flatnonzero(failed)
-            i, v = _first_out(s[idx], _level1_failures(s[idx], rho, solves, top=top[idx]), rho, tol, stats)
-            if v is not None or stats["level1_memberships"]:
-                cells["cell_crossing_solves"] = solves["slice_crossing_solves"]
-                if v is None:
-                    return None, None, {**stats, **cells}
-                wi = np.exp(1j * theta[idx[i]])[None]
-                return wi, v, {**stats, **cells, "slice_w": _slice_phases_json(wi)}
-        bound = _cell_bound(0.0, eps, rho)
-        stop = failed & (bound >= -tol)
-        proven.append(bound[stop])
-        split = failed & ~stop
-        if cells["cell_slices"] + 2 * np.count_nonzero(split) > CELL_BUDGET:
-            cells["cells_unproven"] = int(np.count_nonzero(split))
-            break
-        h = np.repeat(h[split] / 2, 2)
-        theta = np.repeat(theta[split], 2) + h * np.tile([-1.0, 1.0], np.count_nonzero(split))
-        s = _slice_stack(a, np.exp(1j * theta)[:, None])
-        top = _member_test_tops(s, rho)
-        cells["cell_slices"] += theta.size
-        fresh = True
-    bounds = np.concatenate(proven)
-    if cells["cells_unproven"]:
-        margin, exactness = float(bounds.min(initial=0.0)), NECESSARY_ONLY
+    p, q, known = start()
+    if radius:
+        w = np.exp(2j * np.pi * np.arange(CELL_START) / CELL_START)
+        roots = _qep_top_roots(np.concatenate([s := _slice_stack(a, w[:, None]), -s]), rho)
+        cells["cell_root_solves"], i = roots.size, int(np.argmax(roots))
+        value, level, anchor = max(float(roots[i]), 0.0), -math.inf, np.pi * (i < CELL_START)
+        stats = {"slice_w": _slice_phases_json(w[[i % CELL_START]])}
     else:
-        margin, exactness = float(bounds.min()), CERTIFIED
+        level, anchor, value, stats = 1.0, 0.0, 0.0, {"level1_memberships": 0}
+    while p.size:
+        if cells["cell_rounds"] == CELL_DEPTH + LEVELSET_MAX_ITERATIONS:
+            raise InternalError(f"pair cell recursion did not stop in {cells['cell_rounds']} rounds")
+        cells["cell_rounds"] += 1
+        if radius:
+            level = max(value + max(gap, SLICE_GAP * (1 + value)), level + SLICE_GAP * (1 + level))
+        real, inv = np.unique(np.stack([p, p + q])[~known] % n, return_inverse=True)
+        k, step = real.size, 2 * np.pi / n
+        w = np.concatenate([np.exp(1j * step * real), np.exp(1j * step * (p + q / 2)) / np.cos(step * q / 2)])
+        s = a1 + w[:, None, None] * a2
+        gram = g0 + w[:, None, None] * g1 + w.conj()[:, None, None] * g1.conj().T
+        norms = np.concatenate([np.linalg.norm(s[:k], axis=(1, 2)),
+                                np.linalg.norm(a1) + np.abs(w[k:]) * np.linalg.norm(a2)])
+        top = np.concatenate([_top_eigenvalues(s[:k]), np.full(p.size, np.nan)]) if rho > 2 else None
+        rows, angles, vals = (np.concatenate(part) for part in zip(*_slice_failures(
+            s, rho, level, np.full(w.size, anchor), norms, top, solves, floor=floor, gram=gram)))
+        cells["cell_vertices"] += w.size
+        is_real = rows < k
+        if not radius:
+            found = []
+            i, v = _first_out(s[:k], [(rows[is_real], angles[is_real], vals[is_real])], rho, tol, stats, found)
+            if v is not None:
+                cells["cell_crossing_solves"] = solves["slice_crossing_solves"]
+                return w[[i]], v, {**stats, **cells, "slice_w": _slice_phases_json(w[[i]])}
+            if found and not floor:  # within tol of the boundary: prove every slice at -tol instead
+                floor, (p, q, known) = -tol, start()
+                continue
+            margins += [m for _, m in found]
+        known[~known] = np.bincount(rows[is_real], minlength=k)[inv] == 0
+        ok, failed = known.all(axis=0), np.bincount(rows[~is_real] - k, minlength=p.size) > 0
+        split = ok & failed
+        if radius:
+            at = is_real | ok[np.maximum(rows - k, 0)] & ~is_real
+            rows, angles, is_real = rows[at], angles[at], is_real[at]
+            roots = _qep_top_roots(np.exp(1j * angles)[:, None, None] * s[rows], rho, gram[rows])
+            cells["cell_root_solves"] += roots.size
+            j = np.flatnonzero(is_real)
+            if j.size and roots[j].max() > value:
+                j = j[np.argmax(roots[j])]
+                value, anchor, stats["slice_w"] = float(roots[j]), angles[j] + np.pi, _slice_phases_json(w[[rows[j]]])
+            troot, t = np.full(p.size, -np.inf), np.flatnonzero(~is_real)
+            t = t[np.argsort(roots[t])]
+            troot[rows[t] - k] = roots[t]
+            split &= troot > value + gap
+        cuts = np.count_nonzero(split)
+        over = cuts > CELL_SPLITS if radius else cells["cell_vertices"] + (2 * CELL_WAYS - 1) * cuts > CELL_BUDGET
+        if over or (q[split] < CELL_WAYS).any():
+            split[:] = False
+        held = ok & failed & ~split
+        if radius:
+            level = max(level, troot[held].max(initial=level))
+        else:
+            cells["cells_unproven"] += int(np.count_nonzero(held | ~ok))
+        stay, pos = (~ok | held) & radius, np.tile(np.arange(CELL_WAYS), np.count_nonzero(split))
+        part = np.repeat(q[split] // CELL_WAYS, CELL_WAYS)
+        kids = np.repeat(p[split], CELL_WAYS) + part * pos
+        kept = np.where([pos == 0, pos == CELL_WAYS - 1], np.repeat(known[:, split], CELL_WAYS, axis=1), False)
+        p, q, known = np.append(p[stay], kids), np.append(q[stay], part), np.hstack([known[:, stay], kept])
     cells["cell_crossing_solves"] = solves["slice_crossing_solves"]
-    cert = {"method": CELLS_METHOD, **stats, **cells, "kernel_margin": margin, "tol": tol}
-    return None, MembershipVerdict(IN, margin, cert, exactness), cert
+    if radius:
+        return value, level, {**stats, **cells}
+    verdict = MembershipVerdict(IN, min([floor, *margins]), {
+        "method": CELLS_METHOD, **stats, **cells, "kernel_margin": min([floor, *margins]), "tol": tol},
+        NECESSARY_ONLY if cells["cells_unproven"] else CERTIFIED)
+    return None, verdict, verdict.certificate
 
 
 def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
@@ -1024,36 +1034,26 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     and scalar tuples attain the floor.  Otherwise the tuple is tested on
     its torus slices A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, as
     zeta A = zeta_1 S(zeta_2/zeta_1, ...): a slice that is not a member
-    puts the tuple out of the class.  The level-1 pass (_first_out_slice)
-    comes first and returns Out at the first grid slice that fails, with
-    its phases; its margin is lambda_min k at the witness, an attained
-    value (at least the slice's disk minimum), unless membership_single
-    decided that slice.  For N >= 3 it stops at its witness's crossing
-    batch; only ``level1_crossing_solves`` depends on the batches.
+    puts the tuple out of the class, with its phases; the margin is
+    lambda_min k at the witness, an attained value (at least the slice's
+    disk minimum), unless membership_single decided that slice.  A pair is
+    decided by the cell recursion (_pair_cells, method "torus-slice+cells"):
+    Out at its first real slice decided Out, else In, Certified, with
+    margin 0 when every cell of the phase circle is proven, or
+    NecessaryOnly (``cells_unproven``).  For N >= 3 the level-1 pass
+    (_first_out_slice) returns Out at the first grid slice that fails,
+    stopping at its witness's crossing batch (only ``level1_crossing_solves``
+    depends on the batches); else the worst slice of the phase search
+    (_qep_theta_max, the same search as w_rho_tuple's) is decided by
+    membership_single.
 
-    A pair then goes on to the phase cells (_pair_cells, method
-    "torus-slice+cells"): each first-grid phase is the centre of a cell,
-    and a centre that passes the member test at the per-row floor of
-    the completed square (_cell_floor) proves that every slice of its cell
-    is a member; the others are split, and a new centre that fails floor 0
-    can be the Out witness.  An In margin is then a proven lower bound on
-    every slice's disk minimum (the least cell bound), and past CELL_BUDGET
-    cell slices the In verdict is NecessaryOnly, with the cells left in
-    ``cells_unproven``.  A pair within tol of the boundary, some slice of
-    which membership_single decides In although the member test cannot
-    place it above 0, and a tuple with N >= 3, are decided on the worst
-    slice of the phase search (_qep_theta_max, the same search as
-    w_rho_tuple's) by membership_single; that pair In rests on the phases
-    searched, so it is NecessaryOnly.
-
-    Slices decide a pair: by the two-variable von Neumann inequality
-    (Ando) membership is sup ||phi(zA)|| <= 1 on the closed bidisk, and by
-    the maximum principle that holds iff every slice is a member.  If every
-    slice is, the spectral radius of zA is at most 1 on the torus, hence on
-    the bidisk (it is plurisubharmonic), while a pole of phi needs the
-    eigenvalue rho/(rho-1) of zA, of modulus above 1 for rho > 1.  For
-    rho < 1 member slices have ||zA|| <= rho, which excludes poles the same
-    way; at rho = 1, phi = -zA has none.
+    Slices decide a pair: by Ando's inequality membership is
+    sup ||phi(zA)|| <= 1 on the closed bidisk, which by the maximum
+    principle holds iff every slice is a member.  If every slice is, r(zA)
+    is at most 1 on the torus, hence on the bidisk (it is
+    plurisubharmonic), while a pole of phi needs the eigenvalue
+    rho/(rho-1) of zA, of modulus above 1 for rho > 1; for rho < 1 member
+    slices have ||zA|| <= rho, and at rho = 1, phi = -zA has no pole.
 
     For N >= 3 a worst slice that passes is followed by budget
     substitutions A(C) of sampled commuting tuples (drawn once per process,
@@ -1092,8 +1092,6 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
                     substitution_crossing_solves=0, disk_minima=0)
     if v.decision == OUT:
         return MembershipVerdict(OUT, v.margin, cert, CERTIFIED)
-    if a.n_vars == 2:
-        return MembershipVerdict(IN, v.margin, cert, NECESSARY_ONLY)
 
     samples = sample_commuting_tuples(a.n_vars, budget)
     solves, failing = {"slice_crossing_solves": 0}, {}
@@ -1115,18 +1113,14 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
 def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
     """Tuple radius bracket.
 
-    N = 1 delegates to w_rho.  For N >= 2 the bracket comes from the search
-    over the torus slices A_1 + w_2 A_2 + ... + w_N A_N (_worst_slice; see
-    membership_tuple).  lo is the largest root attained less the radius
-    gap, RADIUS_GAP (1 + max(1, 2/rho - 1)) sum ||A_k|| and at most width/4.
-    It is proven: a slice that is not a member puts the tuple out of the
-    class.  For a pair the largest w_rho of the slices is the radius, and hi
-    is the search's largest elimination level (``certified_level``), at
-    which every slice searched passes the member test; between the phases
-    searched it rests on the search (``hi_basis`` "phase-search"), unlike
-    a pair In verdict, which the phase cells prove.  Its bracket is at
-    least the search's level gap (SLICE_GAP, relative) wide, whatever the
-    width.
+    N = 1 delegates to w_rho.  For N >= 2, lo is the largest w_rho root
+    attained by a torus slice A_1 + w_2 A_2 + ... + w_N A_N less the
+    radius gap RADIUS_GAP (1 + max(1, 2/rho - 1)) sum ||A_k||, at most
+    width/4: a slice that is not a member puts the tuple out of the class.
+    A pair's radius is the largest w_rho of its slices, and both ends come
+    from the cell recursion (_pair_cells on A/sum ||A_k||): hi is the level
+    at which every cell of the phase circle is proven (``certified_level``),
+    so it bounds every slice, and ``slice_w`` the phase of the root.
 
     N >= 3: hi is the bound sum ||A_k|| max(1, 2/rho - 1): for commuting
     contractions C, ||A(C)|| <= sum ||A_k||, and
@@ -1147,13 +1141,15 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH) -> R
     norm_sum = a.norm_sum()
     if norm_sum == 0.0:
         return RadiusReport(0.0, 0.0, method, {"width": width}, time.perf_counter() - start)
-    _, _, root, level, spec = _worst_slice(a, rho)
-    grid_spec, value = {**spec, "width": width}, root / norm_sum
     bound = max(1.0, 2.0 / rho - 1.0)
+    gap = min(RADIUS_GAP * (1 + bound), width / (4 * norm_sum))
     if a.n_vars == 2:
-        hi = grid_spec["certified_level"] = level
-        grid_spec["hi_basis"] = "phase-search"
+        value, level, grid_spec = _pair_cells(a.scale(1 / norm_sum), rho, gap=gap)
+        hi = level * norm_sum
+        grid_spec.update(certified_level=hi, width=width)
     else:
+        _, _, root, _, spec = _worst_slice(a, rho)
+        grid_spec, value = {**spec, "width": width}, root / norm_sum
         grid_spec.update(budget=RADIUS_BUDGET, substitution_levels=0, substitution_crossing_solves=0,
                          substitution_root_solves=0)
         top, samples = value, sample_commuting_tuples(a.n_vars, RADIUS_BUDGET, dims=(2, 3))
@@ -1165,5 +1161,4 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH) -> R
             value, top = run["value"], max(top, run["value"], run["levels"].max())
         grid_spec["necessary_estimate"] = top * norm_sum
         hi = max(top, bound) * norm_sum
-    gap = min(RADIUS_GAP * (1 + bound), width / (4 * norm_sum))
     return RadiusReport((value - gap) * norm_sum, hi, method, grid_spec, time.perf_counter() - start)

@@ -142,8 +142,8 @@ def _grid_slices(pair: OperatorTuple) -> np.ndarray:
 
 def admissible_eps(rho: float) -> float:
     """Largest eps with (1+eps)/rho + (rho-1)((1+eps)/rho)^2 = 1."""
-    if rho <= 1:
-        raise InputError("rho must exceed 1")
+    if not (math.isfinite(rho) and rho > 1):
+        raise InputError("rho must be finite and exceed 1")
     x = (-1 + math.sqrt(1 + 4 * (rho - 1))) / (2 * (rho - 1))
     return rho * x - 1
 
@@ -151,8 +151,6 @@ def admissible_eps(rho: float) -> float:
 def repro_nonsimilar_pair(rho: float, eps: float | None = None) -> ExperimentReport:
     """The 3x3 pair with nilpotent pencil: inside the class at rho, yet not
     simultaneously similar to contractive pairs (certified by divergence)."""
-    if rho <= 1:
-        raise InputError("rho must exceed 1")
     eps_max = admissible_eps(rho)
     if eps is None:
         eps = eps_max / 2
@@ -211,8 +209,8 @@ def repro_staircase(rho: float, m: int = 16, depth: int = 5) -> ExperimentReport
     """The staircase pair has a uniform isometric dilation (constructed and
     verified) while its pencil has norm sqrt(2)*rho on the torus, so no
     torus-unitary dilation can exist."""
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise InputError("rho must be finite and positive")
     start = time.perf_counter()
     report = ExperimentReport("staircase", {"rho": rho, "m": m, "depth": depth})
 
@@ -335,6 +333,8 @@ def radius_property_suite(seeds: int = 50, dims=(2, 3, 4), rho_set=(0.25, 0.5, 1
     rho <-> 2-rho symmetry, product and power bounds, log-convexity,
     lower bounds, verdict nesting, the scalar closed form, and the
     uniform power bound under commuting substitutions."""
+    if seeds < 1:
+        raise InputError("seeds must be at least 1")
     start = time.perf_counter()
     report = ExperimentReport(
         "radius-properties",
@@ -474,6 +474,8 @@ def repro_class_monotonicity(n_vars: int = 1, rho_grid=(0.3, 0.5, 0.7, 1.0, 2.0,
     rho_grid = sorted(rho_grid)
     if len(rho_grid) < 2:
         raise InputError("rho_grid must contain at least two ascending values")
+    if seeds < 1:
+        raise InputError("seeds must be at least 1")
     start = time.perf_counter()
     report = ExperimentReport(
         "monotonicity", {"n_vars": n_vars, "rho_grid": list(rho_grid), "seeds": seeds, "seed0": seed0}

@@ -166,6 +166,25 @@ def test_exit_code_non_finite_knobs(nilp, capsys, argv):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("name", ["thm51", "thm53"])
+@pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
+def test_exit_code_repro_non_finite_rho(capsys, name, rho):
+    # rho is checked before anything is derived from it, and named
+    code, out, err = _run(capsys, ["repro", "--name", name, f"--rho={rho}"])
+    assert code == 2 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "input" and err["message"].startswith("rho must be finite"), err
+
+
+@pytest.mark.parametrize("name", ["radius-properties", "monotonicity"])
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_exit_code_repro_no_seeds(capsys, name, seeds):
+    # a suite over no seeds checks nothing, so it is an input error, not a pass
+    code, out, err = _run(capsys, ["repro", "--name", name, "--seeds", seeds])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": "seeds must be at least 1"}
+
+
 @pytest.mark.parametrize("argv", [["radius", "--rho", "2"], ["membership", "--rho", "2"], ["numrad"],
                                   ["sweep", "--rho-from", "0.5", "--rho-to", "2", "--steps", "3"]])
 def test_exit_code_empty_matrix(tmp_path, capsys, argv):

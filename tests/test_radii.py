@@ -433,8 +433,10 @@ def test_norm_bound_at_the_bound_runs_the_search():
             t = sum(op_norm(m) for m in a.mats)
             assert abs(radii._kernel_norm_floor(t, rho)) <= radii.SCREEN_ROUND_GUARD * 2 * radii._kernel_scale(t, rho)
             v = membership_tuple(a, rho, budget=4)
-            assert v.decision == IN and v.certificate["method"].startswith("torus-slice"), (rho, n_vars)
-            assert "norm_sum" not in v.certificate and v.certificate["slice_points"] == radii.SLICE_POINTS
+            cert = v.certificate
+            assert v.decision == IN and cert["method"].startswith("torus-slice"), (rho, n_vars)
+            ran = cert["cell_vertices"] > 0 if n_vars == 2 else cert["slice_points"] == radii.SLICE_POINTS
+            assert "norm_sum" not in cert and ran, (rho, n_vars, cert)
 
 
 def test_norm_bound_fires_iff_triple_radius_hi_below_1():
@@ -492,29 +494,44 @@ def test_pair_verdict_agrees_with_radius():
         for rho in (0.5, 2.0, 3.0):
             rep = w_rho_tuple(pair, rho)
             spec = rep.grid_spec
-            assert spec["slice_points"] == radii.SLICE_POINTS
+            assert spec["cells_unproven"] == 0 and spec["cell_rounds"] >= 1
             assert spec["certified_level"] == rep.hi
             v_in = membership_tuple(pair.scale(1 / (rep.hi * (1 + 1e-6))), rho)
             v_out = membership_tuple(pair.scale(1 / (rep.lo * (1 - 1e-6))), rho)
             assert (v_in.decision, v_out.decision) == (IN, OUT), (rho, rep, v_in, v_out)
-            # the phase cells decide v_in: Certified, or NecessaryOnly only
-            # with cells left unproven at the budget
+            # the cells prove v_in, with no cell left unproven
             cert = v_in.certificate
-            assert cert["method"] == radii.CELLS_METHOD and cert["cell_slices"] <= radii.CELL_BUDGET, cert
-            assert (v_in.exactness == CERTIFIED) == (cert["cells_unproven"] == 0), cert
+            assert (v_in.exactness, cert["method"], cert["cells_unproven"]) == (CERTIFIED, radii.CELLS_METHOD, 0), cert
+
+
+def _slice_root(pair, t, rho):
+    """The largest w_rho root that the slice A_1 + e^{it} A_2 attains."""
+    s = pair[0] + np.exp(1j * t) * pair[1]
+    norm = op_norm(s)
+    return radii._slices_max((s / norm)[None], rho)["value"] * norm
 
 
 def test_pair_hi_bounds_every_grid_slice():
-    # hi is the slice search's largest elimination level, so it bounds
-    # w_rho of every slice searched, the first phase grid among them
+    # hi is the level at which the cells prove every slice, so it bounds
+    # w_rho of the first phase grid's slices, and the root that a
+    # golden-section search of the phase attains around slice_w; at
+    # ref_pairs.json entry 5 and rho = 3 the search-based hi of the old
+    # phase search fell 1.2e-9 relative below such a root
     rng = np.random.default_rng(31)
     w = np.exp(1j * radii._phase_grid(1)[0])
+    cases = []
     for d in (1, 2, 3):
         pair = OperatorTuple((_random_matrix(rng, d), _random_matrix(rng, d)))
-        for rho in (0.5, 1.0, 2.0, 3.0):
-            rep = w_rho_tuple(pair, rho)
-            for s in radii._slice_stack(pair, w):
-                assert rep.hi >= w_rho(s, rho).lo, (d, rho, rep)
+        cases += [(pair, rho) for rho in (0.5, 1.0, 2.0, 3.0)]
+    entry = json.loads((Path(__file__).resolve().parents[1] / "bench" / "ref_pairs.json").read_text())["entries"][5]
+    cases.append((OperatorTuple(tuple(matrix_from_json(m) for m in entry["mats"])), 3.0))
+    for pair, rho in cases:
+        rep = w_rho_tuple(pair, rho)
+        for s in radii._slice_stack(pair, w):
+            assert rep.hi >= w_rho(s, rho).lo, (pair.dim, rho, rep)
+        t0 = np.angle(complex(*rep.grid_spec["slice_w"]))
+        _, best = _golden_min(lambda t: -_slice_root(pair, t, rho), t0 - np.pi / 32, t0 + np.pi / 32, 60)
+        assert rep.lo <= -best <= rep.hi, (pair.dim, rho, rep, -best)
 
 
 def test_pair_radius_above_commuting_substitutions():
@@ -527,44 +544,24 @@ def test_pair_radius_above_commuting_substitutions():
                 assert rep.hi >= w_rho(substitute(pair, c), rho).lo - rep.width, (rho, rep)
 
 
-def _cell_stack(a, centre, half, points=257):
-    """The slices A_1 + w A_2 of a pair at ``points`` phases w spanning the
-    cell of centre angle ``centre`` and half-width ``half``; the middle one
-    is the centre's."""
-    w = np.exp(1j * (centre + np.linspace(-half, half, points)))
-    return radii._slice_stack(a, w[:, None])
-
-
-def test_cell_bound_is_sound():
-    # every slice of a cell keeps its disk minimum at or above
-    # G(f, eps) = _cell_bound(f, eps), f the centre's disk minimum and
-    # eps = 2 sin(h/2) ||A_2||, wherever |rho-2| eps < 1 and Delta < rho;
-    # G(Delta, eps) is 0, and _cell_floor is +inf exactly where Delta is
-    # not a valid floor
+def test_cell_vertices_are_sound():
+    # every level the cell recursion proves passes the member test on 8192
+    # dense phases: the pair radius's hi, and the level just above it at
+    # which membership decides In, Certified (random pairs, d 1-4, rho
+    # 0.3-10); just below lo membership finds an Out slice
     rng = np.random.default_rng(83)
+    dense = np.exp(1j * np.linspace(0, 2 * np.pi, 8192, endpoint=False))[:, None]
     for i, rho in enumerate(CERT_RHOS):
-        q = rho - 2
-        for d in (1 + (2 * i) % 4, 2 + (2 * i) % 4):
-            a = OperatorTuple((_random_matrix(rng, d), _random_matrix(rng, d)))
-            a = a.scale(rng.uniform(0.5, 1.2) / w_rho_tuple(a, rho).hi)
-            norm = op_norm(a.mats[1])
-            while True:
-                half = 10 ** rng.uniform(-3, -1)
-                eps = 2 * math.sin(half / 2) * norm
-                delta = 2 * eps + q * eps ** 2
-                if abs(q) * eps < 1 and delta < rho:
-                    break
-            assert radii._cell_floor(eps, rho) == delta
-            assert abs(radii._cell_bound(delta, eps, rho)) <= 1e-15 * (1 + rho + delta), (rho, eps)
-            s = _cell_stack(a, rng.uniform(0, 2 * np.pi), half)
-            low = min(kernel_margin(b, rho) for b in s)
-            bound = radii._cell_bound(kernel_margin(s[len(s) // 2], rho), eps, rho)
-            scale = max(_scale(b, rho) for b in s)
-            assert low >= bound - 1e-12 * scale, (rho, d, half, low, bound)
-        for eps in np.linspace(0.01, 3.0, 60):
-            delta = 2 * eps + q * eps ** 2
-            valid = 1 + q * eps > 0 and delta < rho
-            assert np.isfinite(radii._cell_floor(eps, rho)) == valid, (rho, eps)
+        a = OperatorTuple((_random_matrix(rng, 1 + i % 4), _random_matrix(rng, 1 + i % 4)))
+        rep = w_rho_tuple(a, rho)
+        assert rep.grid_spec["cells_unproven"] == 0 and rep.lo <= rep.hi, (rho, rep)
+        v = membership_tuple(a.scale(1 / (rep.hi * (1 + 1e-9))), rho)
+        assert (v.decision, v.exactness) == (IN, CERTIFIED), (rho, v.certificate)
+        assert membership_tuple(a.scale(1 / (rep.lo * (1 - 1e-8))), rho).decision == OUT, rho
+        for level in (rep.hi, rep.hi * (1 + 1e-9)):
+            s = radii._slice_stack(a.scale(1 / level), dense)
+            rows = [r for r, _, _ in radii._level1_failures(s, rho, {"slice_crossing_solves": 0}) if r.size]
+            assert not rows, (rho, level, rep)
 
 
 def _diagonal_pair(rng, d):
@@ -614,6 +611,29 @@ def test_cells_find_out_slices_between_grid_phases():
             cert = v.certificate
             assert (v.decision, v.exactness) == (OUT, CERTIFIED), (rho, d, cert)
             assert cert["cell_rounds"] > 1 and cert["cells_unproven"] == 0, (rho, d, cert)
+
+
+def _near_flat_pairs():
+    """(pair, rho): a normal A_2 and a rank-one A_1 of 1e-3 to 1e-1 its
+    norm, so that w_rho of the slices A_1 + w A_2 barely depends on w."""
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        d = int(rng.integers(2, 5))
+        q, _ = np.linalg.qr(_random_matrix(rng, d))
+        a2 = q @ np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)) @ q.conj().T
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        a1 = 10 ** rng.uniform(-3, -1) * op_norm(a2) * np.outer(u, v.conj()) / (np.linalg.norm(u) * np.linalg.norm(v))
+        yield OperatorTuple((a1, a2)), float(rng.choice([0.5, 2.0, 3.0, 5.0]))
+
+
+def test_near_flat_pairs_just_outside_are_out():
+    # just below lo, where the slices that fail lie in a narrow arc while
+    # most cells' tangent pencils fail: membership keeps cutting cells
+    # until a real slice in that arc is the Out witness
+    for pair, rho in _near_flat_pairs():
+        v = membership_tuple(pair.scale(1 / (w_rho_tuple(pair, rho).lo * (1 - 1e-6))), rho)
+        assert (v.decision, v.exactness) == (OUT, CERTIFIED), (rho, v.certificate)
 
 
 def _reference_pairs():
@@ -800,20 +820,21 @@ def _qep_theta_max_full(a, rho):
 
 
 def test_slice_search_not_below_full_grid():
-    # each slice is maximised exactly in the first angle, so the slice
-    # search is not below the full torus grid, less its level gap
+    # the cell radius brackets the full torus grid's maximum: hi is proven
+    # above every slice, and lo, the best root less the radius gap, is not
+    # above the grid's by more than that gap and the grid's own sampling
+    # error (its last round spacing is about 2e-4, which at rho = 10 misses
+    # a peak of mu* by up to 7e-9 relative)
     rng = np.random.default_rng(25)
     cases = 0
     for d in range(1, 7):
         kinds = _kinds(rng, d)
         pair = OperatorTuple((kinds[d % 3] / 2, kinds[(d + 1) % 3] / 2))
         for rho in QEP_RHOS:
-            got, level, w, stats = radii._qep_theta_max(pair, rho)
+            rep = w_rho_tuple(pair, rho)
             ref = _qep_theta_max_full(pair, rho)
-            assert ref - radii.SLICE_GAP * (1 + ref) <= got <= level, (d, rho, got, level, ref)
-            assert w.shape == (1,) and abs(w[0]) == pytest.approx(1.0, abs=1e-15)
-            assert (stats["slice_points"], stats["slice_refine_rounds"]) == (radii.SLICE_POINTS,
-                                                                             radii.SLICE_REFINE_ROUNDS)
+            gap = radii.RADIUS_GAP * (1 + max(1.0, 2.0 / rho - 1.0)) * pair.norm_sum()
+            assert rep.lo - gap <= ref * (1 + 1e-8) and ref <= rep.hi, (d, rho, rep, ref)
             cases += 1
     assert cases == 66
 
@@ -881,11 +902,15 @@ def test_batched_circle_crossings_equal_single_calls():
 def test_flat_pair_search_runs_few_solves():
     # the thm51 pair's pencil is nilpotent, so mu* is flat on the torus:
     # every torus grid point ties with the best, and the old grid solved
-    # all 4963 of them
+    # all 4963 of them; every cell's tangent fails alike, so past
+    # CELL_SPLITS cells in a round the cells raise the level over them
     for rho in (1.5, 2.0, 3.0):
         pair = build_nonsimilar_pair(admissible_eps(rho) / 2)
-        spec = w_rho_tuple(pair, rho).grid_spec
-        assert spec["slice_crossing_solves"] + spec["slice_root_solves"] <= 400, (rho, spec)
+        rep = w_rho_tuple(pair, rho)
+        spec = rep.grid_spec
+        assert spec["cell_crossing_solves"] + spec["cell_root_solves"] <= 400, (rho, spec)
+        one = w_rho(pair.mats[0] + pair.mats[1], rho)
+        assert rep.lo <= one.hi and one.lo <= rep.hi, (rho, rep, one)
         assert membership_tuple(pair, rho).decision == IN
 
 
@@ -1039,24 +1064,30 @@ def test_in_margin_set_by_a_substitution_equals_unscreened_loop(monkeypatch):
 
 def test_level1_pass_at_rho_1_solves_no_crossings():
     # at rho = 1 the kernel on the circle is I - S*S at every angle, so the
-    # anchor test decides every grid slice
+    # anchor test decides every vertex of the pair cells, at level 1 and in
+    # the radius
     for pair in _random_pairs():
         rep = w_rho_tuple(pair, 1.0)
+        assert rep.grid_spec["cell_crossing_solves"] == 0, rep.grid_spec
         for scale, want in ((rep.hi * (1 + 1e-6), IN), (rep.lo * (1 - 1e-6), OUT)):
             v = membership_tuple(pair.scale(1 / scale), 1.0)
-            assert v.decision == want and v.certificate["level1_crossing_solves"] == 0, (want, v.certificate)
+            assert v.decision == want and v.certificate["cell_crossing_solves"] == 0, (want, v.certificate)
 
 
 def _first_grid_reference(a, rho, tol):
     """The Out slice as membership_single decides it: every first-grid
-    slice that the level-1 member test returns, in its order, then the
-    worst slice of the search.  Returns (decision, slice_w)."""
+    slice that the level-1 member test returns, in its order, then for
+    N >= 3 the worst slice of the search.  Returns (decision, slice_w);
+    for a pair with no Out grid slice, (In, None): the pair cells decide
+    the pairs that the caller builds there In, naming no slice."""
     w = np.exp(1j * radii._phase_grid(a.n_vars - 1)[0])
     s = radii._slice_stack(a, w)
     for rows, _, _ in radii._level1_failures(s, rho, {"slice_crossing_solves": 0}):
         for i in dict.fromkeys(rows.tolist()):
             if membership_single(s[i], rho, tol).decision == OUT:
                 return OUT, radii._slice_phases_json(w[i])
+    if a.n_vars == 2:
+        return IN, None
     b, _, _, _, spec = radii._worst_slice(a, rho)
     return membership_single(b, rho, tol).decision, spec["slice_w"]
 
@@ -1082,16 +1113,21 @@ def _out_tuples(rng, sizes=(2, 3), rhos=(0.5, 1.0, 2.0, 3.0, 10.0)):
 
 def test_out_witness_equals_membership_single_path():
     # an Out verdict read from the member test's own kernel value decides
-    # as membership_single of every failing grid slice in order, on the
-    # same slice, and its margin is attained at its witness: below -tol,
-    # lambda_min k of the pencil there, and at least the slice's minimum
+    # as membership_single does: for N >= 3 of every failing grid slice in
+    # order, on the same slice, and for a pair (whose cells take their real
+    # slices in their own order) on the slice it names; its margin is
+    # attained at its witness: below -tol, lambda_min k of the pencil
+    # there, and at least the slice's minimum
     rng = np.random.default_rng(71)
     witnessed = 0
     for a, rho in _out_tuples(rng):
         v = membership_tuple(a, rho, budget=16)
         cert = v.certificate
         assert v.decision == OUT and v.exactness == CERTIFIED, (a.n_vars, a.dim, rho)
-        assert (v.decision, cert["slice_w"]) == _first_grid_reference(a, rho, DEFAULT_TOL), cert
+        if a.n_vars == 2:
+            assert membership_single(_slice_of(a, cert), rho).decision == OUT, cert
+        else:
+            assert (v.decision, cert["slice_w"]) == _first_grid_reference(a, rho, DEFAULT_TOL), cert
         assert v.margin < -DEFAULT_TOL
         za = eval_pencil(a, np.array(cert["witness_z"]) @ [1, 1j])
         scale = _scale(za, rho)
@@ -1117,7 +1153,8 @@ def test_out_witness_falls_back_to_membership_single():
             assert v.certificate["method"] == "torus-slice+kernel-levelset"
             assert v.certificate["level1_memberships"] >= 1
     # with a large tol, a slice just outside the class has its values in
-    # [-tol, guard], so membership_single decides it
+    # [-tol, guard], so membership_single decides it; decided In, the pair
+    # cells prove every slice's disk minimum at or above -tol instead
     tol = 0.05
     for d in range(1, 5):
         for rho in (0.5, 2.0, 3.0):
@@ -1125,7 +1162,9 @@ def test_out_witness_falls_back_to_membership_single():
             a = a.scale(1.001 / w_rho_tuple(a, rho).lo)
             v = membership_tuple(a, rho, tol)
             assert v.certificate["level1_memberships"] >= 1, (d, rho, v.certificate)
-            assert (v.decision, v.certificate["slice_w"]) == _first_grid_reference(a, rho, tol), (d, rho)
+            assert (v.decision, v.certificate.get("slice_w")) == _first_grid_reference(a, rho, tol), (d, rho)
+            if v.decision == IN:
+                assert (v.exactness, v.margin, v.certificate["cells_unproven"]) == (CERTIFIED, -tol, 0), (d, rho)
 
 
 TRIPLE_RHOS = (0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0)
