@@ -83,8 +83,8 @@ RADIUS_GAP = 1e-9
 
 #: Phases (w_2, ..., w_N) of the slices A_1 + w_2 A_2 + ... + w_N A_N of
 #: the N >= 3 level-1 pass and worst-slice search (_qep_theta_max): a
-#: tensor grid of about SLICE_POINTS phases (8 x 8 for a triple; 64 for the
-#: pair grid of repro), then local rounds of about SLICE_REFINE_POINTS.
+#: tensor grid of about SLICE_POINTS phases (8 x 8 for a triple), then local
+#: rounds of about SLICE_REFINE_POINTS.
 SLICE_POINTS = 64
 SLICE_REFINE_ROUNDS = 3
 SLICE_REFINE_POINTS = 17
@@ -739,8 +739,9 @@ def numerical_radius(a) -> float:
 
 
 @functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
-def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = NORM_CAP) -> OperatorTuple:
-    """One deterministic commuting tuple of strict contractions.
+def sample_commuting_tuple(dim: int, n_vars: int, seed: int) -> OperatorTuple:
+    """One deterministic commuting tuple of strict contractions (norms at
+    most NORM_CAP).
 
     Even seeds draw from the simultaneously-diagonalizable (normal) family;
     odd seeds from polynomials in a single nilpotent Jordan-type matrix.
@@ -750,8 +751,6 @@ def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = N
     """
     if dim < 1:
         raise InputError("dim must be >= 1")
-    if not 0 < norm_cap < 1:
-        raise InputError("norm_cap must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     if seed % 2 == 0 or dim == 1:
         # family (a): C_k = U D_k U* with a common random unitary
@@ -777,7 +776,7 @@ def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = N
             coeffs[0] *= 0.3  # keep the constant part from dominating
             mats.append(sum(c * p for c, p in zip(coeffs, powers)))
     norms = np.linalg.norm(np.stack(mats), 2, axis=(1, 2))
-    t = OperatorTuple(tuple(m * (norm_cap / nrm) if nrm > norm_cap else m for m, nrm in zip(mats, norms)))
+    t = OperatorTuple(tuple(m * (NORM_CAP / nrm) if nrm > NORM_CAP else m for m, nrm in zip(mats, norms)))
     residual = t.commutator_residual()
     if residual > COMMUTE_TOL:
         raise InternalError(f"sampled tuple has commutator residual {residual:.3e}")
@@ -788,12 +787,12 @@ def sample_commuting_tuple(dim: int, n_vars: int, seed: int, norm_cap: float = N
     return t
 
 
-def sample_commuting_tuples(n_vars: int, budget: int, seed: int = 0, dims=SAMPLE_DIMS, norm_cap: float = NORM_CAP):
+def sample_commuting_tuples(n_vars: int, budget: int, seed: int = 0, dims=SAMPLE_DIMS):
     """Deterministic batch of samples, alternating both families and dims."""
     out = []
     for i in range(budget):
         dim = dims[i % len(dims)]
-        out.append(sample_commuting_tuple(dim, n_vars, seed * 10007 + i, norm_cap))
+        out.append(sample_commuting_tuple(dim, n_vars, seed * 10007 + i))
     return out
 
 

@@ -34,15 +34,13 @@ from .radii import (
     CERTIFIED,
     IN,
     OUT,
-    _phase_grid,
-    _phi_circle_sup,
-    _slice_stack,
     kernel_margin,
     membership_single,
     membership_tuple,
     sample_commuting_tuples,
     substitute,
     w_rho,
+    w_rho_tuple,
 )
 
 
@@ -89,6 +87,11 @@ class ExperimentReport:
         self.add(description, expected, observed, tolerance,
                  abs(observed - expected) <= tolerance, provenance)
 
+    def add_certified(self, description, decision, verdict, provenance):
+        """Claim that a membership verdict is `decision`, Certified."""
+        expected, observed = f"{decision} {CERTIFIED}", f"{verdict.decision} {verdict.exactness}"
+        self.add(description, expected, observed, 0.0, observed == expected, provenance)
+
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -133,13 +136,6 @@ def repro_scalar_boundary(rho: float, eps: float) -> ExperimentReport:
 # non-similar pair (nilpotent pencil of degree 3)
 
 
-def _grid_slices(pair: OperatorTuple) -> np.ndarray:
-    """The slices A_1 + w A_2 of a pair on the first phase grid of the
-    slice search: zeta A = zeta_1 (A_1 + w A_2), w = zeta_2/zeta_1, covers
-    the torus."""
-    return _slice_stack(pair, np.exp(1j * _phase_grid(1)[0]))
-
-
 def admissible_eps(rho: float) -> float:
     """Largest eps with (1+eps)/rho + (rho-1)((1+eps)/rho)^2 = 1."""
     if not (math.isfinite(rho) and rho > 1):
@@ -178,16 +174,16 @@ def repro_nonsimilar_pair(rho: float, eps: float | None = None) -> ExperimentRep
             worst_cube = max(worst_cube, float(np.abs(cube(za)).max()))
     report.add("pencil cube vanishes exactly", 0.0, worst_cube, 0.0, worst_cube == 0.0, "PAPER")
 
-    # (2) the eps = 0 transform sup over the closed bidisk, reached on the
-    # torus (maximum principle; the pencil is nilpotent, so phi has no pole):
-    # the level-set sup over the circle of each grid slice
-    sup0 = max(_phi_circle_sup(b, rho) for b in _grid_slices(pair0))
-    bound = (2 * rho - 1) / rho**2
-    report.add_le("phi sup over bidisk, eps = 0", sup0, bound, 1e-9, "PAPER")
+    # (2) sup ||phi_rho(zA_0)|| <= g = (2 rho - 1)/rho^2 on the closed bidisk.
+    # phi_rho(x)/g = phi_r(x/s) with r = 1 + g(rho-1) > 1 and s = g rho/r, so
+    # this is A_0/s in C_{r,2}, proven by the pair cells (no pole at r > 1)
+    g = (2 * rho - 1) / rho**2
+    r = 1 + g * (rho - 1)
+    report.add_certified("phi sup over bidisk <= (2 rho - 1)/rho^2, eps = 0", IN,
+                         membership_tuple(pair0.scale(r / (g * rho)), r), "PAPER")
 
     # (3) membership of the eps-perturbed pair
-    verdict = membership_tuple(pair, rho)
-    report.add("membership of perturbed pair", IN, verdict.decision, 0.0, verdict.decision == IN, "PAPER")
+    report.add_certified("membership of perturbed pair", IN, membership_tuple(pair, rho), "PAPER")
 
     # (4) divergence of the non-normal product
     if eps > 0:
@@ -233,13 +229,14 @@ def repro_staircase(rho: float, m: int = 16, depth: int = 5) -> ExperimentReport
     uwit = verify_uniform_rho_dilation(pair, v, ve, rho, n_max=4)
     report.add_le("uniform dilation residual (words <= 4)", uwit.max_residual, 0.0, 1e-9, "PAPER")
 
-    # (4) pencil norm sqrt(2)*rho on the torus (on every grid slice), hence
-    # out of the class, which the pair's membership test certifies
-    norms = np.linalg.norm(_grid_slices(pair), 2, axis=(1, 2))
-    report.add_close("torus pencil norm", float(np.abs(norms - math.sqrt(2) * rho).max()), 0.0, 1e-9, "PAPER")
-    verdict = membership_tuple(pair, rho)
-    report.add("pair membership Out, certified", f"{OUT} {CERTIFIED}", f"{verdict.decision} {verdict.exactness}",
-               0.0, (verdict.decision, verdict.exactness) == (OUT, CERTIFIED), "PAPER")
+    # (4) pencil norm sqrt(2)*rho at every torus point, hence out of the class:
+    # ||A_1 + w A_2||^2 = lambda_max(A_1*A_1 + A_2*A_2 + 2 Re(w A_1*A_2)) for
+    # |w| = 1, and A_1*A_2 = 0
+    a1, a2 = pair.mats
+    gram = math.sqrt(op_norm(a1.conj().T @ a1 + a2.conj().T @ a2))
+    deviation = max(op_norm(a1.conj().T @ a2), abs(gram - math.sqrt(2) * rho))
+    report.add_close("torus pencil norm", deviation, 0.0, 1e-9, "PAPER")
+    report.add_certified("pair membership Out, certified", OUT, membership_tuple(pair, rho), "PAPER")
 
     # (5) the pair itself cannot pass the torus-unitarity test
     cert_a = torus_unitarity(pair)
@@ -274,11 +271,20 @@ def _vn_rhs(coeffs, rho: float, n_grid: int = 1024) -> float:
     return float(np.abs(vals).max())
 
 
+def _vn_slack(rng, rho: float, m) -> float:
+    """Slack of the inequality at m for a random polynomial of degree 1-5."""
+    deg = int(rng.integers(1, 6))
+    coeffs = (rng.uniform(0, 1, deg + 1) ** 0.5) * np.exp(1j * rng.uniform(0, 2 * np.pi, deg + 1))
+    return _vn_rhs(coeffs, rho) - op_norm(_poly_eval_matrix(coeffs, m))
+
+
 def repro_von_neumann(rho: float, trials: int = 100, seed: int = 0) -> ExperimentReport:
     """||p(A)|| <= max over the circle of |rho p(z) + (1-rho) p(0)| for
     class members, in one variable and under commuting substitutions."""
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if rho <= 0:
         raise InputError("rho must be positive")
     start = time.perf_counter()
@@ -289,21 +295,14 @@ def repro_von_neumann(rho: float, trials: int = 100, seed: int = 0) -> Experimen
     for _ in range(trials):
         d = int(rng.integers(2, 5))
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rep = w_rho(a, rho)
-        a = a * (0.99 / rep.hi)
-        deg = int(rng.integers(1, 6))
-        coeffs = (rng.uniform(0, 1, deg + 1) ** 0.5) * np.exp(
-            1j * rng.uniform(0, 2 * np.pi, deg + 1)
-        )
-        slack = _vn_rhs(coeffs, rho) - op_norm(_poly_eval_matrix(coeffs, a))
-        worst_slack = min(worst_slack, slack)
+        worst_slack = min(worst_slack, _vn_slack(rng, rho, a * (0.99 / w_rho(a, rho).hi)))
     report.add("single-variable inequality slack", ">= -1e-7", worst_slack, 1e-7,
                worst_slack >= -1e-7, "PAPER")
 
-    # tuple version: a pair scaled safely into the class, under sampled
-    # commuting substitutions
+    # tuple version: a pair scaled safely into the class (by w_{1,2}, the
+    # torus sup of ||zA||), under sampled commuting substitutions
     pair = build_nonsimilar_pair(0.0)
-    sup = float(np.linalg.norm(_grid_slices(pair), 2, axis=(1, 2)).max())
+    sup = w_rho_tuple(pair, 1.0).hi
     scale = 0.99 / (sup * max(1.0, 2.0 / rho - 1.0))
     pair = pair.scale(scale)
     worst_tuple_slack = math.inf
@@ -311,12 +310,7 @@ def repro_von_neumann(rho: float, trials: int = 100, seed: int = 0) -> Experimen
     for sample in samples:
         big = substitute(pair, sample)
         for _ in range(4):
-            deg = int(rng.integers(1, 6))
-            coeffs = (rng.uniform(0, 1, deg + 1) ** 0.5) * np.exp(
-                1j * rng.uniform(0, 2 * np.pi, deg + 1)
-            )
-            slack = _vn_rhs(coeffs, rho) - op_norm(_poly_eval_matrix(coeffs, big))
-            worst_tuple_slack = min(worst_tuple_slack, slack)
+            worst_tuple_slack = min(worst_tuple_slack, _vn_slack(rng, rho, big))
     report.add("tuple inequality slack", ">= -1e-7", worst_tuple_slack, 1e-7,
                worst_tuple_slack >= -1e-7, "PAPER")
     return _finish(report, start)
@@ -335,6 +329,8 @@ def radius_property_suite(seeds: int = 50, dims=(2, 3, 4), rho_set=(0.25, 0.5, 1
     uniform power bound under commuting substitutions."""
     if seeds < 1:
         raise InputError("seeds must be at least 1")
+    if seed0 < 0:
+        raise InputError("seed must be nonnegative")
     start = time.perf_counter()
     report = ExperimentReport(
         "radius-properties",
@@ -476,6 +472,8 @@ def repro_class_monotonicity(n_vars: int = 1, rho_grid=(0.3, 0.5, 0.7, 1.0, 2.0,
         raise InputError("rho_grid must contain at least two ascending values")
     if seeds < 1:
         raise InputError("seeds must be at least 1")
+    if seed0 < 0:
+        raise InputError("seed must be nonnegative")
     start = time.perf_counter()
     report = ExperimentReport(
         "monotonicity", {"n_vars": n_vars, "rho_grid": list(rho_grid), "seeds": seeds, "seed0": seed0}

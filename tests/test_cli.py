@@ -185,6 +185,14 @@ def test_exit_code_repro_no_seeds(capsys, name, seeds):
     assert json.loads(err) == {"error": "input", "message": "seeds must be at least 1"}
 
 
+@pytest.mark.parametrize("name", ["radius-properties", "von-neumann", "monotonicity"])
+def test_exit_code_repro_negative_seed(capsys, name):
+    # numpy rejects a negative seed; the experiments name it as an input error
+    code, out, err = _run(capsys, ["repro", "--name", name, "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": "seed must be nonnegative"}
+
+
 @pytest.mark.parametrize("argv", [["radius", "--rho", "2"], ["membership", "--rho", "2"], ["numrad"],
                                   ["sweep", "--rho-from", "0.5", "--rho-to", "2", "--steps", "3"]])
 def test_exit_code_empty_matrix(tmp_path, capsys, argv):

@@ -131,6 +131,24 @@ def test_phi_nilpotent_closed_form():
     np.testing.assert_allclose(phi_rho(a, rho, z), -za / rho, atol=1e-13)
 
 
+@pytest.mark.parametrize("rho", [0.5, 1.5, 2.0, 3.0, 10.0])
+def test_phi_rescaling_identity(rho):
+    # phi_rho(zA)/g = phi_r(zA/s) with r = 1 + g(rho-1) and s = g rho/r, for
+    # every g with r > 0: a bound g on phi_rho is membership of A/s at level r
+    rng = np.random.default_rng(13)
+    a = _random_pair(14)
+    for g in (0.1, 0.5, 1.0, 1.9, 4.0):
+        r = 1 + g * (rho - 1)
+        if r <= 0:
+            continue
+        s = g * rho / r
+        for _ in range(3):
+            z = 0.2 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            lhs = phi_rho(a, rho, z) / g
+            np.testing.assert_allclose(phi_rho(a.scale(1 / s), r, z), lhs, rtol=0,
+                                       atol=1e-12 * np.abs(lhs).max())
+
+
 def test_phi_pole_detection():
     # (rho-1) zA - rho I singular at zA = rho/(rho-1) I
     rho = 2.0

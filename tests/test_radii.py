@@ -919,9 +919,9 @@ def test_cached_samples_equal_fresh_draws_and_are_read_only():
     for n_vars in (2, 3):
         for dim in (1, 2, 3, 4):
             for seed in (0, 1, 6, 10007):
-                cached = sample_commuting_tuple(dim, n_vars, seed, radii.NORM_CAP)
-                assert sample_commuting_tuple(dim, n_vars, seed, radii.NORM_CAP) is cached
-                fresh = sample_commuting_tuple.__wrapped__(dim, n_vars, seed, radii.NORM_CAP)
+                cached = sample_commuting_tuple(dim, n_vars, seed)
+                assert sample_commuting_tuple(dim, n_vars, seed) is cached
+                fresh = sample_commuting_tuple.__wrapped__(dim, n_vars, seed)
                 for mc, mf in zip(cached.mats, fresh.mats):
                     assert mc.dtype == mf.dtype and mc.tobytes() == mf.tobytes()
                     with pytest.raises(ValueError):
@@ -930,7 +930,7 @@ def test_cached_samples_equal_fresh_draws_and_are_read_only():
     batch = sample_commuting_tuples(3, 12)
     for i, c in enumerate(batch):
         dim = radii.SAMPLE_DIMS[i % len(radii.SAMPLE_DIMS)]
-        assert c is sample_commuting_tuple(dim, 3, i, radii.NORM_CAP)
+        assert c is sample_commuting_tuple(dim, 3, i)
 
 
 def test_substitutions_bitwise_kron_sums():

@@ -3,9 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from rho_radii import radii
+from rho_radii.dilation import build_nonsimilar_pair
 from rho_radii.errors import InputError
+from rho_radii.radii import IN, OUT, membership_tuple
 from rho_radii.repro import (
     EXPERIMENTS,
     admissible_eps,
@@ -62,6 +66,22 @@ def test_admissible_eps_solves_quadratic():
 def test_nonsimilar_pair_passes(rho):
     r = repro_nonsimilar_pair(rho)
     assert r.passed, [c.to_json() for c in r.claims]
+    # the phi sup (2) and the perturbed pair (3) are proven, not sampled
+    assert [c.observed for c in r.claims[1:3]] == ["In Certified"] * 2
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+def test_nonsimilar_pair_phi_claim_is_sharp(rho):
+    # claim (2) tests A_0/s in C_{r,2} for g = (2 rho - 1)/rho^2; at g just
+    # below and above the phi sup sampled on 512 phases the verdict flips,
+    # so the rescaled membership decides the sup itself
+    a1, a2 = build_nonsimilar_pair(0.0).mats
+    sup = max(radii._phi_circle_sup(a1 + w * a2, rho) for w in np.exp(2j * np.pi * np.arange(512) / 512))
+    for factor, decision in ((0.999, OUT), (1.001, IN)):
+        g = factor * sup
+        r = 1 + g * (rho - 1)
+        pair = build_nonsimilar_pair(0.0).scale(r / (g * rho))
+        assert membership_tuple(pair, r).decision == decision, (rho, factor)
 
 
 def test_nonsimilar_pair_eps_validation():
