@@ -16,10 +16,10 @@ A_1 + w_2 A_2 + ... + w_N A_N, |w_k| = 1, through the batched member test
 (_slice_failures).  A pair's membership and radius both come from one
 recursion over cells of its phase circle, each proven by three pencils
 (_pair_cells).  Larger tuples take the first grid's Out slices and the
-phase search's worst slice (_qep_theta_max), and substitute sampled
-commuting strict contractions C, a necessary test: A(C) = sum_k A_k (x) C_k
-goes through the same member test and level set (the radii take rho and
-width; tol and budget are membership's).
+phase search's worst slice (_qep_theta_max); their membership then
+substitutes sampled commuting strict contractions C, a necessary test:
+A(C) = sum_k A_k (x) C_k goes through the same member test (the radii take
+rho and width; tol and budget are membership's).
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ NECESSARY_ONLY = "NecessaryOnly"
 DEFAULT_TOL = 1e-9
 DEFAULT_WIDTH = 1e-6
 DEFAULT_BUDGET = 64
-#: Sampled commuting tuples substituted by the N >= 3 radius (w_rho_tuple).
-RADIUS_BUDGET = 16
 
 #: Strict-contraction cap for sampled commuting tuples.
 NORM_CAP = 1 - 1e-6
@@ -56,9 +54,6 @@ SAMPLE_DIMS = (1, 2, 3, 4)
 #: at the library's sample sizes one holds at most N 4 x 4 complex matrices.
 SAMPLE_CACHE_SIZE = 1024
 
-#: Angles of the ring |z| = 1 - 1e-6 on which _psi_boundary_min evaluates
-#: the Herglotz condition of membership_single_all_conditions.
-THETA_POINTS = 512
 #: Rounding guard of the member test _slice_failures (slices and commuting
 #: substitutions), per unit of dimension, relative to the bound
 #: rho + 2|rho-1| ||S|| + |rho-2| ||S||^2 on the kernel's norm.
@@ -220,7 +215,7 @@ def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
     return theta[0, :np.count_nonzero(real)] if single else theta
 
 
-def _levelset_min(h, pencil, gap: float) -> dict:
+def _levelset_min(h, pencil, gap: float, rel: float = 0.0) -> dict:
     """Minimum over the circle of a continuous function h(theta), by the
     level-set iteration.
 
@@ -228,9 +223,9 @@ def _levelset_min(h, pencil, gap: float) -> dict:
     returns (E, M) such that k(theta) of _circle_crossings is singular where
     h(theta) = level and positive definite where h(theta) > level (other
     branches may be singular too).  It starts from the best value at
-    LEVELSET_START_POINTS equal-spaced angles.  At level = best - gap it
-    finds the crossings, evaluates h at the midpoints between consecutive
-    crossings and takes the smallest.  It stops at a level with no
+    LEVELSET_START_POINTS equal-spaced angles.  At level
+    = best - gap - rel |best| it finds the crossings, evaluates h at the
+    midpoints between consecutive crossings and takes the smallest.  It stops at a level with no
     crossing, or at one where no midpoint falls below the level.  Then
     h >= level everywhere: a set where h < level is open, bounded by
     crossings, so it would hold the midpoint of a gap between two of them.
@@ -245,7 +240,7 @@ def _levelset_min(h, pencil, gap: float) -> dict:
     best, theta = float(vals[i]), float(thetas[i])
     psi = float(thetas[int(np.argmax(vals))])
     for it in range(1, LEVELSET_MAX_ITERATIONS + 1):
-        level = best - gap
+        level = best - gap - rel * abs(best)
         cross = _circle_crossings(*pencil(level), psi)
         if not cross.size:
             return {"value": best, "theta": theta, "level": level, "iterations": it}
@@ -325,19 +320,35 @@ def _kernel_disk_min(a: np.ndarray, rho: float):
     return run["value"], complex(np.exp(1j * run["theta"])), stats
 
 
-def _psi_boundary_min(a: np.ndarray, rho: float):
-    """min over THETA_POINTS angles of the ring |z| = 1 - 1e-6 of
-    lambda_min(Re psi(z)); -inf when psi has a pole in the disk: when
-    r(A) > 1, I - zA is singular at z = 1/lam for an eigenvalue lam of A,
-    which a ring near the circle never meets.  Otherwise I - zA is
-    invertible on the ring."""
+def _psi_boundary_min(a: np.ndarray, rho: float) -> float:
+    """A level that lambda_min(Re psi(z)) stays at or above on the ring
+    |z| = 1 - 1e-6; -inf when r(A) > 1: then psi has a pole in the disk, at
+    z = 1/lam for an eigenvalue lam of A, which the ring never meets.
+
+    Otherwise B = (1 - 1e-6) A has r(B) < 1, and on the circle
+    (I - zB)* (Re psi(zB) - c I)(I - zB) = k/rho - c (I - zB)*(I - zB),
+    k the kernel of B: the pencil E = -((rho-1)/rho - c) B,
+    M = (1-c) I + ((rho-2)/rho - c) B*B of a level set (_levelset_min),
+    whose stop level is returned.  Re psi reaches about 1e12 near a pole,
+    so the gap is KERNEL_GAP (1 + |c|)(1 + ||B||_F)^2 at the level c, the
+    pencil's size, not a fixed one below the level's ulp.  For a unimodular
+    eigenvalue in a Jordan block of size d >= 3, I - zB has a condition
+    number of about 1e6^d on the circle: the level is only very negative
+    (such an A is not power bounded)."""
     if spectral_radius(a) > 1:
         return -math.inf
-    d = a.shape[0]
-    zs = (1 - 1e-6) * np.exp(1j * np.linspace(0, 2 * np.pi, THETA_POINTS, endpoint=False))
-    psi = (1 - 2 / rho) * np.eye(d) + (2 / rho) * np.linalg.inv(np.eye(d) - zs[:, None, None] * a)
-    re = (psi + psi.conj().transpose(0, 2, 1)) / 2
-    return float(np.linalg.eigvalsh(re)[:, 0].min())
+    b = (1 - 1e-6) * a
+    eye, gram = np.eye(len(b)), b.conj().T @ b
+
+    def h(thetas):
+        psi = (1 - 2 / rho) * eye + (2 / rho) * np.linalg.inv(eye - np.exp(1j * thetas)[:, None, None] * b)
+        return np.linalg.eigvalsh((psi + psi.conj().swapaxes(1, 2)) / 2)[:, 0]
+
+    def pencil(c):
+        return -((rho - 1) / rho - c) * b, (1 - c) * eye + ((rho - 2) / rho - c) * gram
+
+    gap = KERNEL_GAP * (1 + float(np.linalg.norm(b))) ** 2
+    return _levelset_min(h, pencil, gap, gap)["level"]
 
 
 def _phi_circle_sup(b: np.ndarray, rho: float) -> float:
@@ -370,7 +381,9 @@ def _phi_circle_sup(b: np.ndarray, rho: float) -> float:
 
 def kernel_margin(a, rho: float) -> float:
     """Signed disk minimum of the membership kernel (fast path, no report)."""
-    return _kernel_disk_min(_square(a, "membership"), rho)[0]
+    m = _square(a, "membership")
+    _check_positive(rho=rho)
+    return _kernel_disk_min(m, rho)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +433,14 @@ def membership_single_all_conditions(a, rho: float, tol: float = DEFAULT_TOL) ->
     """Verdicts from the kernel, Herglotz, and Schur conditions separately.
 
     Returns {"kernel": ..., "psi": ..., "phi": ...} decisions plus margins:
-    the kernel disk minimum, the psi ring minimum (_psi_boundary_min) and
-    1 - sup ||phi|| (_phi_circle_sup).  Boundary-band cases (|margin| at
-    most max(tol, 1e-6), which covers the psi ring's sampling) are reported
-    as Borderline so callers can treat them as wildcards.
+    the kernel disk minimum, a level that lambda_min Re psi stays above on
+    the ring |z| = 1 - 1e-6 (_psi_boundary_min) and 1 - sup ||phi||
+    (_phi_circle_sup), the last two from level sets.  Boundary-band cases
+    (|margin| at most max(tol, 1e-6)) are reported as Borderline so callers
+    can treat them as wildcards.
     """
     m = _square(a, "membership")
+    _check_positive(rho=rho, tol=tol)
     band = max(tol, 1e-6)
     kmargin = _kernel_disk_min(m, rho)[0]
     pmargin = _psi_boundary_min(m, rho)
@@ -659,8 +674,7 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
     spanning +- one spacing of the phases before (half the span before
     when p = 3) around the best, whose slice is skipped; each round is one
     _slices_max run from the best root so far.  Returns (maximum attained,
-    largest elimination level, phases w* as an array, counters): the level
-    bounds w_rho of every slice searched, in every run.
+    phases w* as an array, counters).
     """
     k = a.n_vars - 1
     phases, span, p = _phase_grid(k)
@@ -674,7 +688,7 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
         span *= min(0.5, 2 / (p - 1))
     stats.update({key: sum(run[key] for run in runs)
                   for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves")})
-    return best[0], max(float(run["levels"].max()) for run in runs), np.exp(1j * phi), stats
+    return best[0], np.exp(1j * phi), stats
 
 
 def w_rho(a, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
@@ -839,11 +853,10 @@ def _slice_phases_json(w) -> list:
 def _worst_slice(a: OperatorTuple, rho: float):
     """The worst slice A_1 + w_2 A_2 + ... + w_N A_N of a tuple of nonzero
     norm (_qep_theta_max on A/sum ||A_k||), its phases w, the largest root
-    attained and the largest elimination level, both in the tuple's units,
-    and the counters."""
+    attained, in the tuple's units, and the counters."""
     scale = a.norm_sum()
-    root, level, w, stats = _qep_theta_max(a.scale(1 / scale), rho)
-    return _slice_stack(a, w[None])[0], w, root * scale, level * scale, {**stats, "slice_w": _slice_phases_json(w)}
+    root, w, stats = _qep_theta_max(a.scale(1 / scale), rho)
+    return _slice_stack(a, w[None])[0], w, root * scale, {**stats, "slice_w": _slice_phases_json(w)}
 
 
 def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict, undecided=None):
@@ -1081,7 +1094,7 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     if v is not None and v.certificate["method"] == CELLS_METHOD:
         return v
     if v is None:
-        b, w, _, _, worst = _worst_slice(a, rho)
+        b, w, _, worst = _worst_slice(a, rho)
         v, spec = membership_single(b, rho, tol), {**worst, **spec}
     z = complex(*v.certificate["witness_z"])
     cert = {**v.certificate, **spec, "method": "torus-slice+" + v.certificate["method"],
@@ -1121,22 +1134,15 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH) -> R
     at which every cell of the phase circle is proven (``certified_level``),
     so it bounds every slice, and ``slice_w`` the phase of the root.
 
-    N >= 3: hi is the bound sum ||A_k|| max(1, 2/rho - 1): for commuting
-    contractions C, ||A(C)|| <= sum ||A_k||, and
-    w_rho(T) <= max(1, 2/rho - 1) ||T||.  The substitutions of
-    A/sum ||A_k|| with RADIUS_BUDGET sampled commuting tuples go through
-    the slices' level-set search (_slices_max, counted as
-    ``substitution_*``), one stack per sample size, from the slices' root
-    as the value attained.  lo rises to a substitution's attained root less
-    the gap where that is larger (w_rho(A(C)) <= w_rho(A) for commuting
-    strict contractions C).  ``necessary_estimate`` is the largest
-    elimination level, above which every sampled substitution passes.
+    N >= 3: the slice is the phase search's worst (_worst_slice), and hi is
+    the bound sum ||A_k|| max(1, 2/rho - 1): for commuting contractions C,
+    ||A(C)|| <= sum ||A_k||, and w_rho(T) <= max(1, 2/rho - 1) ||T||.
     """
     _check_positive(rho=rho, width=width)
     if a.n_vars == 1:
         return w_rho(a.mats[0], rho, width)
     start = time.perf_counter()
-    method = "torus-slice+levelset" if a.n_vars == 2 else "torus-slice+commuting-substitution"
+    method = "torus-slice+levelset"
     norm_sum = a.norm_sum()
     if norm_sum == 0.0:
         return RadiusReport(0.0, 0.0, method, {"width": width}, time.perf_counter() - start)
@@ -1147,17 +1153,6 @@ def w_rho_tuple(a: OperatorTuple, rho: float, width: float = DEFAULT_WIDTH) -> R
         hi = level * norm_sum
         grid_spec.update(certified_level=hi, width=width)
     else:
-        _, _, root, _, spec = _worst_slice(a, rho)
-        grid_spec, value = {**spec, "width": width}, root / norm_sum
-        grid_spec.update(budget=RADIUS_BUDGET, substitution_levels=0, substitution_crossing_solves=0,
-                         substitution_root_solves=0)
-        top, samples = value, sample_commuting_tuples(a.n_vars, RADIUS_BUDGET, dims=(2, 3))
-        for _, stack in _substitutions(a.scale(1 / norm_sum), samples):
-            run = _slices_max(stack, rho, (value, 0.0))
-            for key in ("levels", "crossing_solves", "root_solves"):
-                grid_spec["substitution_" + key] += run["slice_" + key]
-            # at rho = 1 the levels are the norms, which may lie below the value
-            value, top = run["value"], max(top, run["value"], run["levels"].max())
-        grid_spec["necessary_estimate"] = top * norm_sum
-        hi = max(top, bound) * norm_sum
+        _, _, root, spec = _worst_slice(a, rho)
+        grid_spec, value, hi = {**spec, "width": width}, root / norm_sum, bound * norm_sum
     return RadiusReport((value - gap) * norm_sum, hi, method, grid_spec, time.perf_counter() - start)

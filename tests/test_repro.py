@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rho_radii import radii
+from rho_radii import radii, repro
 from rho_radii.dilation import build_nonsimilar_pair
 from rho_radii.errors import InputError
 from rho_radii.radii import IN, OUT, membership_tuple
@@ -62,8 +62,10 @@ def test_admissible_eps_solves_quadratic():
     assert admissible_eps(2.0) == pytest.approx(0.2360679, abs=1e-6)
 
 
-@pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("rho", [1.5, 2.0, 3.0, 1.01, 1.05, 1.1])
 def test_nonsimilar_pair_passes(rho):
+    # below rho = 1.1 the product's growth exponent 2 log(1 + eps) is under
+    # the divergence probe's threshold, and the probe takes a power of it
     r = repro_nonsimilar_pair(rho)
     assert r.passed, [c.to_json() for c in r.claims]
     # the phi sup (2) and the perturbed pair (3) are proven, not sampled
@@ -82,6 +84,23 @@ def test_nonsimilar_pair_phi_claim_is_sharp(rho):
         r = 1 + g * (rho - 1)
         pair = build_nonsimilar_pair(0.0).scale(r / (g * rho))
         assert membership_tuple(pair, r).decision == decision, (rho, factor)
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+def test_nonsimilar_pair_rescaling_through_repro(rho, monkeypatch):
+    # repro's claim (2) on c A_0 in place of A_0, with c set by bisection
+    # so that the phi sup (flat in the phase) is g (1 -+ 1e-3): the claim
+    # holds at the first and fails at the second
+    a1, a2 = build_nonsimilar_pair(0.0).mats
+    g = (2 * rho - 1) / rho**2
+    for factor, observed in ((1 - 1e-3, "In Certified"), (1 + 1e-3, "Out Certified")):
+        lo, hi = 0.5, 1.5
+        for _ in range(60):
+            c = (lo + hi) / 2
+            lo, hi = (c, hi) if radii._phi_circle_sup(c * (a1 + a2), rho) < factor * g else (lo, c)
+        pair0 = build_nonsimilar_pair(0.0).scale(lo)
+        monkeypatch.setattr(repro, "build_nonsimilar_pair", lambda eps: pair0 if eps == 0 else build_nonsimilar_pair(eps))
+        assert repro_nonsimilar_pair(rho).claims[1].observed == observed, (rho, factor)
 
 
 def test_nonsimilar_pair_eps_validation():
