@@ -43,6 +43,7 @@ from .radii import (
     membership_single_all_conditions,
     membership_tuple,
     numerical_radius,
+    numerical_radius_report,
     sample_commuting_tuple,
     sample_commuting_tuples,
     substitute,

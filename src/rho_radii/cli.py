@@ -25,11 +25,11 @@ from .radii import (
     DEFAULT_TOL,
     DEFAULT_WIDTH,
     membership_tuple,
-    numerical_radius,
+    numerical_radius_report,
     w_rho_tuple,
 )
 from .repro import EXPERIMENTS
-from .serialize import embedding_from_json, load_operator_input, matrix_from_json
+from .serialize import embedding_from_json, load_input, load_operator_input, matrix_from_json
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -64,17 +64,15 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_numrad(args) -> int:
-    with open(args.input) as fh:
-        m = matrix_from_json(json.load(fh))
-    _emit_json({"numerical_radius": numerical_radius(m)}, args.output)
+    m = load_input(args.input, matrix_from_json)
+    _emit_json(numerical_radius_report(m), args.output)
     return 0
 
 
 def _cmd_verify_dilation(args) -> int:
     small = load_operator_input(args.small)
     big = load_operator_input(args.big)
-    with open(args.embedding) as fh:
-        e = embedding_from_json(json.load(fh))
+    e = load_input(args.embedding, embedding_from_json)
     verify = verify_rho_dilation if args.mode == "sym" else verify_uniform_rho_dilation
     _emit_json(verify(small, big, e, args.rho, args.nmax).to_json(), args.output)
     return 0

@@ -85,9 +85,14 @@ SLICE_REFINE_ROUNDS = 3
 SLICE_REFINE_POINTS = 17
 #: Angles at which each slice of the first pass is solved before the joint
 #: level-set iteration (_slices_max), whose levels lie SLICE_GAP (1 + U)
-#: above the best root U attained.
+#: above the best root U attained.  At rho = 2, where a root is one d x d
+#: eigvalsh (_qep_top_roots), the slices are solved at
+#: LEVELSET_START_POINTS angles instead.
 SLICE_START_POINTS = 2
 SLICE_GAP = 1e-11
+#: Newton steps on the angle (_polish_root) that raise the best root of
+#: _slices_max before each level, when a root solve has just raised it.
+SLICE_POLISH_STEPS = 3
 #: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
 QEP_REAL_TOL = 1e-7
 
@@ -469,9 +474,13 @@ def _qep_top_roots(za: np.ndarray, rho: float, gram=None) -> np.ndarray:
     for each pencil value zeta A in the stack ``za`` (-inf where no root is
     real), from batched eigenvalues of the 2d x 2d companion matrix
     [[0, I], [-(rho-2)/rho G, (rho-1)/rho H]], G = ``gram``, else
-    (zeta A)*(zeta A)."""
+    (zeta A)*(zeta A).  At rho = 2 that companion is block triangular, its
+    eigenvalues 0 and those of H/2 = Re(zeta A), so the root is
+    max(0, lambda_max(Re zeta A)), from one batched eigvalsh."""
     d = za.shape[1]
     zah = za.conj().transpose(0, 2, 1)
+    if rho == 2:
+        return np.maximum(np.linalg.eigvalsh((za + zah) / 2)[:, -1], 0.0)
     comp = np.zeros((len(za), 2 * d, 2 * d), dtype=complex)
     comp[:, :d, d:] = np.eye(d)
     comp[:, d:, :d] = -(rho - 2) / rho * (zah @ za if gram is None else gram)
@@ -479,6 +488,53 @@ def _qep_top_roots(za: np.ndarray, rho: float, gram=None) -> np.ndarray:
     roots = np.linalg.eigvals(comp)
     real = np.abs(roots.imag) <= QEP_REAL_TOL * (1 + np.abs(roots.real))
     return np.where(real, roots.real, -np.inf).max(axis=1)
+
+
+def _polish_root(b: np.ndarray, rho: float, theta: float, mu: float, out: dict):
+    """Newton steps on theta towards a local maximum of the largest root
+    mu*(theta) of one slice ``b``, from a root mu = mu*(theta) > 0; returns
+    the (theta, mu) reached, mu an attained root at least the one given.
+
+    With f(theta, mu) = lambda_min P_theta(mu), P of _slices_max, and x_j
+    the eigenvectors of P_theta(mu*) (x_0 that of f = 0, so f_mu > 0),
+    mu*' = -f_theta/f_mu and
+    mu*'' = -(f_thth + 2 f_thmu mu*' + f_mumu mu*'^2)/f_mu, the second
+    derivatives by the eigenvalue perturbation sums
+    f_ab = x_0* P_ab x_0 + 2 Re sum_j (x_0* P_a x_j)(x_j* P_b x_0)/(f - lambda_j)
+    (Mengi & Overton, IMA J. Numer. Anal. 25, 2005; at rho = 2 these are
+    the derivatives of lambda_max(Re e^{i theta} S)).  A step
+    -mu*'/mu*'' is taken only where mu*'' < 0 and its predicted gain
+    mu*'^2/(2|mu*''|) is above a quarter of the level gap SLICE_GAP (1 + mu)
+    of _slices_max (below it the next level clears the hill's top anyway),
+    and counts only if _qep_top_roots at the new angle returns a larger
+    root; at most SLICE_POLISH_STEPS are tried, each one root solve
+    (out["slice_polish_steps"], out["slice_root_solves"])."""
+    gram, eye = (rho - 2) * (b.conj().T @ b), np.eye(len(b))
+    for _ in range(SLICE_POLISH_STEPS if mu > 0 else 0):
+        z = np.exp(1j * theta) * b
+        lam, x = np.linalg.eigh((rho * mu ** 2) * eye - ((rho - 1) * mu) * (z + z.conj().T) + gram)
+        gaps = lam[1:] - lam[0]
+        if not (gaps > 0).all():
+            break
+        zx = x.conj().T @ z @ x
+        c, u, v = complex(zx[0, 0]), zx[0, 1:], zx[1:, 0].conj()  # x_0* H x_j = u_j + v_j, H' = i (Z - Z*)
+        pt, pm, w = (1 - rho) * mu * 1j * (u - v), (1 - rho) * (u + v), 2 / gaps  # x_0* P_theta x_j, x_0* P_mu x_j
+        ft, fm = 2 * (rho - 1) * mu * c.imag, 2 * rho * mu - 2 * (rho - 1) * c.real
+        ftt = 2 * (rho - 1) * mu * c.real - np.vdot(pt, w * pt).real
+        ftm = 2 * (rho - 1) * c.imag - np.vdot(pm, w * pt).real
+        fmm = 2 * rho - np.vdot(pm, w * pm).real
+        d1 = -ft / fm
+        d2 = -(ftt + 2 * ftm * d1 + fmm * d1 ** 2) / fm
+        if not (fm > 0 and d2 < 0) or d1 * d1 / (-2 * d2) <= SLICE_GAP * (1 + mu) / 4:
+            break
+        out["slice_polish_steps"] += 1
+        out["slice_root_solves"] += 1
+        step = -d1 / d2
+        root = float(_qep_top_roots(np.exp(1j * (theta + step)) * b[None], rho)[0])
+        if not root > mu:
+            break
+        theta, mu = theta + step, root
+    return theta, mu
 
 
 def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
@@ -491,7 +547,16 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     ||S||, which is each slice's level.  ``best`` = (U, anchor) is a lower
     bound on the largest w_rho (an attained root, say) and every slice's
     anchor angle; without it the slices are solved at SLICE_START_POINTS
-    angles, U is the best root (at least 0) and anchors the least roots.
+    equally spaced angles (LEVELSET_START_POINTS at rho = 2, where a root
+    is one Hermitian eigvalsh) and, at rho > 2, at the angle -arg lam of
+    the top eigenvalue, near which mu* peaks as rho grows; U is the best
+    root (at least 0) and anchors the least roots.
+
+    Before each level, if a root solve has just raised U, Newton steps on
+    the angle (_polish_root) raise it to the attained root at a local
+    maximum of its slice's mu* (Mitchell, SIAM J. Sci. Comput. 45, 2023,
+    climbs between levels in the same way): the level above it is then
+    most often the last; the levels alone certify.
 
     At the level L = U + SLICE_GAP (1 + U) the live slices that pass
     _slice_failures are eliminated: S/L is a member, so w_rho(S) <= L.  A
@@ -506,7 +571,7 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     counters.
     """
     n, d = s.shape[:2]
-    out = {"slice_levels": 0, "slice_crossing_solves": 0, "slice_root_solves": 0}
+    out = {"slice_levels": 0, "slice_crossing_solves": 0, "slice_root_solves": 0, "slice_polish_steps": 0}
     anchors = np.full(n, 0.0 if best is None else best[1])
     value, owner = (0.0 if best is None else best[0]), None
     if rho == 1:
@@ -514,20 +579,26 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
         if best is None or levels.max() > value:
             value, owner = float(levels.max()), int(np.argmax(levels))
         return {**out, "value": value, "slice": owner, "anchor": anchors[0], "levels": levels}
+    peak, top = 0.0, (_top_eigenvalues(s) if rho > 2 else None)
     if best is None:
-        thetas = np.linspace(0, 2 * np.pi, SLICE_START_POINTS, endpoint=False)
-        roots = _qep_top_roots((np.exp(1j * thetas)[:, None, None, None] * s).reshape(-1, d, d), rho)
-        roots = roots.reshape(SLICE_START_POINTS, n)
+        thetas = np.linspace(0, 2 * np.pi, LEVELSET_START_POINTS if rho == 2 else SLICE_START_POINTS, endpoint=False)
+        thetas = np.broadcast_to(thetas[:, None], (thetas.size, n))
+        if top is not None:
+            thetas = np.vstack([thetas, -np.angle(top)])
+        roots = _qep_top_roots((np.exp(1j * thetas)[:, :, None, None] * s).reshape(-1, d, d), rho)
+        roots = roots.reshape(thetas.shape)
         out["slice_root_solves"] = roots.size
         owner = int(np.argmax(roots.max(axis=0)))
-        value, anchors = max(float(roots.max()), 0.0), thetas[np.argmin(roots, axis=0)]
-    top = _top_eigenvalues(s) if rho > 2 else None
+        value, anchors = max(float(roots.max()), 0.0), thetas[np.argmin(roots, axis=0), np.arange(n)]
+        peak = float(thetas[np.argmax(roots[:, owner]), owner])
     levels, norms = np.full(n, np.nan), np.linalg.norm(s, 2, axis=(1, 2))
-    live, level = np.arange(n), -math.inf
+    live, level, fresh = np.arange(n), -math.inf, owner is not None
     while live.size:
         if out["slice_levels"] == LEVELSET_MAX_ITERATIONS:
             raise InternalError(f"slice level-set iteration did not stop in {LEVELSET_MAX_ITERATIONS} levels")
         out["slice_levels"] += 1
+        if fresh:
+            peak, value = _polish_root(s[owner], rho, peak, value, out)
         level = max(value, level)
         level += SLICE_GAP * (1 + level)
         failures = list(_slice_failures(s[live], rho, level, anchors[live], norms[live],
@@ -538,8 +609,10 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
         if rows.size:
             roots = _qep_top_roots(np.exp(1j * angles)[:, None, None] * s[live[rows]], rho)
             out["slice_root_solves"] += roots.size
-            if roots.max() > value:
-                value, owner = float(roots.max()), int(live[rows[np.argmax(roots)]])
+            j = int(np.argmax(roots))
+            fresh = roots[j] > value
+            if fresh:
+                value, owner, peak = float(roots[j]), int(live[rows[j]]), float(angles[j])
         live = live[failed]
     return {**out, "value": value, "slice": owner, "anchor": anchors[0 if owner is None else owner], "levels": levels}
 
@@ -687,7 +760,7 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
         phases = np.delete(phi + _phase_tensor(np.linspace(-span, span, p), k), p ** k // 2, axis=0)
         span *= min(0.5, 2 / (p - 1))
     stats.update({key: sum(run[key] for run in runs)
-                  for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves")})
+                  for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves", "slice_polish_steps")})
     return best[0], np.exp(1j * phi), stats
 
 
@@ -723,29 +796,44 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
     m = _square(a, "radius")
     _check_positive(rho=rho, width=width)
     start = time.perf_counter()
-    norm = op_norm(m)
-    grid_spec = {"slice_levels": 0, "slice_crossing_solves": 0, "slice_root_solves": 0,
-                 "certified_level": 0.0, "width": width}
-    if norm == 0.0:
+    norm, run, grid_spec = _one_slice_search(m, rho)
+    grid_spec["width"] = width
+    if run is None:
         return RadiusReport(0.0, 0.0, LEVELSET_METHOD, grid_spec, 0.0)
     gap = min(RADIUS_GAP * (1 + max(1.0, 2.0 / rho - 1.0)), width / (4 * norm))
-    run = _slices_max((m / norm)[None], rho)
     lo = max(norm / rho, (run["value"] - gap) * norm)
-    hi = max(lo, float(run["levels"][0]) * norm)
-    grid_spec.update({key: run[key] for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves")},
-                     certified_level=hi)
+    hi = max(lo, grid_spec["certified_level"])
+    grid_spec["certified_level"] = hi
     return RadiusReport(lo, hi, LEVELSET_METHOD, grid_spec, time.perf_counter() - start)
+
+
+def _one_slice_search(m: np.ndarray, rho: float):
+    """(||m||, run, grid_spec) of _slices_max on the stack that holds
+    m/||m|| alone (run None when m = 0): grid_spec holds the run's counters,
+    the polish step cap and the slice's elimination level in m's units
+    (``certified_level``)."""
+    norm = op_norm(m)
+    run = _slices_max((m / norm)[None], rho) if norm else None
+    grid_spec = {key: run[key] if run else 0
+                 for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves", "slice_polish_steps")}
+    grid_spec.update(slice_polish_cap=SLICE_POLISH_STEPS,
+                     certified_level=float(run["levels"][0]) * norm if run else 0.0)
+    return norm, run, grid_spec
 
 
 def numerical_radius(a) -> float:
     """w(A) = max over theta of lambda_max(Re(e^{i theta} A)), the rho = 2
     case of w_rho: the largest root attained by its slice search, within
     the search's level gap below the certified level."""
-    m = _square(a, "numerical radius")
-    norm = op_norm(m)
-    if norm == 0.0:
-        return 0.0
-    return _slices_max((m / norm)[None], 2.0)["value"] * norm
+    return numerical_radius_report(a)["numerical_radius"]
+
+
+def numerical_radius_report(a) -> dict:
+    """numerical_radius of ``a`` with its search's ``grid_spec``: the slice
+    counters, the polish step cap and the certified level (w(A) lies
+    between the two values)."""
+    norm, run, grid_spec = _one_slice_search(_square(a, "numerical radius"), 2.0)
+    return {"numerical_radius": run["value"] * norm if run else 0.0, "grid_spec": grid_spec}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Embedding:   {"ambient_dim": n, "basis": matrix}
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -122,14 +123,42 @@ def embedding_from_json(obj) -> Embedding:
     return Embedding(basis)
 
 
+def load_input(path, convert):
+    """``convert`` of the JSON value in the UTF-8 file ``path``.
+
+    The file is decoded and converted with the cyclic garbage collector
+    paused, and its previous state is restored on the way out.  A decoded
+    tree holds no cycles, so a collection would find nothing in it, yet
+    the 80-dim inputs hold thousands of [re, im] lists that each automatic
+    collection would walk; by the time the collector runs again the tree
+    is freed.  A file that is not UTF-8 or nests too deeply for the
+    decoder is an InputError.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return convert(json.load(fh))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_operator_input(path):
-    """Read a matrix or tuple JSON file; a bare matrix becomes a 1-tuple."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: top-level JSON value is not an object")
-    if "mats" in obj:
-        return tuple_from_json(obj)
-    if "data" in obj:
-        return OperatorTuple((matrix_from_json(obj),))
-    raise InputError(f"{path}: neither a matrix nor a tuple JSON object")
+    """Read a matrix or tuple JSON file (load_input); a bare matrix becomes
+    a 1-tuple."""
+
+    def convert(obj):
+        if not isinstance(obj, dict):
+            raise InputError(f"{path}: top-level JSON value is not an object")
+        if "mats" in obj:
+            return tuple_from_json(obj)
+        if "data" in obj:
+            return OperatorTuple((matrix_from_json(obj),))
+        raise InputError(f"{path}: neither a matrix nor a tuple JSON object")
+
+    return load_input(path, convert)

@@ -51,7 +51,12 @@ def test_membership_contraction(nilp, capsys):
 def test_numrad(nilp, capsys):
     code, out, _ = _run(capsys, ["numrad", "--input", nilp])
     assert code == 0
-    assert json.loads(out)["numerical_radius"] == pytest.approx(0.5, abs=1e-9)
+    rep = json.loads(out)
+    assert rep["numerical_radius"] == pytest.approx(0.5, abs=1e-9)
+    spec = rep["grid_spec"]
+    assert set(spec) == {"slice_levels", "slice_crossing_solves", "slice_root_solves", "slice_polish_steps",
+                         "slice_polish_cap", "certified_level"}
+    assert spec["slice_levels"] >= 1 and rep["numerical_radius"] <= spec["certified_level"] <= 0.5 + 1e-9
 
 
 def test_membership_tuple_input(tmp_path, capsys):
@@ -396,3 +401,31 @@ def test_json_reports_are_one_sorted_line(tmp_path, capsys, nilp):
         code, out, _ = _run(capsys, argv)
         assert code == 0, argv
         assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", argv
+
+
+@pytest.mark.parametrize("content", [b"\xff" + json.dumps(matrix_to_json(np.eye(2))).encode(),
+                                     b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("flag", ["--input", "--small", "--big", "--embedding"])
+def test_exit_code_undecodable_input(tmp_path, capsys, flag, content):
+    # a file that is not UTF-8, or nests deeper than the decoder allows, is
+    # an input error (exit 2), on every input flag
+    rho = 2.0
+    big, e = build_shift_unitary_rho_dilation(rho, 8)
+    files = {"--small": tuple_to_json(OperatorTuple((nilpotent_jump(rho),))), "--big": tuple_to_json(big),
+             "--embedding": embedding_to_json(e)}
+    paths = {}
+    for key, obj in files.items():
+        paths[key] = tmp_path / f"{key[2:]}.json"
+        paths[key].write_text(json.dumps(obj))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    paths[flag] = bad
+    if flag == "--input":
+        commands = [["radius", "--rho", "2"], ["numrad"], ["membership", "--rho", "2"]]
+    else:
+        commands = [["verify-dilation", "--mode", "sym", "--rho", "2", "--nmax", "3"]
+                    + [arg for key in files for arg in (key, str(paths[key]))]]
+    for argv in commands:
+        code, out, err = _run(capsys, argv + (["--input", str(bad)] if flag == "--input" else []))
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"] == "input", err

@@ -1,5 +1,6 @@
 """Round-trips for the JSON wire formats."""
 
+import gc
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from rho_radii.pencil import MatrixPolynomial, OperatorTuple
 from rho_radii.serialize import (
     embedding_from_json,
     embedding_to_json,
+    load_input,
     load_operator_input,
     matrix_from_json,
     matrix_to_json,
@@ -190,3 +192,63 @@ def test_polynomial_integral_float_counts_accepted():
     f = polynomial_from_json(_polynomial_json([1.0, 0], [0, 2], n_vars=2.0))
     assert f.n_vars == 2 and set(f.terms) == {(1, 0), (0, 2)}
     assert all(type(x) is int for idx in f.terms for x in idx)
+
+
+def _collections_during(fn):
+    """fn() and the number of garbage collections that started while it ran."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        result = fn()
+    finally:
+        gc.callbacks.remove(count)
+    return result, len(starts)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["ok", "bad-json", "bad-entry", "missing", "too-deep", "not-utf8"])
+def test_load_input_restores_the_collector(tmp_path, case, enabled):
+    # the collector is paused while a file is decoded and converted, and
+    # left as the caller had it on success and on every error
+    p = tmp_path / "m.json"
+    content = {"ok": json.dumps(matrix_to_json(np.eye(2))), "bad-json": "{",
+               "bad-entry": json.dumps({"rows": 1, "cols": 1, "data": [["x", 0]]}),
+               "too-deep": "[" * 100_000 + "]" * 100_000}.get(case)
+    if case == "not-utf8":
+        p.write_bytes(b"\xff{}")
+    elif content is not None:
+        p.write_text(content)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "ok":
+            np.testing.assert_array_equal(load_input(p, matrix_from_json), np.eye(2))
+        else:
+            errors = {"bad-json": json.JSONDecodeError, "missing": OSError}
+            with pytest.raises(errors.get(case, InputError)):
+                load_input(p, matrix_from_json)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_loading_the_staircase_dilation_runs_no_collection(tmp_path):
+    # the 80-dim staircase tuple decodes to 12 800 [re, im] lists; with the
+    # collector paused none of them is walked, and none is left to walk
+    from rho_radii.dilation import build_staircase_isometric_dilation
+
+    v, _, _ = build_staircase_isometric_dilation(2.0, 16, 5)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(tuple_to_json(v)))
+    assert gc.isenabled()
+    gc.collect()
+    t, collections = _collections_during(lambda: load_operator_input(p))
+    assert collections == 0
+    assert all(np.array_equal(a, b) for a, b in zip(t.mats, v.mats))
+    before = gc.get_count()[0]
+    assert before < gc.get_threshold()[0], before
