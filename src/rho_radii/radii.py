@@ -90,16 +90,17 @@ SLICE_REFINE_POINTS = 17
 #: LEVELSET_START_POINTS angles instead.
 SLICE_START_POINTS = 2
 SLICE_GAP = 1e-11
-#: Newton steps on the angle (_polish_root) that raise the best root of
-#: _slices_max before each level, when a root solve has just raised it.
+#: Newton steps (_polish_root) that raise the best root of _slices_max
+#: before each level, and a pair radius's best real slice root
+#: (_pair_cells), whenever a root solve has just raised it.
 SLICE_POLISH_STEPS = 3
 #: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
 QEP_REAL_TOL = 1e-7
 
 LEVELSET_METHOD = "levelset"
 
-#: Rows in the first crossing batch of the N >= 3 level-1 pass
-#: (_first_out_slice); later batches double.
+#: Rows in the first anchor batch and the first crossing batch of the
+#: N >= 3 level-1 pass (_first_out_slice); later batches double.
 LEVEL1_FIRST_BATCH = 4
 
 #: Cells over the phase circle from which _pair_cells starts, and the parts
@@ -169,6 +170,11 @@ def _kernel_lambda_min(a: np.ndarray, rho: float, zs: np.ndarray, gram=None) -> 
     """lambda_min of k(z, z) for a batch of scalar disk points ``zs``, of
     one matrix ``a`` or of a stack of matrices paired with the points;
     ``gram`` replaces A*A (the tangent pencils of _pair_cells)."""
+    return np.linalg.eigvalsh(_kernels(a, rho, zs, gram))[:, 0]
+
+
+def _kernels(a: np.ndarray, rho: float, zs: np.ndarray, gram=None) -> np.ndarray:
+    """The Hermitian kernels k(z, z) of _kernel_lambda_min, one per point."""
     ah = a.conj().swapaxes(-1, -2)
     aha = ah @ a if gram is None else gram
     eye = np.eye(a.shape[-1])
@@ -178,8 +184,7 @@ def _kernel_lambda_min(a: np.ndarray, rho: float, zs: np.ndarray, gram=None) -> 
         - (rho - 1) * (z * a + z.conj() * ah)
         + (rho - 2) * (np.abs(z) ** 2) * aha
     )
-    k = (k + k.conj().transpose(0, 2, 1)) / 2
-    return np.linalg.eigvalsh(k)[:, 0]
+    return (k + k.conj().transpose(0, 2, 1)) / 2
 
 
 def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
@@ -490,54 +495,100 @@ def _qep_top_roots(za: np.ndarray, rho: float, gram=None) -> np.ndarray:
     return np.where(real, roots.real, -np.inf).max(axis=1)
 
 
-def _polish_root(b: np.ndarray, rho: float, theta: float, mu: float, out: dict):
-    """Newton steps on theta towards a local maximum of the largest root
-    mu*(theta) of one slice ``b``, from a root mu = mu*(theta) > 0; returns
-    the (theta, mu) reached, mu an attained root at least the one given.
+def _root_derivatives(mats: tuple, rho: float, x: tuple, mu: float):
+    """Gradient and Hessian in the coordinates ``x`` of the largest root
+    mu*(x) of P_x(mu) = rho mu^2 I - (rho-1) mu H + (rho-2) S*S,
+    H = Z + Z*, Z = e^{i theta} S, at a root mu = mu*(x) > 0: x = (theta,)
+    for the slice S = ``mats[0]``, or x = (theta, phi) for the pair slice
+    S_phi = A_1 + e^{i phi} A_2 of ``mats`` = (A_1, A_2).  None where
+    lambda_min P is not simple or f_mu <= 0.
 
-    With f(theta, mu) = lambda_min P_theta(mu), P of _slices_max, and x_j
-    the eigenvectors of P_theta(mu*) (x_0 that of f = 0, so f_mu > 0),
-    mu*' = -f_theta/f_mu and
-    mu*'' = -(f_thth + 2 f_thmu mu*' + f_mumu mu*'^2)/f_mu, the second
-    derivatives by the eigenvalue perturbation sums
-    f_ab = x_0* P_ab x_0 + 2 Re sum_j (x_0* P_a x_j)(x_j* P_b x_0)/(f - lambda_j)
+    With f(x, mu) = lambda_min P_x(mu) and x_j the eigenvectors of
+    P_x(mu*) (x_0 that of f = 0), mu*_a = -f_a/f_mu and
+    mu*_ab = -(f_ab + f_amu mu*_b + f_bmu mu*_a + f_mumu mu*_a mu*_b)/f_mu,
+    the second derivatives by the eigenvalue perturbation sums
+    f_ab = x_0* P_ab x_0 - 2 Re sum_j (x_0* P_a x_j)(x_j* P_b x_0)/(lambda_j - f)
     (Mengi & Overton, IMA J. Numer. Anal. 25, 2005; at rho = 2 these are
-    the derivatives of lambda_max(Re e^{i theta} S)).  A step
-    -mu*'/mu*'' is taken only where mu*'' < 0 and its predicted gain
-    mu*'^2/(2|mu*''|) is above a quarter of the level gap SLICE_GAP (1 + mu)
-    of _slices_max (below it the next level clears the hill's top anyway),
-    and counts only if _qep_top_roots at the new angle returns a larger
-    root; at most SLICE_POLISH_STEPS are tried, each one root solve
-    (out["slice_polish_steps"], out["slice_root_solves"])."""
-    gram, eye = (rho - 2) * (b.conj().T @ b), np.eye(len(b))
-    for _ in range(SLICE_POLISH_STEPS if mu > 0 else 0):
-        z = np.exp(1j * theta) * b
-        lam, x = np.linalg.eigh((rho * mu ** 2) * eye - ((rho - 1) * mu) * (z + z.conj().T) + gram)
-        gaps = lam[1:] - lam[0]
-        if not (gaps > 0).all():
+    the derivatives of lambda_max(Re e^{i theta} S)).  With G = S*S,
+    P_mu = 2 rho mu I - (rho-1) H and P_a = -(rho-1) mu H_a + (rho-2) G_a;
+    with V = e^{i(theta + phi)} A_2 and Y = e^{i phi} A_1* A_2,
+    H_theta = i(Z - Z*), H_phi = i(V - V*), G_phi = i(Y - Y*), G_theta = 0,
+    H_thth = -(Z + Z*), H_thphi = H_phiphi = -(V + V*) and
+    G_phiphi = -(Y + Y*).  An eigh of P less rho mu^2 I gives the x_j."""
+    e = [complex(math.cos(t), math.sin(t)) for t in x]
+    s = mats[0] if len(e) == 1 else mats[0] + e[1] * mats[1]
+    z = e[0] * s
+    lam, v = np.linalg.eigh((rho - 2) * (s.conj().T @ s) - ((rho - 1) * mu) * (z + z.conj().T))
+    if len(s) > 1 and not lam[1] > lam[0]:
+        return None
+    w = lam[1:] - lam[0]
+    vh = v.conj().T
+
+    def parts(m):  # x_0* M x_0, and x_0* (M + M*) x_j, x_0* i(M - M*) x_j for j >= 1
+        m = vh @ m @ v
+        u, l = m[0, 1:], m[1:, 0].conj()
+        return complex(m[0, 0]), u + l, 1j * (u - l)
+
+    # f_c, the rows x_0* P_c x_j (j >= 1) and x_0* P_cc' x_0 for c, c' = mu, theta (, phi)
+    c, h, h_th = parts(z)
+    df = [2 * rho * mu - 2 * (rho - 1) * c.real, 2 * (rho - 1) * mu * c.imag]
+    rows = [(1 - rho) * h, (1 - rho) * mu * h_th]
+    f = [[2 * rho, 2 * (rho - 1) * c.imag], [2 * (rho - 1) * c.imag, 2 * (rho - 1) * mu * c.real]]
+    if len(e) == 2:
+        cv, _, h_ph = parts(e[0] * e[1] * mats[1])
+        cy, _, g_ph = parts(e[1] * (mats[0].conj().T @ mats[1]))
+        df.append(2 * (rho - 1) * mu * cv.imag - 2 * (rho - 2) * cy.imag)
+        rows.append((1 - rho) * mu * h_ph + (rho - 2) * g_ph)
+        f[0].append(2 * (rho - 1) * cv.imag)
+        f[1].append(2 * (rho - 1) * mu * cv.real)
+        f.append([f[0][2], f[1][2], f[1][2] - 2 * (rho - 2) * cy.real])
+    fm = df[0]
+    if not fm > 0:
+        return None
+    rows = np.array(rows)
+    f = (np.array(f) - 2 * ((rows / w) @ rows.conj().T).real).tolist()
+    grad = [-fa / fm for fa in df[1:]]
+    hess = [[-(f[a + 1][b + 1] + f[0][a + 1] * grad[b] + f[0][b + 1] * grad[a] + f[0][0] * grad[a] * grad[b]) / fm
+             for b in range(len(grad))] for a in range(len(grad))]
+    return grad, hess
+
+
+def _polish_root(mats: tuple, rho: float, x, mu: float, gap: float = 0.0):
+    """Newton steps on the coordinates ``x`` (_root_derivatives, one or
+    two) towards a local maximum of mu*(x), from a root mu = mu*(x);
+    returns the (x, mu) reached, mu an attained root at least the one
+    given, and the steps tried, each one root solve.  A step
+    -hess^{-1} grad is taken only where the Hessian of mu* is negative
+    definite and its predicted gain grad.step/2 is above a quarter of the
+    level gap max(gap, SLICE_GAP (1 + mu)) (below it the next level clears
+    the hill's top anyway), and counts only if _qep_top_roots at the new
+    point returns a larger root; at most SLICE_POLISH_STEPS are tried.
+    ``x`` is a tuple of floats, and so is the x returned."""
+    steps = 0
+    while steps < SLICE_POLISH_STEPS and mu > 0:
+        der = _root_derivatives(mats, rho, x, mu)
+        if der is None:
             break
-        zx = x.conj().T @ z @ x
-        c, u, v = complex(zx[0, 0]), zx[0, 1:], zx[1:, 0].conj()  # x_0* H x_j = u_j + v_j, H' = i (Z - Z*)
-        pt, pm, w = (1 - rho) * mu * 1j * (u - v), (1 - rho) * (u + v), 2 / gaps  # x_0* P_theta x_j, x_0* P_mu x_j
-        ft, fm = 2 * (rho - 1) * mu * c.imag, 2 * rho * mu - 2 * (rho - 1) * c.real
-        ftt = 2 * (rho - 1) * mu * c.real - np.vdot(pt, w * pt).real
-        ftm = 2 * (rho - 1) * c.imag - np.vdot(pm, w * pt).real
-        fmm = 2 * rho - np.vdot(pm, w * pm).real
-        d1 = -ft / fm
-        d2 = -(ftt + 2 * ftm * d1 + fmm * d1 ** 2) / fm
-        if not (fm > 0 and d2 < 0) or d1 * d1 / (-2 * d2) <= SLICE_GAP * (1 + mu) / 4:
+        grad, hess = der
+        # [[a, b], [b, c]]; one coordinate's [a] as [[a, 0], [0, -1]], whose step starts -grad/a
+        (a, b), c = (hess[0], hess[1][1]) if len(x) == 2 else ((hess[0][0], 0.0), -1.0)
+        det = a * c - b * b
+        if not (a < 0 and det > 0):  # negative definite
             break
-        out["slice_polish_steps"] += 1
-        out["slice_root_solves"] += 1
-        step = -d1 / d2
-        root = float(_qep_top_roots(np.exp(1j * (theta + step)) * b[None], rho)[0])
+        step = [(b * grad[-1] - c * grad[0]) / det, (b * grad[0] - a * grad[-1]) / det][:len(x)]
+        if sum(gi * si for gi, si in zip(grad, step)) / 2 <= max(gap, SLICE_GAP * (1 + mu)) / 4:
+            break
+        steps += 1
+        y = tuple(xi + si for xi, si in zip(x, step))
+        s = mats[0] if len(y) == 1 else mats[0] + complex(math.cos(y[1]), math.sin(y[1])) * mats[1]
+        root = float(_qep_top_roots(complex(math.cos(y[0]), math.sin(y[0])) * s[None], rho)[0])
         if not root > mu:
             break
-        theta, mu = theta + step, root
-    return theta, mu
+        x, mu = y, root
+    return x, mu, steps
 
 
-def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
+def _slices_max(s: np.ndarray, rho: float, best=None, norms=None) -> dict:
     """Largest w_rho over a stack ``s`` of slices S with ||S|| <= 1, each
     maximised exactly over the circle by one joint level-set iteration.
 
@@ -550,7 +601,9 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     equally spaced angles (LEVELSET_START_POINTS at rho = 2, where a root
     is one Hermitian eigvalsh) and, at rho > 2, at the angle -arg lam of
     the top eigenvalue, near which mu* peaks as rho grows; U is the best
-    root (at least 0) and anchors the least roots.
+    root (at least 0) and anchors the least roots.  ``norms`` are the
+    slices' spectral norms when known (1 for a stack that holds m/||m||),
+    else they are computed.
 
     Before each level, if a root solve has just raised U, Newton steps on
     the angle (_polish_root) raise it to the attained root at a local
@@ -574,8 +627,10 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
     out = {"slice_levels": 0, "slice_crossing_solves": 0, "slice_root_solves": 0, "slice_polish_steps": 0}
     anchors = np.full(n, 0.0 if best is None else best[1])
     value, owner = (0.0 if best is None else best[0]), None
+    if norms is None:
+        norms = np.linalg.norm(s, 2, axis=(1, 2))
     if rho == 1:
-        levels = np.linalg.norm(s, 2, axis=(1, 2))
+        levels = norms
         if best is None or levels.max() > value:
             value, owner = float(levels.max()), int(np.argmax(levels))
         return {**out, "value": value, "slice": owner, "anchor": anchors[0], "levels": levels}
@@ -591,20 +646,23 @@ def _slices_max(s: np.ndarray, rho: float, best=None) -> dict:
         owner = int(np.argmax(roots.max(axis=0)))
         value, anchors = max(float(roots.max()), 0.0), thetas[np.argmin(roots, axis=0), np.arange(n)]
         peak = float(thetas[np.argmax(roots[:, owner]), owner])
-    levels, norms = np.full(n, np.nan), np.linalg.norm(s, 2, axis=(1, 2))
+    levels = np.full(n, np.nan)
     live, level, fresh = np.arange(n), -math.inf, owner is not None
     while live.size:
         if out["slice_levels"] == LEVELSET_MAX_ITERATIONS:
             raise InternalError(f"slice level-set iteration did not stop in {LEVELSET_MAX_ITERATIONS} levels")
         out["slice_levels"] += 1
         if fresh:
-            peak, value = _polish_root(s[owner], rho, peak, value, out)
+            (peak,), value, steps = _polish_root((s[owner],), rho, (peak,), value)
+            out["slice_polish_steps"] += steps
+            out["slice_root_solves"] += steps
         level = max(value, level)
         level += SLICE_GAP * (1 + level)
         failures = list(_slice_failures(s[live], rho, level, anchors[live], norms[live],
                                         None if top is None else top[live], out))
         rows, angles = (np.concatenate(parts) for parts in list(zip(*failures))[:2])
-        failed = np.isin(np.arange(live.size), rows)
+        failed = np.zeros(live.size, dtype=bool)
+        failed[rows] = True
         levels[live[~failed]] = level
         if rows.size:
             roots = _qep_top_roots(np.exp(1j * angles)[:, None, None] * s[live[rows]], rho)
@@ -639,19 +697,21 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     without an eigensolve.  ``gram``, when given, replaces S*S in each
     kernel (the tangent pencils of _pair_cells, with a nan ``top`` and
     ||G|| <= norm^2); the norm test is then skipped, and a row not returned
-    has its kernel above the floor on the circle.  The first batch holds
+    has its kernel above the floor on the circle.  The anchor batches hold
     the other rows where lambda_min k is at most floor + guard at the
-    anchor angle, and, at
+    anchor angle (counted per row in out["slice_anchor_solves"]), and, at
     rho > 2, those with r(S) >= beta L, beta = (rho-1)/(rho-2), at the
     angle -arg lam of the eigenvalue ``top``.  The others come from
     _circle_crossings of k - floor I (which err towards real, counted per
     row in out["slice_crossing_solves"]): a row for each midpoint between
     consecutive crossings where lambda_min k is at most floor + guard.
-    They are solved in row order, in one batch, or in batches of ``batch``,
-    2 batch, ... rows (_row_batches), one per draw, so a caller that stops
-    at an Out row solves no later batch; a row's result does not depend on
-    its batch.  At rho = 1 the kernel on the circle is I - U*U at every
-    angle, so the anchor decides.  A row in no batch has lambda_min k above
+    Both passes run in row order, in one batch each, or in batches of
+    ``batch``, 2 batch, ... rows (_row_batches), one per draw, every anchor
+    batch before any crossing batch, so a caller that stops at an Out row
+    solves no later batch; a row's result does not depend on its batch.
+    U*U, U = S/L, is formed once for the anchor kernels, the crossing
+    pencils and the midpoint kernels.  At rho = 1 the kernel on the circle
+    is I - U*U at every angle, so the anchor decides.  A row in no batch has lambda_min k above
     the floor on the circle, where its disk minimum lies (_kernel_disk_min):
     at zeta = |lam|/lam, x* k x = (rho-2)(|lam| - beta)^2 - 1/(rho-2) for an
     eigenvector x of an eigenvalue lam of U, so a kernel above a floor
@@ -662,31 +722,31 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     cut = floor + SCREEN_ROUND_GUARD * d * _kernel_scale(t, rho)
     idx = np.arange(len(s)) if gram is not None else np.flatnonzero(_kernel_norm_floor(t, rho) <= cut)
     u, angles = s[idx] / level, anchors[idx]
-    g = None if gram is None else gram[idx] / level ** 2
-
-    def lam(rows, zs):
-        return _kernel_lambda_min(u[rows], rho, zs) if g is None else _kernel_lambda_min(u[rows], rho, zs, g[rows])
-
-    vals = lam(slice(None), np.exp(1j * angles))
-    bad = vals <= cut[idx]
-    if rho > 2:
-        wide = (rho - 2) * np.abs(top[idx]) >= (rho - 1) * level
-        angles, bad, vals = np.where(wide, -np.angle(top[idx]), angles), bad | wide, np.where(wide, np.nan, vals)
-    yield idx[bad], angles[bad], vals[bad]
+    g = u.conj().swapaxes(1, 2) @ u if gram is None else gram[idx] / level ** 2
+    bad, k = np.zeros(idx.size, dtype=bool), _kernels(u, rho, np.exp(1j * angles), g)
+    for lo, hi in list(_row_batches(idx.size, batch)) or [(0, 0)]:  # one draw even with no row left
+        rows, at = idx[lo:hi], angles[lo:hi]
+        vals = np.linalg.eigvalsh(k[lo:hi])[:, 0]
+        out["slice_anchor_solves"] = out.get("slice_anchor_solves", 0) + rows.size
+        fail = vals <= cut[rows]
+        if rho > 2:
+            wide = (rho - 2) * np.abs(top[rows]) >= (rho - 1) * level
+            at, fail, vals = np.where(wide, -np.angle(top[rows]), at), fail | wide, np.where(wide, np.nan, vals)
+        bad[lo:hi] = fail
+        yield rows[fail], at[fail], vals[fail]
     if rho == 1 or bad.all():
         return
     keep = np.flatnonzero(~bad)
     for lo, hi in _row_batches(keep.size, batch):
         rows = keep[lo:hi]
         ub, ib = u[rows], idx[rows]
-        gb = ub.conj().swapaxes(1, 2) @ ub if g is None else g[rows]
-        cross = _circle_crossings(-(rho - 1) * ub, (rho - floor) * np.eye(d) + (rho - 2) * gb, angles[rows])
+        cross = _circle_crossings(-(rho - 1) * ub, (rho - floor) * np.eye(d) + (rho - 2) * g[rows], angles[rows])
         out["slice_crossing_solves"] += ib.size
         count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
-        nxt = np.where(col + 1 < count, np.roll(cross, -1, axis=1), cross[:, :1] + 2 * np.pi)
+        nxt = np.where(col + 1 < count, np.hstack([cross[:, 1:], cross[:, :1]]), cross[:, :1] + 2 * np.pi)
         at, col = np.nonzero(col < count)
         mids = (cross[at, col] + nxt[at, col]) / 2 % (2 * np.pi)
-        vals = lam(rows[at], np.exp(1j * mids))
+        vals = _kernel_lambda_min(u[rows[at]], rho, np.exp(1j * mids), g[rows[at]])
         fail = vals <= cut[ib[at]]
         yield ib[at[fail]], mids[fail], vals[fail]
 
@@ -785,8 +845,9 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
     within 1/(rho-2) of beta, the pencil is indefinite, and
     mu*(theta) >= r(A); so the root solved there lifts the next level above
     r(A) > r(A)/beta, and hi is certified at every rho.  At
-    rho = 1 the level is the computed norm of A/||A||, which can round an
-    ulp below 1, so hi is floored at lo.  lo is the best root attained less
+    rho = 1 the level is 1, the norm of A/||A|| as _one_slice_search
+    passes it in (its computed value can round an ulp off 1), so
+    hi = lo = ||A||; hi is floored at lo.  lo is the best root attained less
     the gap, floored at the lower bound ||A||/rho, so that A/lo fails the
     kernel test at the witness angle.  The gap is
     RADIUS_GAP (1 + max(1, 2/rho - 1)) relative, and at most width/4.  hi
@@ -809,11 +870,12 @@ def w_rho(a, rho: float, width: float = DEFAULT_WIDTH) -> RadiusReport:
 
 def _one_slice_search(m: np.ndarray, rho: float):
     """(||m||, run, grid_spec) of _slices_max on the stack that holds
-    m/||m|| alone (run None when m = 0): grid_spec holds the run's counters,
+    m/||m|| alone, whose norm 1 it passes in rather than take a second SVD
+    of m (run None when m = 0): grid_spec holds the run's counters,
     the polish step cap and the slice's elimination level in m's units
     (``certified_level``)."""
     norm = op_norm(m)
-    run = _slices_max((m / norm)[None], rho) if norm else None
+    run = _slices_max((m / norm)[None], rho, norms=np.ones(1)) if norm else None
     grid_spec = {key: run[key] if run else 0
                  for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves", "slice_polish_steps")}
     grid_spec.update(slice_polish_cap=SLICE_POLISH_STEPS,
@@ -980,15 +1042,18 @@ def _first_out_slice(a: OperatorTuple, rho: float, tol: float, batch=LEVEL1_FIRS
     grid of _qep_theta_max: the first grid slice decided Out (_first_out)
     among those that _level1_failures does not show to be members.
     Returns (phases, verdict) of that slice, or (None, None), and the
-    counters (with the slice's phases).  Crossings are solved in batches of
-    ``batch``, 2 batch, ... slices (one if None) up to the witness's: an
-    Out triple's witness is most often among the first slices solved."""
+    counters (with the slice's phases).  The anchor kernels, then the
+    crossings, are solved in batches of ``batch``, 2 batch, ... slices (one
+    each if None) up to the witness's: an Out triple's witness is most
+    often among the first slices solved (``level1_anchor_solves`` and
+    ``level1_crossing_solves`` count the slices solved)."""
     w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
     s = _slice_stack(a, w)
-    solves = {"slice_crossing_solves": 0}
+    solves = {"slice_crossing_solves": 0, "slice_anchor_solves": 0}
     stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
     i, v = _first_out(s, _level1_failures(s, rho, solves, batch=batch), rho, tol, stats)
-    stats["level1_crossing_solves"] = solves["slice_crossing_solves"]
+    stats.update(level1_crossing_solves=solves["slice_crossing_solves"],
+                 level1_anchor_solves=solves["slice_anchor_solves"])
     if v is None:
         return None, None, stats
     return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
@@ -1025,13 +1090,18 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
     or with cells unproven NecessaryOnly, margin the least of the floor and
     the In slices'.
 
-    The radius solves its first real slices at the angles 0 and pi for the
-    best root U, then runs a joint level set at L = max(U + gap,
-    L + SLICE_GAP (1 + L)), anchored opposite U's angle.  A failing vertex
-    gets its root where it fails (_qep_top_roots, with G_w for a tangent):
-    a real slice's raises U and names ``slice_w``; a tangent's at most
-    U + gap, or one whose cell is not cut, raises L above it instead.  The
-    level at which the last cell passes bounds every slice.
+    The radius solves its first real slices at the angles 0 and pi (and,
+    at rho > 2, -arg lam of each one's top eigenvalue) for the best root U,
+    then runs a joint level set at L = max(U + gap, L + SLICE_GAP (1 + L)),
+    anchored opposite U's angle.  A failing vertex gets its root where it
+    fails (_qep_top_roots, with G_w for a tangent): a real slice's raises
+    U; a tangent's at most U + gap, or one whose cell is not cut, raises L
+    above it instead.  Whenever a real slice's root raises U (the start
+    included), Newton steps on its angle and phase (_polish_root) climb to
+    the top of its hill, an attained root of the slice S_phi that names
+    ``slice_w``: the first levels then lie just above the radius, and the
+    rounds mostly cut cells (``cell_polish_steps``, each one root solve).
+    The level at which the last cell passes bounds every slice.
     """
     a1, a2 = a.mats
     g0, g1 = a1.conj().T @ a1 + a2.conj().T @ a2, a1.conj().T @ a2
@@ -1044,13 +1114,24 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
         return (np.arange(CELL_START, dtype=np.int64) << CELL_DEPTH, np.full(CELL_START, 1 << CELL_DEPTH),
                 np.zeros((2, CELL_START), dtype=bool))
 
+    def climb(theta, phi, mu):  # the polished root of a real slice: (U, anchor opposite it, its phase)
+        (theta, phi), mu, steps = _polish_root(a.mats, rho, (float(theta), float(phi)), mu, gap)
+        cells["cell_polish_steps"] += steps
+        cells["cell_root_solves"] += steps
+        return max(mu, 0.0), theta + np.pi, {"slice_w": _slice_phases_json([complex(math.cos(phi), math.sin(phi))])}
+
     p, q, known = start()
     if radius:
-        w = np.exp(2j * np.pi * np.arange(CELL_START) / CELL_START)
-        roots = _qep_top_roots(np.concatenate([s := _slice_stack(a, w[:, None]), -s]), rho)
-        cells["cell_root_solves"], i = roots.size, int(np.argmax(roots))
-        value, level, anchor = max(float(roots[i]), 0.0), -math.inf, np.pi * (i < CELL_START)
-        stats = {"slice_w": _slice_phases_json(w[[i % CELL_START]])}
+        phi = 2 * np.pi * np.arange(CELL_START) / CELL_START
+        s = _slice_stack(a, np.exp(1j * phi)[:, None])
+        theta = np.array([np.zeros(CELL_START), np.full(CELL_START, np.pi)])
+        if rho > 2:
+            theta = np.vstack([theta, -np.angle(_top_eigenvalues(s))])
+        roots = _qep_top_roots((np.exp(1j * theta)[:, :, None, None] * s).reshape(-1, *s.shape[1:]), rho)
+        i, j = divmod(int(np.argmax(roots)), CELL_START)
+        cells.update(cell_root_solves=roots.size, cell_polish_steps=0)
+        value, anchor, stats = climb(theta[i, j], phi[j], float(roots.max()))
+        level = -math.inf
     else:
         level, anchor, value, stats = 1.0, 0.0, 0.0, {"level1_memberships": 0}
     while p.size:
@@ -1092,7 +1173,7 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
             j = np.flatnonzero(is_real)
             if j.size and roots[j].max() > value:
                 j = j[np.argmax(roots[j])]
-                value, anchor, stats["slice_w"] = float(roots[j]), angles[j] + np.pi, _slice_phases_json(w[[rows[j]]])
+                value, anchor, stats = climb(angles[j], step * real[rows[j]], float(roots[j]))
             troot, t = np.full(p.size, -np.inf), np.flatnonzero(~is_real)
             t = t[np.argsort(roots[t])]
             troot[rows[t] - k] = roots[t]
@@ -1142,8 +1223,9 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     margin 0 when every cell of the phase circle is proven, or
     NecessaryOnly (``cells_unproven``).  For N >= 3 the level-1 pass
     (_first_out_slice) returns Out at the first grid slice that fails,
-    stopping at its witness's crossing batch (only ``level1_crossing_solves``
-    depends on the batches); else the worst slice of the phase search
+    stopping at its witness's anchor or crossing batch (only
+    ``level1_anchor_solves`` and ``level1_crossing_solves`` depend on the
+    batches); else the worst slice of the phase search
     (_qep_theta_max, the same search as w_rho_tuple's) is decided by
     membership_single.
 

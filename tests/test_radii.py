@@ -1024,8 +1024,9 @@ def test_kernel_norm_floor_below_disk_minimum(monkeypatch):
         mats.append(s * (norm / op_norm(s)))
     mats.append(np.diag([0.9, -0.5j]))
     calls = []
-    lam_min = radii._kernel_lambda_min
-    monkeypatch.setattr(radii, "_kernel_lambda_min", lambda a, rho, zs: calls.append(len(zs)) or lam_min(a, rho, zs))
+    kernels = radii._kernels
+    monkeypatch.setattr(radii, "_kernels",
+                        lambda a, rho, zs, gram=None: calls.append(len(zs)) or kernels(a, rho, zs, gram))
     for rho in (0.05, 0.5, 1.0, 1.5, 1.99, 2.0, 2.1, 2.5, 3.0, 5.0, 10.0):
         for s in mats:
             norm = op_norm(s)
@@ -1252,23 +1253,28 @@ def test_level1_out_search_stops_at_its_witness():
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.05])
 def test_level1_batches_leave_verdicts_unchanged(monkeypatch, tol):
     # decision, margin, witness, slice phases, exactness and method equal
-    # the one-batch pass's; only level1_crossing_solves may differ.  At tol
-    # 0.05 some slice past the first batch goes to membership_single
+    # the one-batch pass's, byte for byte; only level1_anchor_solves and
+    # level1_crossing_solves may differ, and a witness among the first
+    # anchors solves only that batch.  At tol 0.05 some slice past the
+    # first batch goes to membership_single
     def report(v):
         j = v.to_json()
-        return j, j["certificate"].pop("level1_crossing_solves")
+        return j, j["certificate"].pop("level1_crossing_solves"), j["certificate"].pop("level1_anchor_solves")
 
     first_out_slice = radii._first_out_slice
-    later = 0
+    later = early = 0
     for a, rho in _out_tuples(np.random.default_rng(74), (3,), TRIPLE_RHOS):
-        got, lazy = report(membership_tuple(a, rho, tol, budget=16))
+        got, lazy, lazy_anchors = report(membership_tuple(a, rho, tol, budget=16))
         with monkeypatch.context() as m:
             m.setattr(radii, "_first_out_slice", lambda a, rho, tol: first_out_slice(a, rho, tol, batch=None))
-            want, full = report(membership_tuple(a, rho, tol, budget=16))
+            want, full, full_anchors = report(membership_tuple(a, rho, tol, budget=16))
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), (a.dim, rho)
-        assert lazy <= full
+        assert lazy <= full and lazy_anchors <= full_anchors
+        assert lazy == 0 or lazy_anchors == full_anchors, (a.dim, rho)  # every anchor before any crossing
         later += got["certificate"]["level1_memberships"] > 0 and lazy > radii.LEVEL1_FIRST_BATCH
+        early += lazy_anchors == radii.LEVEL1_FIRST_BATCH < full_anchors
     assert later > 0 or tol == DEFAULT_TOL
+    assert early > 0
 
 
 def test_triple_radius_is_its_worst_slice_and_the_norm_bound(monkeypatch):
@@ -1578,24 +1584,89 @@ def test_qep_top_roots_closed_form_at_rho_2():
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (d, got - want)
 
 
+def _mu_star(mats, rho, x):
+    """mu*(theta) of the slice mats[0], or mu*(theta, phi) of the pair
+    slice A_1 + e^{i phi} A_2, by _qep_top_roots."""
+    s = mats[0] if len(x) == 1 else mats[0] + np.exp(1j * x[1]) * mats[1]
+    return float(radii._qep_top_roots(np.exp(1j * x[0]) * s[None], rho)[0])
+
+
+def _central_differences(f, x, h):
+    """Gradient and Hessian of f at x by central differences of step h."""
+    unit = np.eye(len(x)) * h
+    grad = [(f(x + e) - f(x - e)) / (2 * h) for e in unit]
+    hess = [[(f(x + e + g) - f(x + e - g) - f(x - e + g) + f(x - e - g)) / (4 * h * h) for g in unit] for e in unit]
+    return np.array(grad), np.array(hess)
+
+
+def test_root_derivatives_match_central_differences():
+    # the perturbation-sum gradient and Hessian of mu*(theta) and
+    # mu*(theta, phi) match central differences on random pairs, d 1-4,
+    # extrapolated from steps 2e-4 and 1e-4 (Richardson), so that hills
+    # with a large third derivative (near a second root) are not in error
+    rng = np.random.default_rng(45)
+    checked = 0
+    for d in (1, 2, 3, 4):
+        for rho in (0.5, 1.5, 2.0, 3.0, 10.0):
+            for _ in range(4):
+                a1, a2 = _random_matrix(rng, d), _random_matrix(rng, d)
+                scale = op_norm(a1) + op_norm(a2)
+                for mats in ((a1 / scale,), (a1 / scale, a2 / scale)):
+                    x = rng.uniform(0, 2 * np.pi, len(mats))
+                    mu = _mu_star(mats, rho, x)
+                    der = radii._root_derivatives(mats, rho, tuple(x), mu) if mu > 0 else None
+                    if der is None:
+                        continue
+                    grad, hess = np.array(der[0]), np.array(der[1])
+                    coarse, fine = (_central_differences(lambda y: _mu_star(mats, rho, y), x, h) for h in (2e-4, 1e-4))
+                    fd_grad, fd_hess = ((4 * f - c) / 3 for c, f in zip(coarse, fine))
+                    assert np.allclose(grad, fd_grad, rtol=0, atol=1e-7 * (1 + np.abs(grad).max())), (d, rho)
+                    assert np.allclose(hess, fd_hess, rtol=0, atol=1e-5 * (1 + np.abs(hess).max())), (d, rho)
+                    checked += len(mats) == 2
+    assert checked >= 40, checked
+
+
 def test_polish_returns_a_larger_attained_root():
-    # each Newton step counts only where the root solved at its angle is
-    # larger, so the polish ends on an attained root, at least the start's
+    # each Newton step counts only where the root solved at its point is
+    # larger, so the polish ends on an attained root, at least the start's:
+    # on one slice (the angle) and on a pair (the angle and the phase)
     rng = np.random.default_rng(42)
+    climbed = 0
     for d in range(1, 7):
-        b = _random_matrix(rng, d)
-        b /= op_norm(b)
-        for rho in SLICE_RHOS:
-            if rho == 1.0:
-                continue
-            for theta in (0.0, 2.0, 4.0):
-                mu = float(radii._qep_top_roots(np.exp(1j * theta) * b[None], rho)[0])
-                out = {"slice_polish_steps": 0, "slice_root_solves": 0}
-                t, m = radii._polish_root(b, rho, theta, mu, out)
-                assert m >= mu and out["slice_polish_steps"] <= radii.SLICE_POLISH_STEPS
-                assert out["slice_root_solves"] == out["slice_polish_steps"]
-                if m > mu:
-                    assert m == radii._qep_top_roots(np.exp(1j * t) * b[None], rho)[0]
+        b, c = _random_matrix(rng, d), _random_matrix(rng, d)
+        scale = op_norm(b) + op_norm(c)
+        for mats in ((b / op_norm(b),), (b / scale, c / scale)):
+            for rho in SLICE_RHOS:
+                if rho == 1.0:
+                    continue
+                for start in ((0.0, 2.0), (2.0, 4.0), (4.0, 0.0)):
+                    x0 = start[:len(mats)]
+                    mu = _mu_star(mats, rho, x0)
+                    x, m, steps = radii._polish_root(mats, rho, x0, mu)
+                    assert m >= mu and steps <= radii.SLICE_POLISH_STEPS, (d, rho, start)
+                    assert len(x) == len(mats) and (m > mu or x == x0), (d, rho, start)
+                    if m > mu:
+                        climbed += len(mats) == 2
+                        assert m == _mu_star(mats, rho, x), (d, rho, start)
+    assert climbed > 0
+
+
+def test_reference_pair_radii_take_few_rounds():
+    # the polished start root puts the first level just above the radius,
+    # so the rounds cut cells: the 24 radii of the reference pairs at rho
+    # 0.5/1.5/2 took a median of 14 rounds from the unpolished start; the
+    # polish's steps are root solves, and on the flat thm51 pair, whose
+    # mu* does not depend on the phase, it stops at once
+    path = Path(__file__).resolve().parents[1] / "bench" / "ref_pairs.json"
+    entries = json.loads(path.read_text())["entries"]
+    pairs = [OperatorTuple(tuple(matrix_from_json(m) for m in e["mats"])) for e in entries]
+    specs = [w_rho_tuple(pair, rho).grid_spec for rho in (0.5, 1.5, 2.0) for pair in pairs]
+    assert np.median([spec["cell_rounds"] for spec in specs]) <= 9, [spec["cell_rounds"] for spec in specs]
+    assert all(0 <= spec["cell_polish_steps"] <= spec["cell_root_solves"] for spec in specs)
+    assert sum(spec["cell_polish_steps"] > 0 for spec in specs) >= len(specs) // 2
+    for rho in (1.5, 2.0, 3.0):
+        spec = w_rho_tuple(build_nonsimilar_pair(admissible_eps(rho) / 2), rho).grid_spec
+        assert spec["cell_polish_steps"] == 0, (rho, spec)
 
 
 def _numrad_kinds(rng, d):
