@@ -94,6 +94,9 @@ SLICE_GAP = 1e-11
 #: before each level, and a pair radius's best real slice root
 #: (_pair_cells), whenever a root solve has just raised it.
 SLICE_POLISH_STEPS = 3
+#: The counters that _slices_max adds to the record its caller passes in.
+SLICE_COUNTERS = ("slice_levels", "slice_crossing_solves", "slice_anchor_solves", "slice_root_solves",
+                  "slice_polish_steps")
 #: Roots with |Im mu| <= QEP_REAL_TOL (1 + |Re mu|) count as real.
 QEP_REAL_TOL = 1e-7
 
@@ -187,7 +190,7 @@ def _kernels(a: np.ndarray, rho: float, zs: np.ndarray, gram=None) -> np.ndarray
     return (k + k.conj().transpose(0, 2, 1)) / 2
 
 
-def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
+def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Sorted angles theta in [0, 2 pi) where the Hermitian matrix
     k(theta) = e^{i theta} E + M + e^{-i theta} E* is singular, for an angle
     psi at which k(psi) is positive definite.
@@ -205,8 +208,6 @@ def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
     Given stacks of n matrices E and M and n angles psi, it returns an
     (n, 2d) array: row j holds the crossings of pencil j, sorted, then nan.
     """
-    single, psi = e.ndim == 2, np.atleast_1d(psi)
-    e, m = (e[None], m[None]) if single else (e, m)
     d = m.shape[-1]
     f = np.exp(1j * psi)[:, None, None] * e
     fh = f.conj().swapaxes(-1, -2)
@@ -221,8 +222,7 @@ def _circle_crossings(e: np.ndarray, m: np.ndarray, psi: float) -> np.ndarray:
     comp[:, d:, d:] = -li @ (2j * (fh - f)) @ lih
     tau = np.linalg.eigvals(comp)
     real = np.abs(tau.imag) <= LEVELSET_REAL_TOL * (1 + tau.real ** 2)
-    theta = np.sort(np.where(real, (psi[:, None] + np.pi + 2 * np.arctan(tau.real)) % (2 * np.pi), np.nan))
-    return theta[0, :np.count_nonzero(real)] if single else theta
+    return np.sort(np.where(real, (psi[:, None] + np.pi + 2 * np.arctan(tau.real)) % (2 * np.pi), np.nan))
 
 
 def _levelset_min(h, pencil, gap: float, rel: float = 0.0) -> dict:
@@ -251,7 +251,8 @@ def _levelset_min(h, pencil, gap: float, rel: float = 0.0) -> dict:
     psi = float(thetas[int(np.argmax(vals))])
     for it in range(1, LEVELSET_MAX_ITERATIONS + 1):
         level = best - gap - rel * abs(best)
-        cross = _circle_crossings(*pencil(level), psi)
+        cross = _circle_crossings(*(x[None] for x in pencil(level)), np.array([psi]))[0]
+        cross = cross[~np.isnan(cross)]
         if not cross.size:
             return {"value": best, "theta": theta, "level": level, "iterations": it}
         mids = (cross + np.append(cross[1:], cross[0] + 2 * np.pi)) / 2
@@ -286,6 +287,14 @@ def _kernel_norm_floor(t, rho: float):
     return rho - 2 * abs(rho - 1) * t + (rho - 2) * t ** 2
 
 
+def _check_finite_kernel(t: float, rho: float, what: str) -> None:
+    """InputError unless max(rho, 2) (1 + t)^2 is a finite float: it bounds
+    the kernel of a matrix of norm at most t (_kernel_scale) and the gram
+    t^2 that the kernel is built from.  ``what`` names the matrices."""
+    if not math.isfinite(max(rho, 2.0) * (1 + t) * (1 + t)):
+        raise InputError(f"the kernel of {what}, of norm up to {t:.3g}, overflows at rho = {rho:g}")
+
+
 def _kernel_disk_min(a: np.ndarray, rho: float):
     """Minimum of lambda_min(k(z, z)) over the closed disk, with witness and
     counters; ``certified_level`` is below lambda_min k on the whole disk.
@@ -307,7 +316,6 @@ def _kernel_disk_min(a: np.ndarray, rho: float):
     subharmonic norm, so sigma_min(zA - beta I), and lambda_min k with it,
     is smallest on the circle.  ``spectral_radius`` is r(A) as computed.
     """
-    scale = _kernel_scale(float(np.linalg.norm(a)), rho)
     stats = {"theta_points": 1, "levelset_iterations": 0, "crossing_solves": 0}
     if rho > 2:
         top = _top_eigenvalues(a[None])[0]
@@ -316,6 +324,10 @@ def _kernel_disk_min(a: np.ndarray, rho: float):
         if abs(top) >= beta:
             stats.update(theta_points=0, certified_level=-1 / (rho - 2))
             return -1 / (rho - 2), complex(beta / top), stats
+    with np.errstate(over="ignore"):  # a norm that overflows is named by the check
+        norm = float(np.linalg.norm(a))
+    _check_finite_kernel(norm, rho, "a matrix")
+    scale = _kernel_scale(norm, rho)
     if rho == 1:
         best_val = float(_kernel_lambda_min(a, rho, np.ones(1))[0])
         stats["certified_level"] = best_val - KERNEL_GAP * scale
@@ -588,7 +600,7 @@ def _polish_root(mats: tuple, rho: float, x, mu: float, gap: float = 0.0):
     return x, mu, steps
 
 
-def _slices_max(s: np.ndarray, rho: float, best=None, norms=None) -> dict:
+def _slices_max(s: np.ndarray, rho: float, record: dict, best=None, norms=None) -> dict:
     """Largest w_rho over a stack ``s`` of slices S with ||S|| <= 1, each
     maximised exactly over the circle by one joint level-set iteration.
 
@@ -620,11 +632,12 @@ def _slices_max(s: np.ndarray, rho: float, best=None, norms=None) -> dict:
     and the failing slices go on at the level above max(U, L), which rises
     even where rounding keeps a root below L.  Returns the best root
     "value", the "slice" that attained it (None if it is the given best)
-    and its "anchor", each slice's elimination level ("levels") and the
-    counters.
+    and its "anchor", and each slice's elimination level ("levels"); the
+    counters SLICE_COUNTERS are added to ``record``.
     """
     n, d = s.shape[:2]
-    out = {"slice_levels": 0, "slice_crossing_solves": 0, "slice_root_solves": 0, "slice_polish_steps": 0}
+    for key in SLICE_COUNTERS:
+        record.setdefault(key, 0)
     anchors = np.full(n, 0.0 if best is None else best[1])
     value, owner = (0.0 if best is None else best[0]), None
     if norms is None:
@@ -633,7 +646,8 @@ def _slices_max(s: np.ndarray, rho: float, best=None, norms=None) -> dict:
         levels = norms
         if best is None or levels.max() > value:
             value, owner = float(levels.max()), int(np.argmax(levels))
-        return {**out, "value": value, "slice": owner, "anchor": anchors[0], "levels": levels}
+        return {"value": value, "slice": owner, "anchor": anchors[0], "levels": levels}
+    _check_finite_kernel(2 / SLICE_GAP, rho, "a slice over a level of the radius search")
     peak, top = 0.0, (_top_eigenvalues(s) if rho > 2 else None)
     if best is None:
         thetas = np.linspace(0, 2 * np.pi, LEVELSET_START_POINTS if rho == 2 else SLICE_START_POINTS, endpoint=False)
@@ -642,37 +656,38 @@ def _slices_max(s: np.ndarray, rho: float, best=None, norms=None) -> dict:
             thetas = np.vstack([thetas, -np.angle(top)])
         roots = _qep_top_roots((np.exp(1j * thetas)[:, :, None, None] * s).reshape(-1, d, d), rho)
         roots = roots.reshape(thetas.shape)
-        out["slice_root_solves"] = roots.size
+        record["slice_root_solves"] += roots.size
         owner = int(np.argmax(roots.max(axis=0)))
         value, anchors = max(float(roots.max()), 0.0), thetas[np.argmin(roots, axis=0), np.arange(n)]
         peak = float(thetas[np.argmax(roots[:, owner]), owner])
     levels = np.full(n, np.nan)
-    live, level, fresh = np.arange(n), -math.inf, owner is not None
+    live, level, fresh, it = np.arange(n), -math.inf, owner is not None, 0
     while live.size:
-        if out["slice_levels"] == LEVELSET_MAX_ITERATIONS:
+        if it == LEVELSET_MAX_ITERATIONS:
             raise InternalError(f"slice level-set iteration did not stop in {LEVELSET_MAX_ITERATIONS} levels")
-        out["slice_levels"] += 1
+        it += 1
+        record["slice_levels"] += 1
         if fresh:
             (peak,), value, steps = _polish_root((s[owner],), rho, (peak,), value)
-            out["slice_polish_steps"] += steps
-            out["slice_root_solves"] += steps
+            record["slice_polish_steps"] += steps
+            record["slice_root_solves"] += steps
         level = max(value, level)
         level += SLICE_GAP * (1 + level)
         failures = list(_slice_failures(s[live], rho, level, anchors[live], norms[live],
-                                        None if top is None else top[live], out))
+                                        None if top is None else top[live], record, "slice"))
         rows, angles = (np.concatenate(parts) for parts in list(zip(*failures))[:2])
         failed = np.zeros(live.size, dtype=bool)
         failed[rows] = True
         levels[live[~failed]] = level
         if rows.size:
             roots = _qep_top_roots(np.exp(1j * angles)[:, None, None] * s[live[rows]], rho)
-            out["slice_root_solves"] += roots.size
+            record["slice_root_solves"] += roots.size
             j = int(np.argmax(roots))
             fresh = roots[j] > value
             if fresh:
                 value, owner, peak = float(roots[j]), int(live[rows[j]]), float(angles[j])
         live = live[failed]
-    return {**out, "value": value, "slice": owner, "anchor": anchors[0 if owner is None else owner], "levels": levels}
+    return {"value": value, "slice": owner, "anchor": anchors[0 if owner is None else owner], "levels": levels}
 
 
 def _top_eigenvalues(s: np.ndarray) -> np.ndarray:
@@ -681,7 +696,7 @@ def _top_eigenvalues(s: np.ndarray) -> np.ndarray:
     return lam[np.arange(len(s)), np.argmax(np.abs(lam), axis=1)]
 
 
-def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top, out: dict,
+def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top, record: dict, stage: str,
                     floor: float = 0.0, batch=None, gram=None):
     """The matrices S of the stack ``s`` for which lambda_min k, k the
     kernel of S/L, L = ``level``, is not shown to stay above ``floor`` on
@@ -699,12 +714,13 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     ||G|| <= norm^2); the norm test is then skipped, and a row not returned
     has its kernel above the floor on the circle.  The anchor batches hold
     the other rows where lambda_min k is at most floor + guard at the
-    anchor angle (counted per row in out["slice_anchor_solves"]), and, at
-    rho > 2, those with r(S) >= beta L, beta = (rho-1)/(rho-2), at the
-    angle -arg lam of the eigenvalue ``top``.  The others come from
+    anchor angle (counted per row in record[stage + "_anchor_solves"]),
+    and, at rho > 2, those with r(S) >= beta L, beta = (rho-1)/(rho-2), at
+    the angle -arg lam of the eigenvalue ``top``.  The others come from
     _circle_crossings of k - floor I (which err towards real, counted per
-    row in out["slice_crossing_solves"]): a row for each midpoint between
-    consecutive crossings where lambda_min k is at most floor + guard.
+    row in record[stage + "_crossing_solves"], both from the first draw):
+    a row for each midpoint between consecutive crossings where
+    lambda_min k is at most floor + guard.
     Both passes run in row order, in one batch each, or in batches of
     ``batch``, 2 batch, ... rows (_row_batches), one per draw, every anchor
     batch before any crossing batch, so a caller that stops at an Out row
@@ -718,6 +734,9 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     above -1/(rho-2) on the circle leaves U no eigenvalue of modulus beta.
     """
     d = s.shape[-1]
+    anchor_key, crossing_key = stage + "_anchor_solves", stage + "_crossing_solves"
+    record.setdefault(anchor_key, 0)
+    record.setdefault(crossing_key, 0)
     t = norms / level
     cut = floor + SCREEN_ROUND_GUARD * d * _kernel_scale(t, rho)
     idx = np.arange(len(s)) if gram is not None else np.flatnonzero(_kernel_norm_floor(t, rho) <= cut)
@@ -727,7 +746,7 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
     for lo, hi in list(_row_batches(idx.size, batch)) or [(0, 0)]:  # one draw even with no row left
         rows, at = idx[lo:hi], angles[lo:hi]
         vals = np.linalg.eigvalsh(k[lo:hi])[:, 0]
-        out["slice_anchor_solves"] = out.get("slice_anchor_solves", 0) + rows.size
+        record[anchor_key] += rows.size
         fail = vals <= cut[rows]
         if rho > 2:
             wide = (rho - 2) * np.abs(top[rows]) >= (rho - 1) * level
@@ -741,7 +760,7 @@ def _slice_failures(s: np.ndarray, rho: float, level: float, anchors, norms, top
         rows = keep[lo:hi]
         ub, ib = u[rows], idx[rows]
         cross = _circle_crossings(-(rho - 1) * ub, (rho - floor) * np.eye(d) + (rho - 2) * g[rows], angles[rows])
-        out["slice_crossing_solves"] += ib.size
+        record[crossing_key] += ib.size
         count, col = np.count_nonzero(~np.isnan(cross), axis=1)[:, None], np.arange(2 * d)
         nxt = np.where(col + 1 < count, np.hstack([cross[:, 1:], cross[:, :1]]), cross[:, :1] + 2 * np.pi)
         at, col = np.nonzero(col < count)
@@ -760,11 +779,12 @@ def _row_batches(n: int, first=None):
         start, size = start + size, 2 * size
 
 
-def _level1_failures(s: np.ndarray, rho: float, out: dict, floor=0.0, batch=None):
+def _level1_failures(s: np.ndarray, rho: float, record: dict, stage: str, floor=0.0, batch=None):
     """_slice_failures of the stack ``s`` at level 1 from the anchor angle 0,
     with the Frobenius norms, which bound the spectral ones."""
     top = _top_eigenvalues(s) if rho > 2 else None
-    return _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, out, floor, batch)
+    return _slice_failures(s, rho, 1.0, np.zeros(len(s)), np.linalg.norm(s, axis=(1, 2)), top, record, stage,
+                           floor, batch)
 
 
 def _phase_tensor(axis: np.ndarray, k: int) -> np.ndarray:
@@ -806,21 +826,18 @@ def _qep_theta_max(a: OperatorTuple, rho: float):
     rounds of p angles per w_k (p odd, p^(N-1) about SLICE_REFINE_POINTS)
     spanning +- one spacing of the phases before (half the span before
     when p = 3) around the best, whose slice is skipped; each round is one
-    _slices_max run from the best root so far.  Returns (maximum attained,
-    phases w* as an array, counters).
+    _slices_max run from the best root so far, all counted in one record.
+    Returns (maximum attained, phases w* as an array, the record).
     """
     k = a.n_vars - 1
     phases, span, p = _phase_grid(k)
-    runs, best = [], None
-    stats = {"slice_points": len(phases), "slice_refine_rounds": SLICE_REFINE_ROUNDS}
+    best, stats = None, {"slice_points": len(phases), "slice_refine_rounds": SLICE_REFINE_ROUNDS}
     for _ in range(SLICE_REFINE_ROUNDS + 1):
-        runs.append(_slices_max(_slice_stack(a, np.exp(1j * phases)), rho, best))
-        if runs[-1]["slice"] is not None:
-            phi, best = phases[runs[-1]["slice"]], (runs[-1]["value"], runs[-1]["anchor"])
+        run = _slices_max(_slice_stack(a, np.exp(1j * phases)), rho, stats, best)
+        if run["slice"] is not None:
+            phi, best = phases[run["slice"]], (run["value"], run["anchor"])
         phases = np.delete(phi + _phase_tensor(np.linspace(-span, span, p), k), p ** k // 2, axis=0)
         span *= min(0.5, 2 / (p - 1))
-    stats.update({key: sum(run[key] for run in runs)
-                  for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves", "slice_polish_steps")})
     return best[0], np.exp(1j * phi), stats
 
 
@@ -874,10 +891,8 @@ def _one_slice_search(m: np.ndarray, rho: float):
     of m (run None when m = 0): grid_spec holds the run's counters,
     the polish step cap and the slice's elimination level in m's units
     (``certified_level``)."""
-    norm = op_norm(m)
-    run = _slices_max((m / norm)[None], rho, norms=np.ones(1)) if norm else None
-    grid_spec = {key: run[key] if run else 0
-                 for key in ("slice_levels", "slice_crossing_solves", "slice_root_solves", "slice_polish_steps")}
+    norm, grid_spec = op_norm(m), dict.fromkeys(SLICE_COUNTERS, 0)
+    run = _slices_max((m / norm)[None], rho, grid_spec, norms=np.ones(1)) if norm else None
     grid_spec.update(slice_polish_cap=SLICE_POLISH_STEPS,
                      certified_level=float(run["levels"][0]) * norm if run else 0.0)
     return norm, run, grid_spec
@@ -1049,11 +1064,8 @@ def _first_out_slice(a: OperatorTuple, rho: float, tol: float, batch=LEVEL1_FIRS
     ``level1_crossing_solves`` count the slices solved)."""
     w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
     s = _slice_stack(a, w)
-    solves = {"slice_crossing_solves": 0, "slice_anchor_solves": 0}
-    stats = {"level1_crossing_solves": 0, "level1_memberships": 0}
-    i, v = _first_out(s, _level1_failures(s, rho, solves, batch=batch), rho, tol, stats)
-    stats.update(level1_crossing_solves=solves["slice_crossing_solves"],
-                 level1_anchor_solves=solves["slice_anchor_solves"])
+    stats = {"level1_memberships": 0}
+    i, v = _first_out(s, _level1_failures(s, rho, stats, "level1", batch=batch), rho, tol, stats)
     if v is None:
         return None, None, stats
     return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
@@ -1105,23 +1117,24 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
     """
     a1, a2 = a.mats
     g0, g1 = a1.conj().T @ a1 + a2.conj().T @ a2, a1.conj().T @ a2
-    radius, margins, solves = tol is None, [], {"slice_crossing_solves": 0}
-    cells = dict.fromkeys(("cell_rounds", "cell_vertices", "cell_crossing_solves", "cell_root_solves",
-                           "cells_unproven"), 0)
+    radius, margins = tol is None, []
+    cells = dict.fromkeys(("cell_rounds", "cell_vertices", "cell_root_solves", "cells_unproven"), 0)
     n, floor = CELL_START << CELL_DEPTH, 0.0
 
     def start():  # the first cells, and whether each one's left and right ends passed
         return (np.arange(CELL_START, dtype=np.int64) << CELL_DEPTH, np.full(CELL_START, 1 << CELL_DEPTH),
                 np.zeros((2, CELL_START), dtype=bool))
 
-    def climb(theta, phi, mu):  # the polished root of a real slice: (U, anchor opposite it, its phase)
+    def climb(theta, phi, mu):  # the polished root of a real slice, U, and the anchor opposite it
         (theta, phi), mu, steps = _polish_root(a.mats, rho, (float(theta), float(phi)), mu, gap)
         cells["cell_polish_steps"] += steps
         cells["cell_root_solves"] += steps
-        return max(mu, 0.0), theta + np.pi, {"slice_w": _slice_phases_json([complex(math.cos(phi), math.sin(phi))])}
+        cells["slice_w"] = _slice_phases_json([complex(math.cos(phi), math.sin(phi))])
+        return max(mu, 0.0), theta + np.pi
 
     p, q, known = start()
     if radius:
+        _check_finite_kernel(2 / SLICE_GAP, rho, "a slice over a level of the radius search")
         phi = 2 * np.pi * np.arange(CELL_START) / CELL_START
         s = _slice_stack(a, np.exp(1j * phi)[:, None])
         theta = np.array([np.zeros(CELL_START), np.full(CELL_START, np.pi)])
@@ -1130,10 +1143,10 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
         roots = _qep_top_roots((np.exp(1j * theta)[:, :, None, None] * s).reshape(-1, *s.shape[1:]), rho)
         i, j = divmod(int(np.argmax(roots)), CELL_START)
         cells.update(cell_root_solves=roots.size, cell_polish_steps=0)
-        value, anchor, stats = climb(theta[i, j], phi[j], float(roots.max()))
+        value, anchor = climb(theta[i, j], phi[j], float(roots.max()))
         level = -math.inf
     else:
-        level, anchor, value, stats = 1.0, 0.0, 0.0, {"level1_memberships": 0}
+        level, anchor, value, cells["level1_memberships"] = 1.0, 0.0, 0.0, 0
     while p.size:
         if cells["cell_rounds"] == CELL_DEPTH + LEVELSET_MAX_ITERATIONS:
             raise InternalError(f"pair cell recursion did not stop in {cells['cell_rounds']} rounds")
@@ -1149,15 +1162,14 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
                                 np.linalg.norm(a1) + np.abs(w[k:]) * np.linalg.norm(a2)])
         top = np.concatenate([_top_eigenvalues(s[:k]), np.full(p.size, np.nan)]) if rho > 2 else None
         rows, angles, vals = (np.concatenate(part) for part in zip(*_slice_failures(
-            s, rho, level, np.full(w.size, anchor), norms, top, solves, floor=floor, gram=gram)))
+            s, rho, level, np.full(w.size, anchor), norms, top, cells, "cell", floor=floor, gram=gram)))
         cells["cell_vertices"] += w.size
         is_real = rows < k
         if not radius:
             found = []
-            i, v = _first_out(s[:k], [(rows[is_real], angles[is_real], vals[is_real])], rho, tol, stats, found)
+            i, v = _first_out(s[:k], [(rows[is_real], angles[is_real], vals[is_real])], rho, tol, cells, found)
             if v is not None:
-                cells["cell_crossing_solves"] = solves["slice_crossing_solves"]
-                return w[[i]], v, {**stats, **cells, "slice_w": _slice_phases_json(w[[i]])}
+                return w[[i]], v, {**cells, "slice_w": _slice_phases_json(w[[i]])}
             if found and not floor:  # within tol of the boundary: prove every slice at -tol instead
                 floor, (p, q, known) = -tol, start()
                 continue
@@ -1173,7 +1185,7 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
             j = np.flatnonzero(is_real)
             if j.size and roots[j].max() > value:
                 j = j[np.argmax(roots[j])]
-                value, anchor, stats = climb(angles[j], step * real[rows[j]], float(roots[j]))
+                value, anchor = climb(angles[j], step * real[rows[j]], float(roots[j]))
             troot, t = np.full(p.size, -np.inf), np.flatnonzero(~is_real)
             t = t[np.argsort(roots[t])]
             troot[rows[t] - k] = roots[t]
@@ -1192,11 +1204,10 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
         kids = np.repeat(p[split], CELL_WAYS) + part * pos
         kept = np.where([pos == 0, pos == CELL_WAYS - 1], np.repeat(known[:, split], CELL_WAYS, axis=1), False)
         p, q, known = np.append(p[stay], kids), np.append(q[stay], part), np.hstack([known[:, stay], kept])
-    cells["cell_crossing_solves"] = solves["slice_crossing_solves"]
     if radius:
-        return value, level, {**stats, **cells}
+        return value, level, cells
     verdict = MembershipVerdict(IN, min([floor, *margins]), {
-        "method": CELLS_METHOD, **stats, **cells, "kernel_margin": min([floor, *margins]), "tol": tol},
+        "method": CELLS_METHOD, **cells, "kernel_margin": min([floor, *margins]), "tol": tol},
         NECESSARY_ONLY if cells["cells_unproven"] else CERTIFIED)
     return None, verdict, verdict.certificate
 
@@ -1239,11 +1250,12 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
 
     For N >= 3 a worst slice that passes is followed by budget
     substitutions A(C) of sampled commuting tuples (drawn once per process,
-    see sample_commuting_tuple; certificate ``substitutions``); a passing
-    verdict is then NecessaryOnly.  Each sample size's stack goes through
-    the slices' member test at level 1 (_level1_failures) with the worst
-    slice's kernel margin as its floor (``substitution_crossing_solves``),
-    which returns every substitution whose disk minimum may lie below that
+    see sample_commuting_tuple); a passing verdict is then NecessaryOnly.
+    Only this stage adds the method suffix "+commuting-substitution",
+    ``budget``, ``substitutions`` and ``disk_minima`` to the certificate.
+    Each sample size's stack goes through the slices' member test at level
+    1 (_level1_failures, stage "substitution") with the worst slice's
+    kernel margin as its floor, which returns every substitution whose disk minimum may lie below that
     margin: only those can be the Out witness or lower the margin.  They get
     their disk minimum (``disk_minima``, not the member test's values) in
     sample order; the first below -tol is the Out witness, else the In
@@ -1256,6 +1268,7 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     if a.n_vars == 1:
         return membership_single(a.mats[0], rho, tol)
     norm_sum = a.norm_sum()
+    _check_finite_kernel(norm_sum, rho, "a torus slice")
     floor = float(_kernel_norm_floor(norm_sum, rho))
     if floor > SCREEN_ROUND_GUARD * a.dim * _kernel_scale(norm_sum, rho):
         cert = {"method": "norm-bound", "norm_sum": norm_sum, "kernel_margin": floor, "tol": tol}
@@ -1269,19 +1282,16 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     z = complex(*v.certificate["witness_z"])
     cert = {**v.certificate, **spec, "method": "torus-slice+" + v.certificate["method"],
             "witness_z": [[z.real, z.imag]] + [[float((z * x).real), float((z * x).imag)] for x in w]}
-    if a.n_vars > 2:
-        cert.update(method=cert["method"] + "+commuting-substitution", budget=budget, substitutions=0,
-                    substitution_crossing_solves=0, disk_minima=0)
     if v.decision == OUT:
         return MembershipVerdict(OUT, v.margin, cert, CERTIFIED)
 
     samples = sample_commuting_tuples(a.n_vars, budget)
-    solves, failing = {"slice_crossing_solves": 0}, {}
+    cert.update(method=cert["method"] + "+commuting-substitution", budget=budget, substitutions=len(samples),
+                disk_minima=0)
+    failing, margin = {}, v.margin
     for idx, stack in _substitutions(a, samples):
-        for rows, _, _ in _level1_failures(stack, rho, solves, v.margin):
+        for rows, _, _ in _level1_failures(stack, rho, cert, "substitution", v.margin):
             failing.update((idx[i], stack[i]) for i in rows)
-    cert.update(substitutions=len(samples), substitution_crossing_solves=solves["slice_crossing_solves"])
-    margin = v.margin
     for i in sorted(failing):
         cert["disk_minima"] += 1
         km = kernel_margin(failing[i], rho)

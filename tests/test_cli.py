@@ -54,8 +54,8 @@ def test_numrad(nilp, capsys):
     rep = json.loads(out)
     assert rep["numerical_radius"] == pytest.approx(0.5, abs=1e-9)
     spec = rep["grid_spec"]
-    assert set(spec) == {"slice_levels", "slice_crossing_solves", "slice_root_solves", "slice_polish_steps",
-                         "slice_polish_cap", "certified_level"}
+    assert set(spec) == {"slice_levels", "slice_crossing_solves", "slice_anchor_solves", "slice_root_solves",
+                         "slice_polish_steps", "slice_polish_cap", "certified_level"}
     assert spec["slice_levels"] >= 1 and rep["numerical_radius"] <= spec["certified_level"] <= 0.5 + 1e-9
 
 
@@ -207,6 +207,38 @@ def test_exit_code_empty_matrix(tmp_path, capsys, argv):
     code, out, err = _run(capsys, argv + ["--input", str(p)])
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "input"
+
+
+def _overflow(capsys, tmp_path, obj, argv):
+    """Exit code and error of a command whose kernels overflow a float."""
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = _run(capsys, argv + ["--input", str(p)])
+    assert code == 2 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "input" and "overflows" in err["message"], err
+    return err["message"]
+
+
+def test_exit_code_membership_gram_overflow(tmp_path, capsys):
+    # A*A of a nilpotent with entry 1e300 is not a float
+    msg = _overflow(capsys, tmp_path, matrix_to_json(np.array([[0, 1e300], [0, 0]])), ["membership", "--rho", "3"])
+    assert "a matrix" in msg and "rho = 3" in msg
+
+
+def test_exit_code_radius_level_overflow(tmp_path, capsys):
+    # w_rho of the nilpotent is about 1/rho, and the kernel of S over such
+    # a level at rho = 1e300 is not a float
+    msg = _overflow(capsys, tmp_path, matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])), ["radius", "--rho", "1e300"])
+    assert "radius search" in msg and "rho = 1e+300" in msg
+
+
+def test_exit_code_tuple_norm_overflow(tmp_path, capsys):
+    # the norm sum 2e200 of (1e200 J, 1e200 I, I) squares past the floats
+    j = np.array([[0.0, 1.0], [0.0, 0.0]])
+    t = OperatorTuple((1e200 * j, 1e200 * np.eye(2), np.eye(2)))
+    msg = _overflow(capsys, tmp_path, tuple_to_json(t), ["membership", "--rho", "2"])
+    assert "torus slice" in msg and "2e+200" in msg
 
 
 def test_exit_code_missing_file(capsys):

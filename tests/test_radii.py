@@ -548,7 +548,7 @@ def _slice_root(pair, t, rho):
     """The largest w_rho root that the slice A_1 + e^{it} A_2 attains."""
     s = pair[0] + np.exp(1j * t) * pair[1]
     norm = op_norm(s)
-    return radii._slices_max((s / norm)[None], rho)["value"] * norm
+    return radii._slices_max((s / norm)[None], rho, {})["value"] * norm
 
 
 def test_pair_hi_bounds_every_grid_slice():
@@ -600,7 +600,7 @@ def test_cell_vertices_are_sound():
         assert membership_tuple(a.scale(1 / (rep.lo * (1 - 1e-8))), rho).decision == OUT, rho
         for level in (rep.hi, rep.hi * (1 + 1e-9)):
             s = radii._slice_stack(a.scale(1 / level), dense)
-            rows = [r for r, _, _ in radii._level1_failures(s, rho, {"slice_crossing_solves": 0}) if r.size]
+            rows = [r for r, _, _ in radii._level1_failures(s, rho, {}, "level1") if r.size]
             assert not rows, (rho, level, rep)
 
 
@@ -816,7 +816,12 @@ def test_screened_membership_equals_unscreened_loop(monkeypatch):
             continue
         got = "in" if v.decision == IN else "substitution" if _verdict(v)[3] else "slice"
         assert got == outcome, (rho, a.dim, budget)
-        assert cert["substitutions"] == (0 if outcome == "slice" else budget)
+        if outcome == "slice":  # the substitution stage did not run
+            assert not {"budget", "substitutions", "substitution_crossing_solves", "substitution_anchor_solves",
+                        "disk_minima"} & set(cert), (rho, a.dim, budget)
+            assert not cert["method"].endswith("+commuting-substitution"), cert["method"]
+            continue
+        assert cert["substitutions"] == budget and cert["method"].endswith("+commuting-substitution")
         assert 0 <= cert["disk_minima"] <= cert["substitutions"]
 
 
@@ -909,7 +914,7 @@ def test_slice_eliminations_are_sound():
         kinds = _kinds(rng, d)
         s = (kinds[d % 3] + phases * kinds[(d + 1) % 3]) / 2
         for rho in SLICE_RHOS:
-            run = radii._slices_max(s, rho)
+            run = radii._slices_max(s, rho, {})
             assert not np.isnan(run["levels"]).any()
             _assert_below_levels(s, rho, run)
 
@@ -921,7 +926,7 @@ def test_slice_above_rho_2_not_eliminated_by_circle_alone():
     s = np.array([[[1.0 + 0j]], [[0.1 + 0j]]])
     level = 0.2 + radii.SLICE_GAP * 1.2
     assert radii._kernel_lambda_min(s[0] / level, 3.0, SLICE_DENSE).min() > 0
-    run = radii._slices_max(s, 3.0, (0.2, 0.0))
+    run = radii._slices_max(s, 3.0, {}, (0.2, 0.0))
     assert run["slice"] == 0 and run["value"] == pytest.approx(1.0, rel=1e-12)
     assert run["levels"][1] == level and run["levels"][0] > 1
     _assert_below_levels(s, 3.0, run)
@@ -942,10 +947,10 @@ def test_batched_circle_crossings_equal_single_calls():
             m = (rho - c)[:, None, None] * np.eye(d) + (rho - 2) * (s.conj().swapaxes(1, 2) @ s)
             batch = radii._circle_crossings(e, m, psi)
             assert batch.shape == (len(s), 2 * d)
-            for row, ej, mj, pj in zip(batch, e, m, psi):
-                one = radii._circle_crossings(ej, mj, pj)
-                assert one.size and row[:one.size].tobytes() == one.tobytes()
-                assert np.isnan(row[one.size:]).all()
+            for j, row in enumerate(batch):
+                one = radii._circle_crossings(e[j:j + 1], m[j:j + 1], psi[j:j + 1])[0]
+                n = np.count_nonzero(~np.isnan(one))
+                assert n and row.tobytes() == one.tobytes() and np.isnan(one[n:]).all()
 
 
 def test_flat_pair_search_runs_few_solves():
@@ -1005,11 +1010,11 @@ def _level1_rows(s, rho, floor):
     """The rows that _slice_failures returns for the one-matrix stack ``s``
     at level 1 and anchor angle 0, with its spectral norm, and the
     crossing solves."""
-    out = {"slice_crossing_solves": 0}
+    out = {}
     stack = s[None].astype(complex)
     top = radii._top_eigenvalues(stack) if rho > 2 else None
-    batches = radii._slice_failures(stack, rho, 1.0, np.zeros(1), np.array([op_norm(s)]), top, out, floor)
-    return [int(i) for rows, _, _ in batches for i in rows], out["slice_crossing_solves"]
+    batches = radii._slice_failures(stack, rho, 1.0, np.zeros(1), np.array([op_norm(s)]), top, out, "level1", floor)
+    return [int(i) for rows, _, _ in batches for i in rows], out["level1_crossing_solves"]
 
 
 def test_kernel_norm_floor_below_disk_minimum(monkeypatch):
@@ -1076,8 +1081,8 @@ def test_slice_failures_floor_is_sound():
                     must = np.flatnonzero((rho - 2) * np.abs(top) >= (rho - 1) * level) if rho > 2 else []
                     wide += len(must)
                     for floor in (0.0, -1e-9, 0.3):
-                        out = {"slice_crossing_solves": 0}
-                        batches = radii._slice_failures(s, rho, level, np.zeros(len(s)), norms, top, out, floor)
+                        batches = radii._slice_failures(s, rho, level, np.zeros(len(s)), norms, top, {}, "slice",
+                                                        floor)
                         rows = {int(i) for r, _, _ in batches for i in r}
                         assert rows.issuperset(must), (d, rho, level, floor)
                         for i, (b, low) in enumerate(zip(s / level, minima)):
@@ -1112,6 +1117,68 @@ def test_in_margin_set_by_a_substitution_equals_unscreened_loop(monkeypatch):
     assert lowered > 0
 
 
+def test_report_counters_add_up_to_the_solves(monkeypatch):
+    # every pencil that _circle_crossings or _qep_top_roots solves is
+    # counted once, in a *crossing_solves or *root_solves key of the
+    # report, and every stage that ran the member test reports
+    # <stage>_anchor_solves
+    seen = {}
+    crossings, roots, failures = radii._circle_crossings, radii._qep_top_roots, radii._slice_failures
+
+    def count_crossings(e, m, psi):
+        seen["crossing"] += len(m)
+        return crossings(e, m, psi)
+
+    def count_roots(za, rho, gram=None):
+        seen["root"] += len(za)
+        return roots(za, rho, gram)
+
+    def note_stage(*args, **kwargs):
+        seen["stages"].add(args[7])
+        return failures(*args, **kwargs)
+
+    def check(report, *case):
+        seen.update(crossing=0, root=0, stages=set())
+        with monkeypatch.context() as m:
+            m.setattr(radii, "_circle_crossings", count_crossings)
+            m.setattr(radii, "_qep_top_roots", count_roots)
+            m.setattr(radii, "_slice_failures", note_stage)
+            report = report()
+        got = [sum(v for k, v in report.items() if k.endswith(kind + "_solves")) for kind in ("crossing", "root")]
+        assert got == [seen["crossing"], seen["root"]], (case, report)
+        assert all(report[stage + "_anchor_solves"] >= 0 for stage in seen["stages"]), (case, seen, report)
+        return seen["stages"]
+
+    rng = np.random.default_rng(95)
+    a = _random_matrix(rng, 3)
+    pair = OperatorTuple((_random_matrix(rng, 3), _random_matrix(rng, 3)))
+    triple = _triple(7, 2)
+    for rho in (0.5, 2.0, 3.0):
+        assert check(lambda: w_rho(a, rho).grid_spec, "w_rho", rho) == {"slice"}
+    check(lambda: radii.numerical_radius_report(a)["grid_spec"], "numrad")
+    check(lambda: membership_single(a, 1.5).certificate, "membership_single")
+    for rho in (0.5, 2.0, 3.0):
+        rep = w_rho_tuple(pair, rho)
+        assert check(lambda: w_rho_tuple(pair, rho).grid_spec, "pair radius", rho) == {"cell"}
+        for scale, want in ((0.95 / rep.hi, IN), (1.05 / rep.lo, OUT)):
+            v = membership_tuple(pair.scale(scale), rho)
+            assert v.decision == want, (rho, scale)
+            assert check(lambda: membership_tuple(pair.scale(scale), rho).certificate, "pair", rho, want) == {"cell"}
+    for rho in (0.5, 2.0):
+        rep = w_rho_tuple(triple, rho)
+        check(lambda: w_rho_tuple(triple, rho).grid_spec, "triple radius", rho)
+        inside = triple.scale(_inside_above_bound(triple, rho))
+        assert membership_tuple(inside, rho).decision == IN
+        stages = check(lambda: membership_tuple(inside, rho).certificate, "triple", rho, IN)
+        assert stages == {"level1", "slice", "substitution"}, stages
+        assert membership_tuple(triple.scale(1.05 / rep.lo), rho).decision == OUT
+        check(lambda: membership_tuple(triple.scale(1.05 / rep.lo), rho).certificate, "triple", rho, OUT)
+    # a stage whose rows all pass the norm test reports 0 anchor solves
+    record = {}
+    assert not any(rows.size for rows, _, _ in radii._level1_failures(0.1 * np.ones((2, 2, 2)), 2.0, record, "level1"))
+    assert record == {"level1_anchor_solves": 0, "level1_crossing_solves": 0}
+
+
 def test_level1_pass_at_rho_1_solves_no_crossings():
     # at rho = 1 the kernel on the circle is I - S*S at every angle, so the
     # anchor test decides every vertex of the pair cells, at level 1 and in
@@ -1132,7 +1199,7 @@ def _first_grid_reference(a, rho, tol):
     the pairs that the caller builds there In, naming no slice."""
     w = np.exp(1j * radii._phase_grid(a.n_vars - 1)[0])
     s = radii._slice_stack(a, w)
-    for rows, _, _ in radii._level1_failures(s, rho, {"slice_crossing_solves": 0}):
+    for rows, _, _ in radii._level1_failures(s, rho, {}, "level1"):
         for i in dict.fromkeys(rows.tolist()):
             if membership_single(s[i], rho, tol).decision == OUT:
                 return OUT, radii._slice_phases_json(w[i])
