@@ -5,7 +5,6 @@ from .dilation import (
     DilationWitness,
     DivergenceReport,
     PopescuCertificate,
-    SimilarityReport,
     TorusUnitarityCertificate,
     build_nonsimilar_pair,
     build_shift_unitary_rho_dilation,
@@ -18,19 +17,15 @@ from .dilation import (
     torus_unitarity,
     unitary_pencil_pair,
     verify_rho_dilation,
-    verify_similarity,
     verify_uniform_rho_dilation,
 )
 from .errors import CapacityError, InputError, InternalError, PoleError, RhoRadiiError
-from .linalg import Embedding, compress, min_eig_hermitian, op_norm, spectral_radius
+from .linalg import Embedding, compress, op_norm, spectral_radius
 from .pencil import (
-    MatrixPolynomial,
     OperatorTuple,
-    eval_on_tuple,
     eval_pencil,
     k_rho_kernel,
     phi_rho,
-    plain_multipower,
     psi_rho,
     sym_multipower,
     word_product,

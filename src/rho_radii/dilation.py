@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .linalg import Embedding, as_matrix
+from .linalg import Embedding, _check_positive, _square
 from .pencil import MAX_WORD_LENGTH, OperatorTuple, sym_multipowers
 
 SYMMETRIZED = "Symmetrized"
@@ -80,15 +80,6 @@ class TorusUnitarityCertificate:
             self.cross_residual_right,
         ) < UNITARITY_RESIDUAL
 
-    def to_json(self) -> dict:
-        return {
-            "residual_sum_right": self.residual_sum_right,
-            "residual_sum_left": self.residual_sum_left,
-            "cross_residual_left": self.cross_residual_left,
-            "cross_residual_right": self.cross_residual_right,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class PopescuCertificate:
@@ -105,28 +96,6 @@ class PopescuCertificate:
             and self.range_sum_min_eig >= -UNITARITY_RESIDUAL
         )
 
-    def to_json(self) -> dict:
-        return {
-            "residual_isometry": self.residual_isometry,
-            "residual_orthogonality": self.residual_orthogonality,
-            "range_sum_min_eig": self.range_sum_min_eig,
-            "consistency_flag": self.consistency_flag,
-            "passed": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class SimilarityReport:
-    residual: float
-    conditioning: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < PASS_RESIDUAL
-
-    def to_json(self) -> dict:
-        return {"residual": self.residual, "conditioning": self.conditioning, "passed": self.passed}
-
 
 @dataclass(frozen=True)
 class DivergenceReport:
@@ -135,16 +104,9 @@ class DivergenceReport:
     classification: str
     overflow: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "norms": self.norms,
-            "exponent": self.exponent,
-            "classification": self.classification,
-            "overflow": self.overflow,
-        }
 
-
-def _check(small: OperatorTuple, big: OperatorTuple, e: Embedding, name: str, n: int, cap: int) -> None:
+def _check(small: OperatorTuple, big: OperatorTuple, e: Embedding, rho: float, name: str, n: int, cap: int) -> None:
+    _check_positive(rho=rho)
     if n < 1:
         raise InputError(f"{name} must be >= 1")
     if n > cap:
@@ -167,7 +129,7 @@ def verify_rho_dilation(small: OperatorTuple, big: OperatorTuple, e: Embedding,
                         rho: float, t_max: int) -> DilationWitness:
     """Check the symmetrized-multipower compression identity up to |t| = t_max,
     with A^t formed on C^k and on the basis (pencil.sym_multipowers), never ambient."""
-    _check(small, big, e, "t_max", t_max, MAX_WORD_LENGTH)
+    _check(small, big, e, rho, "t_max", t_max, MAX_WORD_LENGTH)
     worst, small_products, big_products = (-0.0, 0, ()), 0, 0  # all 0: worst_word ()
     for (ts, s, ns), (_, b, nb) in zip(sym_multipowers(small, np.eye(e.dim), t_max),
                                        sym_multipowers(big, e.basis, t_max)):
@@ -184,7 +146,7 @@ def verify_uniform_rho_dilation(small: OperatorTuple, big: OperatorTuple, e: Emb
 
     V_{(i,) + w} = A_i V_w from V_() = basis (I on the small side), depth first over
     batches of at most ambient / k words: under n_max N ambient x ambient blocks held."""
-    _check(small, big, e, "n_max", n_max, MAX_UNIFORM_WORD)
+    _check(small, big, e, rho, "n_max", n_max, MAX_UNIFORM_WORD)
     small_mats, big_mats = np.stack(small.mats)[:, None], np.stack(big.mats)[:, None]
     stack, worst, products = [([()], np.eye(e.dim, dtype=complex)[None], e.basis[None])], (-0.0, 0, ()), 0
     while stack:
@@ -268,8 +230,7 @@ def build_shift_unitary_rho_dilation(rho: float, m: int):
     """
     if m < 8:
         raise CapacityError("ambient size m must be >= 8")
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    _check_positive(rho=rho)
     u = cyclic_shift(m)
     e = Embedding.from_coordinates(m, [1, 0])
     return OperatorTuple((u,)), e
@@ -281,8 +242,7 @@ def build_staircase_pair(rho: float) -> OperatorTuple:
     B is the nilpotent jump of norm rho; the pair's pencil has norm
     sqrt(2)*rho at every torus point.
     """
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    _check_positive(rho=rho)
     b = nilpotent_jump(rho)
     z = np.zeros((2, 2), dtype=complex)
     a1 = np.block([[b, z], [z, z]])
@@ -328,22 +288,6 @@ def build_staircase_isometric_dilation(rho: float, m: int, depth: int):
     return OperatorTuple((v1, v2)), e, interior
 
 
-def verify_similarity(a: OperatorTuple, b: OperatorTuple, s) -> SimilarityReport:
-    """Residuals of A_k = S^{-1} B_k S in the multiplied form S A_k = B_k S."""
-    smat = as_matrix(s)
-    if smat.shape[0] != smat.shape[1]:
-        raise InputError("similarity S must be square")
-    if a.n_vars != b.n_vars:
-        raise InputError("tuples must have the same number of variables")
-    svals = np.linalg.svd(smat, compute_uv=False)
-    if float(svals[-1]) <= 1e-12:
-        raise InputError("similarity S is numerically singular")
-    resid = 0.0
-    for ak, bk in zip(a.mats, b.mats):
-        resid = max(resid, float(np.linalg.norm(smat @ ak - bk @ smat, 2)))
-    return SimilarityReport(resid, float(svals[0] / svals[-1]))
-
-
 NORM_CAP_OVERFLOW = 1e300
 
 
@@ -354,9 +298,7 @@ def divergence_probe(mat, n_max: int = 64) -> DivergenceReport:
     n_max; a monotone growing tail with exponent > 0.01 classifies as
     Diverges, a non-growing tail with small exponent as Bounded.
     """
-    a = as_matrix(mat)
-    if a.shape[0] != a.shape[1]:
-        raise InputError("divergence probe input must be square")
+    a = _square(mat, "divergence probe")
     if n_max > 64:
         raise InputError("n_max is capped at 64")
     norms = []

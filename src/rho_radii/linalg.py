@@ -6,6 +6,7 @@ always 2-d; "tuples" of operators live in :mod:`rho_radii.pencil`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +15,6 @@ from .errors import InputError
 
 #: Orthonormality tolerance for embedding bases (Gram matrix vs identity).
 ORTHO_TOL = 1e-12
-
-#: Hermitian symmetry tolerance for eigensolves.
-HERM_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -29,10 +27,22 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
-    return a
+def _check_positive(**knobs: float) -> None:
+    """Raise InputError unless every knob is finite and positive."""
+    for name, value in knobs.items():
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{name} must be finite and positive")
+
+
+def _square(a, what: str) -> np.ndarray:
+    """``a`` as a finite complex matrix; InputError unless it is square with
+    at least one row."""
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise InputError(f"{what} input must be square")
+    if m.shape[0] == 0:
+        raise InputError(f"{what} input must have at least one row")
+    return m
 
 
 def op_norm(m) -> float:
@@ -43,21 +53,6 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def min_eig_hermitian(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The input is symmetrized internally as (H + H*)/2; asymmetry beyond
-    HERM_TOL (relative to the norm scale) is rejected.
-    """
-    a = _require_square(as_matrix(h))
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    asym = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if asym > HERM_TOL * scale:
-        raise InputError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    sym = (a + a.conj().T) / 2
-    return float(np.linalg.eigvalsh(sym)[0])
-
-
 def spectral_radius(m) -> float:
     """Estimate of max |lambda| from the computed eigenvalues.
 
@@ -65,10 +60,7 @@ def spectral_radius(m) -> float:
     eps^(1/k) for a Jordan block of size k, so a unitarily rotated 80-dim
     nilpotent Jordan block reads about 0.64 instead of 0.
     """
-    a = _require_square(as_matrix(m))
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvals(a)).max())
+    return float(np.abs(np.linalg.eigvals(_square(m, "spectral radius"))).max())
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ class Embedding:
 
 def compress(m, embedding: Embedding) -> np.ndarray:
     """Compression B* M B of an ambient operator to the embedded subspace."""
-    a = _require_square(as_matrix(m))
+    a = _square(m, "compressed operator")
     if a.shape[0] != embedding.ambient_dim:
         raise InputError(
             f"operator dim {a.shape[0]} != embedding ambient dim {embedding.ambient_dim}"

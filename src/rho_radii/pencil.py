@@ -3,19 +3,19 @@
 An operator tuple A = (A_1, ..., A_N) of common dimension d is evaluated
 through its pencil zA = z_1 A_1 + ... + z_N A_N.  This module supplies the
 pencil itself, symmetrized multipowers A^t, the positivity kernel
-k_rho(z, w), the Herglotz-type transform psi_rho, the Schur-type transform
-phi_rho, and the polynomial calculus f(C) on commuting tuples.
+k_rho(z, w), the Herglotz-type transform psi_rho and the Schur-type
+transform phi_rho.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, InputError, PoleError
-from .linalg import as_matrix
+from .linalg import _check_positive, as_matrix
 
 #: Default cap on |t| for multipowers and on word lengths.
 MAX_WORD_LENGTH = 16
@@ -135,22 +135,12 @@ def sym_multipower(a: OperatorTuple, t) -> np.ndarray:
     return powers[ts.index(t)]
 
 
-def plain_multipower(a: OperatorTuple, t) -> np.ndarray:
-    """A_1^t1 ... A_N^tN (order of factors matters only if A doesn't commute)."""
-    out = np.eye(a.dim, dtype=complex)
-    for mk, tk in zip(a.mats, t):
-        if tk:
-            out = out @ np.linalg.matrix_power(mk, int(tk))
-    return out
-
-
 def k_rho_kernel(a: OperatorTuple, rho: float, z, w) -> np.ndarray:
     """rho*I - (rho-1)(zA + (wA)*) + (rho-2)(wA)*(zA).
 
     At w = z the value is Hermitian.
     """
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    _check_positive(rho=rho)
     za = eval_pencil(a, z)
     wa_star = eval_pencil(a, w).conj().T
     eye = np.eye(a.dim, dtype=complex)
@@ -167,8 +157,7 @@ def _resolve(m: np.ndarray, rhs: np.ndarray, point) -> np.ndarray:
 
 def psi_rho(a: OperatorTuple, rho: float, z) -> np.ndarray:
     """(1 - 2/rho) I + (2/rho) (I - zA)^{-1}."""
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    _check_positive(rho=rho)
     za = eval_pencil(a, z)
     eye = np.eye(a.dim, dtype=complex)
     inv = _resolve(eye - za, eye, tuple(np.asarray(z).ravel()))
@@ -177,79 +166,9 @@ def psi_rho(a: OperatorTuple, rho: float, z) -> np.ndarray:
 
 def phi_rho(a: OperatorTuple, rho: float, z) -> np.ndarray:
     """zA ((rho-1) zA - rho I)^{-1}."""
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    _check_positive(rho=rho)
     za = eval_pencil(a, z)
     eye = np.eye(a.dim, dtype=complex)
     # right-multiplication by the inverse: solve the transposed system
     inv = _resolve((rho - 1) * za - rho * eye, eye, tuple(np.asarray(z).ravel()))
     return za @ inv
-
-
-@dataclass(frozen=True)
-class MatrixPolynomial:
-    """Finite sum f = sum_t fhat_t z^t with matrix coefficients.
-
-    ``terms`` maps multi-index tuples to coefficient matrices of common
-    dimension.
-    """
-
-    n_vars: int
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        cleaned = {}
-        dim = None
-        for idx, coef in self.terms.items():
-            idx = tuple(int(x) for x in idx)
-            if len(idx) != self.n_vars or any(x < 0 for x in idx):
-                raise InputError(f"bad multi-index {idx} for {self.n_vars} variables")
-            c = as_matrix(coef)
-            if c.shape[0] != c.shape[1]:
-                raise InputError("polynomial coefficients must be square")
-            if dim is None:
-                dim = c.shape[0]
-            elif c.shape[0] != dim:
-                raise InputError("polynomial coefficients must share dimension")
-            cleaned[idx] = c
-        object.__setattr__(self, "terms", cleaned)
-
-    @property
-    def coef_dim(self) -> int:
-        if not self.terms:
-            return 1
-        return next(iter(self.terms.values())).shape[0]
-
-    def has_mixed_support(self) -> bool:
-        """True if some monomial involves two or more variables."""
-        return any(sum(1 for x in idx if x > 0) > 1 for idx in self.terms)
-
-    @staticmethod
-    def from_scalar_coeffs(n_vars: int, var: int, coeffs) -> "MatrixPolynomial":
-        """One-variable scalar polynomial sum_j coeffs[j] * z_var^j."""
-        terms = {}
-        for j, c in enumerate(coeffs):
-            idx = [0] * n_vars
-            idx[var] = j
-            terms[tuple(idx)] = np.array([[c]], dtype=complex)
-        return MatrixPolynomial(n_vars, terms)
-
-
-def eval_on_tuple(f: MatrixPolynomial, c: OperatorTuple) -> np.ndarray:
-    """f(C) = sum_t fhat_t (x) C^t with plain multipowers.
-
-    C must commute (to COMMUTE_TOL) whenever f has support on mixed
-    monomials, otherwise the plain multipower is ill-defined.
-    """
-    if c.n_vars != f.n_vars:
-        raise InputError(f"tuple has {c.n_vars} variables, polynomial has {f.n_vars}")
-    if f.has_mixed_support():
-        resid = c.commutator_residual()
-        if resid > COMMUTE_TOL:
-            raise InputError(
-                f"tuple does not commute (residual {resid:.3e}) but polynomial has mixed monomials"
-            )
-    out = np.zeros((f.coef_dim * c.dim, f.coef_dim * c.dim), dtype=complex)
-    for idx, coef in f.terms.items():
-        out += np.kron(coef, plain_multipower(c, idx))
-    return out

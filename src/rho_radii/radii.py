@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, InternalError
-from .linalg import as_matrix, op_norm, spectral_radius
+from .linalg import _check_positive, _square, op_norm, spectral_radius
 from .pencil import COMMUTE_TOL, OperatorTuple
 
 IN = "In"
@@ -125,10 +125,6 @@ class MembershipVerdict:
     margin: float
     certificate: dict
     exactness: str = CERTIFIED
-
-    @property
-    def is_in(self) -> bool:
-        return self.decision in (IN, BORDERLINE)
 
     def to_json(self) -> dict:
         return {
@@ -316,7 +312,7 @@ def _kernel_disk_min(a: np.ndarray, rho: float):
     subharmonic norm, so sigma_min(zA - beta I), and lambda_min k with it,
     is smallest on the circle.  ``spectral_radius`` is r(A) as computed.
     """
-    stats = {"theta_points": 1, "levelset_iterations": 0, "crossing_solves": 0}
+    stats = {"theta_points": 1, "crossing_solves": 0}
     if rho > 2:
         top = _top_eigenvalues(a[None])[0]
         stats["spectral_radius"] = float(abs(top))
@@ -337,8 +333,7 @@ def _kernel_disk_min(a: np.ndarray, rho: float):
     eye = np.eye(len(a))
     run = _levelset_min(lambda th: _kernel_lambda_min(a, rho, np.exp(1j * th)),
                         lambda c: (e, (rho - c) * eye + base), KERNEL_GAP * scale)
-    stats.update(theta_points=LEVELSET_START_POINTS, levelset_iterations=run["iterations"],
-                 crossing_solves=run["iterations"], certified_level=run["level"])
+    stats.update(theta_points=LEVELSET_START_POINTS, crossing_solves=run["iterations"], certified_level=run["level"])
     return run["value"], complex(np.exp(1j * run["theta"])), stats
 
 
@@ -410,24 +405,6 @@ def kernel_margin(a, rho: float) -> float:
 
 # ---------------------------------------------------------------------------
 # single-operator membership and radii
-
-
-def _check_positive(**knobs: float) -> None:
-    """Raise InputError unless every knob is finite and positive."""
-    for name, value in knobs.items():
-        if not (math.isfinite(value) and value > 0):
-            raise InputError(f"{name} must be finite and positive")
-
-
-def _square(a, what: str) -> np.ndarray:
-    """``a`` as a finite complex matrix; InputError unless it is square with
-    at least one row."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InputError(f"{what} input must be square")
-    if m.shape[0] == 0:
-        raise InputError(f"{what} input must have at least one row")
-    return m
 
 
 def membership_single(a, rho: float, tol: float = DEFAULT_TOL) -> MembershipVerdict:
@@ -1024,17 +1001,23 @@ def _worst_slice(a: OperatorTuple, rho: float):
     return _slice_stack(a, w[None])[0], w, root * scale, {**stats, "slice_w": _slice_phases_json(w)}
 
 
-def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict, undecided=None):
+def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict, stage: str, undecided=None):
     """The first row of the stack ``s`` decided Out among the (rows,
     angles, values) batches ``failures`` of its member test at floor 0, and
     its verdict, else (None, None).  The rows are taken in turn: one whose
     smallest value is below -tol is Out with that value as margin and its
     angle as witness ("kernel-witness"); the others (nan, or in [-tol,
-    guard]) go to membership_single, counted in stats["level1_memberships"],
-    and those it decides In are appended to ``undecided`` as (row, margin).
-    The batches are drawn lazily, so a row that fails at its anchor settles
-    the tuple before any crossing solve, and one found in a crossing batch
-    before the batches after it."""
+    guard]) go to membership_single, counted in stats[stage +
+    "_memberships"], and those it decides In are appended to ``undecided``
+    as (row, margin).  The crossing solves of the memberships decided In,
+    whose certificates are dropped, are added to stats[stage +
+    "_membership_crossing_solves"] (an Out verdict carries its own); both
+    keys are present from the first draw.  The batches are drawn lazily, so
+    a row that fails at its anchor settles the tuple before any crossing
+    solve, and one found in a crossing batch before the batches after it."""
+    count, solves = stage + "_memberships", stage + "_membership_crossing_solves"
+    stats.setdefault(count, 0)
+    stats.setdefault(solves, 0)
     for rows, angles, vals in failures:
         for i in dict.fromkeys(rows.tolist()):
             j = np.flatnonzero(rows == i)[np.argmin(vals[rows == i])]
@@ -1043,10 +1026,11 @@ def _first_out(s: np.ndarray, failures, rho: float, tol: float, stats: dict, und
                 v = MembershipVerdict(OUT, km, {"method": "kernel-witness", "witness_z": [z.real, z.imag],
                                                 "kernel_margin": km, "tol": tol})
             else:
-                stats["level1_memberships"] += 1
+                stats[count] += 1
                 v = membership_single(s[i], rho, tol)
             if v.decision == OUT:
                 return i, v
+            stats[solves] += v.certificate["crossing_solves"]
             if undecided is not None:
                 undecided.append((i, v.margin))
     return None, None
@@ -1064,8 +1048,8 @@ def _first_out_slice(a: OperatorTuple, rho: float, tol: float, batch=LEVEL1_FIRS
     ``level1_crossing_solves`` count the slices solved)."""
     w = np.exp(1j * _phase_grid(a.n_vars - 1)[0])
     s = _slice_stack(a, w)
-    stats = {"level1_memberships": 0}
-    i, v = _first_out(s, _level1_failures(s, rho, stats, "level1", batch=batch), rho, tol, stats)
+    stats = {}
+    i, v = _first_out(s, _level1_failures(s, rho, stats, "level1", batch=batch), rho, tol, stats, "level1")
     if v is None:
         return None, None, stats
     return w[i], v, {**stats, "slice_w": _slice_phases_json(w[i])}
@@ -1146,7 +1130,7 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
         value, anchor = climb(theta[i, j], phi[j], float(roots.max()))
         level = -math.inf
     else:
-        level, anchor, value, cells["level1_memberships"] = 1.0, 0.0, 0.0, 0
+        level, anchor, value = 1.0, 0.0, 0.0
     while p.size:
         if cells["cell_rounds"] == CELL_DEPTH + LEVELSET_MAX_ITERATIONS:
             raise InternalError(f"pair cell recursion did not stop in {cells['cell_rounds']} rounds")
@@ -1167,7 +1151,8 @@ def _pair_cells(a: OperatorTuple, rho: float, tol=None, gap: float = 0.0):
         is_real = rows < k
         if not radius:
             found = []
-            i, v = _first_out(s[:k], [(rows[is_real], angles[is_real], vals[is_real])], rho, tol, cells, found)
+            i, v = _first_out(s[:k], [(rows[is_real], angles[is_real], vals[is_real])], rho, tol, cells, "cell",
+                              found)
             if v is not None:
                 return w[[i]], v, {**cells, "slice_w": _slice_phases_json(w[[i]])}
             if found and not floor:  # within tol of the boundary: prove every slice at -tol instead
@@ -1257,7 +1242,8 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
     1 (_level1_failures, stage "substitution") with the worst slice's
     kernel margin as its floor, which returns every substitution whose disk minimum may lie below that
     margin: only those can be the Out witness or lower the margin.  They get
-    their disk minimum (``disk_minima``, not the member test's values) in
+    their disk minimum (``disk_minima``, not the member test's values; its
+    crossing solves in ``substitution_membership_crossing_solves``) in
     sample order; the first below -tol is the Out witness, else the In
     margin is the smallest of them and the slice's.  Verdict and margin are
     those of every disk minimum.
@@ -1287,14 +1273,15 @@ def membership_tuple(a: OperatorTuple, rho: float, tol: float = DEFAULT_TOL,
 
     samples = sample_commuting_tuples(a.n_vars, budget)
     cert.update(method=cert["method"] + "+commuting-substitution", budget=budget, substitutions=len(samples),
-                disk_minima=0)
+                disk_minima=0, substitution_membership_crossing_solves=0)
     failing, margin = {}, v.margin
     for idx, stack in _substitutions(a, samples):
         for rows, _, _ in _level1_failures(stack, rho, cert, "substitution", v.margin):
             failing.update((idx[i], stack[i]) for i in rows)
     for i in sorted(failing):
         cert["disk_minima"] += 1
-        km = kernel_margin(failing[i], rho)
+        km, _, stats = _kernel_disk_min(failing[i], rho)
+        cert["substitution_membership_crossing_solves"] += stats["crossing_solves"]
         if km < -tol:
             cert["witness_sample_dim"] = samples[i].dim
             return MembershipVerdict(OUT, km, cert, CERTIFIED)

@@ -28,7 +28,7 @@ from .dilation import (
     verify_uniform_rho_dilation,
 )
 from .errors import InputError
-from .linalg import op_norm, spectral_radius
+from .linalg import _check_positive, op_norm, spectral_radius
 from .pencil import OperatorTuple, eval_pencil, k_rho_kernel
 from .radii import (
     CERTIFIED,
@@ -208,8 +208,7 @@ def repro_staircase(rho: float, m: int = 16, depth: int = 5) -> ExperimentReport
     """The staircase pair has a uniform isometric dilation (constructed and
     verified) while its pencil has norm sqrt(2)*rho on the torus, so no
     torus-unitary dilation can exist."""
-    if not (math.isfinite(rho) and rho > 0):
-        raise InputError("rho must be finite and positive")
+    _check_positive(rho=rho)
     start = time.perf_counter()
     report = ExperimentReport("staircase", {"rho": rho, "m": m, "depth": depth})
 
@@ -288,8 +287,7 @@ def repro_von_neumann(rho: float, trials: int = 100, seed: int = 0) -> Experimen
         raise InputError("trials must be >= 1")
     if seed < 0:
         raise InputError("seed must be nonnegative")
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    _check_positive(rho=rho)
     start = time.perf_counter()
     report = ExperimentReport("von-neumann", {"rho": rho, "trials": trials, "seed": seed})
     rng = np.random.default_rng(seed)

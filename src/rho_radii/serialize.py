@@ -1,8 +1,7 @@
-"""JSON wire formats for matrices, tuples, polynomials, and embeddings.
+"""JSON wire formats for matrices, tuples, and embeddings.
 
 Matrix:      {"rows": m, "cols": n, "data": [[re, im], ...]}   (row-major)
 Tuple:       {"n_vars": N, "mats": [matrix, ...]}
-Polynomial:  {"n_vars": N, "terms": [{"index": [t1..tN], "coef": matrix}, ...]}
 Embedding:   {"ambient_dim": n, "basis": matrix}
 """
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Embedding, as_matrix
-from .pencil import MatrixPolynomial, OperatorTuple
+from .pencil import OperatorTuple
 
 
 def matrix_to_json(m) -> dict:
@@ -81,31 +80,6 @@ def tuple_from_json(obj) -> OperatorTuple:
     if len(mats) != n_vars:
         raise InputError(f"tuple declares {n_vars} variables but has {len(mats)} matrices")
     return OperatorTuple(tuple(matrix_from_json(m) for m in mats))
-
-
-def polynomial_to_json(f: MatrixPolynomial) -> dict:
-    terms = [
-        {"index": list(idx), "coef": matrix_to_json(coef)}
-        for idx, coef in sorted(f.terms.items())
-    ]
-    return {"n_vars": f.n_vars, "terms": terms}
-
-
-def polynomial_from_json(obj) -> MatrixPolynomial:
-    """The polynomial of a polynomial JSON object; InputError unless
-    ``n_vars`` and every multi-index entry are integral numbers, every term
-    has an ``index`` and a ``coef``, and no multi-index repeats."""
-    parsed = {}
-    try:
-        n_vars, terms = _integer(obj["n_vars"], "n_vars"), obj["terms"]
-        for term in terms:
-            idx = tuple(_integer(x, "multi-index entry") for x in term["index"])
-            if idx in parsed:
-                raise InputError(f"duplicate multi-index {list(idx)}")
-            parsed[idx] = matrix_from_json(term["coef"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed polynomial JSON: {exc}") from exc
-    return MatrixPolynomial(n_vars, parsed)
 
 
 def embedding_to_json(e: Embedding) -> dict:

@@ -292,6 +292,24 @@ def test_verify_dilation_capacity_before_any_product(tmp_path, capsys, monkeypat
     assert levels == []
 
 
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+@pytest.mark.parametrize("rho", ["nan", "inf", "0", "-2"])
+def test_exit_code_verify_dilation_bad_rho(tmp_path, capsys, mode, rho):
+    # a rho that is not finite and positive is an input error, named before
+    # any product is formed: not an SVD failure (nan, inf) or a failed check
+    big, e = build_shift_unitary_rho_dilation(2.0, 8)
+    (tmp_path / "s.json").write_text(json.dumps(tuple_to_json(OperatorTuple((nilpotent_jump(2.0),)))))
+    (tmp_path / "b.json").write_text(json.dumps(tuple_to_json(big)))
+    (tmp_path / "e.json").write_text(json.dumps(embedding_to_json(e)))
+    code, out, err = _run(capsys, [
+        "verify-dilation", "--mode", mode,
+        "--small", str(tmp_path / "s.json"), "--big", str(tmp_path / "b.json"),
+        "--embedding", str(tmp_path / "e.json"), f"--rho={rho}", "--nmax", "3",
+    ])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": "rho must be finite and positive"}
+
+
 def _canonical_sha256(mats):
     import hashlib
 

@@ -18,12 +18,12 @@ from rho_radii.dilation import (
     torus_unitarity,
     unitary_pencil_pair,
     verify_rho_dilation,
-    verify_similarity,
     verify_uniform_rho_dilation,
 )
 from rho_radii.errors import CapacityError, InputError
 from rho_radii.linalg import Embedding, compress, op_norm
-from rho_radii.pencil import OperatorTuple, eval_pencil
+from rho_radii.pencil import OperatorTuple, eval_pencil, k_rho_kernel, phi_rho, psi_rho
+from rho_radii.repro import repro_von_neumann
 
 
 def test_cyclic_shift_is_unitary():
@@ -133,20 +133,33 @@ def test_staircase_uniform_dilation_identity():
         assert wit.max_residual < 1e-12
 
 
-def test_verify_similarity_conjugation():
-    rng = np.random.default_rng(1)
-    s = rng.standard_normal((3, 3)) + np.eye(3) * 2
-    a = OperatorTuple(tuple(rng.standard_normal((3, 3)) for _ in range(2)))
-    b = OperatorTuple(tuple(s @ m @ np.linalg.inv(s) for m in a.mats))
-    rep = verify_similarity(a, b, s)
-    assert rep.residual < 1e-10
-    assert rep.conditioning >= 1.0
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -1.0])
+def test_rho_entry_points_reject_non_positive_or_non_finite(rho):
+    # every entry point that takes a level rho raises InputError, before it
+    # computes anything, unless rho is finite and positive
+    small, pair = OperatorTuple((nilpotent_jump(1.0),)), build_staircase_pair(1.0)
+    big, e = build_shift_unitary_rho_dilation(1.0, 8)
+    v, ve, _ = build_staircase_isometric_dilation(1.0, 8, depth=4)
+    z = [0.3, 0.2j]
+    calls = {
+        "verify_rho_dilation": lambda: verify_rho_dilation(small, big, e, rho, 3),
+        "verify_uniform_rho_dilation": lambda: verify_uniform_rho_dilation(pair, v, ve, rho, 3),
+        "k_rho_kernel": lambda: k_rho_kernel(pair, rho, z, z),
+        "psi_rho": lambda: psi_rho(pair, rho, z),
+        "phi_rho": lambda: phi_rho(pair, rho, z),
+        "build_shift_unitary_rho_dilation": lambda: build_shift_unitary_rho_dilation(rho, 8),
+        "build_staircase_pair": lambda: build_staircase_pair(rho),
+        "repro_von_neumann": lambda: repro_von_neumann(rho, trials=1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(InputError, match="^rho must be finite and positive$"):
+            call()
+            pytest.fail(name)
 
 
-def test_verify_similarity_singular_s_rejected():
-    a = OperatorTuple((np.eye(2),))
-    with pytest.raises(InputError):
-        verify_similarity(a, a, np.zeros((2, 2)))
+def test_divergence_probe_rejects_non_square():
+    with pytest.raises(InputError, match="square"):
+        divergence_probe(np.ones((2, 3)))
 
 
 def test_divergence_probe_classifications():

@@ -8,7 +8,6 @@ from rho_radii.linalg import (
     Embedding,
     as_matrix,
     compress,
-    min_eig_hermitian,
     op_norm,
     spectral_radius,
 )
@@ -52,24 +51,6 @@ def test_op_norm_known_values():
     u = np.array([1.0, 2.0])
     v = np.array([3.0, 4.0])
     assert op_norm(np.outer(u, v)) == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
-
-
-def test_min_eig_hermitian_characteristic_oracle():
-    # 2x2 Hermitian [[a, b], [conj(b), c]]: eigenvalues from the quadratic
-    # formula, written out independently of any eigensolver.
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, c = rng.standard_normal(2)
-        b = complex(rng.standard_normal(), rng.standard_normal())
-        h = np.array([[a, b], [np.conj(b), c]])
-        disc = np.sqrt((a - c) ** 2 + 4 * abs(b) ** 2)
-        oracle = (a + c - disc) / 2
-        assert min_eig_hermitian(h) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_min_eig_hermitian_rejects_nonhermitian():
-    with pytest.raises(InputError):
-        min_eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_spectral_radius_triangular():

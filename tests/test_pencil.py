@@ -6,13 +6,10 @@ import pytest
 from rho_radii.errors import CapacityError, InputError, PoleError
 from rho_radii.linalg import op_norm
 from rho_radii.pencil import (
-    MatrixPolynomial,
     OperatorTuple,
-    eval_on_tuple,
     eval_pencil,
     k_rho_kernel,
     phi_rho,
-    plain_multipower,
     psi_rho,
     sym_multipower,
     word_product,
@@ -75,7 +72,8 @@ def test_sym_multipower_commuting_reduces_to_plain():
     d = np.diag([0.3, -0.5, 0.2 + 0.1j])
     e = np.diag([1.0, 2.0, -0.7j])
     a = OperatorTuple((d, e))
-    np.testing.assert_allclose(sym_multipower(a, (2, 3)), plain_multipower(a, (2, 3)), atol=1e-12)
+    plain = np.linalg.matrix_power(d, 2) @ np.linalg.matrix_power(e, 3)
+    np.testing.assert_allclose(sym_multipower(a, (2, 3)), plain, atol=1e-12)
 
 
 def test_sym_multipower_caps_order():
@@ -175,26 +173,3 @@ def test_kernel_vs_psi_identity():
 def test_kernel_at_zero_is_rho_identity():
     a = _random_pair(11)
     np.testing.assert_allclose(k_rho_kernel(a, 0.8, [0, 0], [0, 0]), 0.8 * np.eye(3), atol=0)
-
-
-def test_polynomial_eval_on_commuting_tuple():
-    # f(z) = z1 z2 on a commuting diagonal pair
-    d1 = np.diag([0.2, 0.5])
-    d2 = np.diag([-0.3, 0.4])
-    f = MatrixPolynomial(2, {(1, 1): np.array([[1.0]])})
-    out = eval_on_tuple(f, OperatorTuple((d1, d2)))
-    np.testing.assert_allclose(out, d1 @ d2, atol=1e-14)
-
-
-def test_polynomial_rejects_noncommuting_for_mixed_terms():
-    f = MatrixPolynomial(2, {(1, 1): np.array([[1.0]])})
-    c = _random_pair(12)
-    with pytest.raises(InputError):
-        eval_on_tuple(f, c)
-
-
-def test_polynomial_from_scalar_coeffs():
-    f = MatrixPolynomial.from_scalar_coeffs(1, 0, [1.0, 2.0, 3.0])
-    m = np.array([[0.1, 0.0], [0.3, -0.2]])
-    out = eval_on_tuple(f, OperatorTuple((m,)))
-    np.testing.assert_allclose(out, np.eye(2) + 2 * m + 3 * m @ m, atol=1e-13)

@@ -1173,6 +1173,29 @@ def test_report_counters_add_up_to_the_solves(monkeypatch):
         assert stages == {"level1", "slice", "substitution"}, stages
         assert membership_tuple(triple.scale(1.05 / rep.lo), rho).decision == OUT
         check(lambda: membership_tuple(triple.scale(1.05 / rep.lo), rho).certificate, "triple", rho, OUT)
+    # triples whose level-1 pass sends slices to membership_single, which
+    # also count the crossing solves of the slices it decides In
+    decided = 0
+    for a, rho in _out_tuples(np.random.default_rng(74), (3,), TRIPLE_RHOS):
+        if membership_tuple(a, rho, 0.05, budget=16).certificate["level1_memberships"]:
+            decided += 1
+            check(lambda: membership_tuple(a, rho, 0.05, budget=16).certificate, "triple", rho, a.dim)
+    assert decided == 25, decided
+    # the pinned triples scaled into the class, against the slice A_1 (as
+    # _first_variable_as_slice, with its root taken outside the count): the
+    # substitution stage counts the crossing solves of its disk minima
+    minima = 0
+    with monkeypatch.context() as m:
+        m.setattr(radii, "_first_out_slice", lambda a, rho, tol: (None, None, {}))
+        for a, rho, budget, outcome in _screened_triples():
+            if outcome == "substitution":
+                b = a.scale(0.7)
+                lo = w_rho(b.mats[0], rho).lo
+                m.setattr(radii, "_worst_slice", lambda a, rho: (a.mats[0], np.zeros(a.n_vars - 1), lo, {}))
+                check(lambda: membership_tuple(b, rho, budget=budget).certificate, "substitution", rho, budget)
+                cert = membership_tuple(b, rho, budget=budget).certificate
+                minima += cert["substitution_membership_crossing_solves"]
+    assert minima > 0
     # a stage whose rows all pass the norm test reports 0 anchor solves
     record = {}
     assert not any(rows.size for rows, _, _ in radii._level1_failures(0.1 * np.ones((2, 2, 2)), 2.0, record, "level1"))
@@ -1253,7 +1276,7 @@ def test_out_witness_equals_membership_single_path():
         assert v.margin >= kernel_margin(b, rho) - 2 * radii.KERNEL_GAP * _scale(b, rho), cert
         if cert["method"].startswith("torus-slice+kernel-witness"):
             witnessed += 1
-            assert "certified_level" not in cert and "levelset_iterations" not in cert
+            assert "certified_level" not in cert and "crossing_solves" not in cert
             assert cert["kernel_margin"] == v.margin
     assert witnessed > 0
 
@@ -1268,7 +1291,7 @@ def test_out_witness_falls_back_to_membership_single():
             v = membership_tuple(a, rho)
             assert v.decision == OUT and v.margin == -1 / (rho - 2), (rho, d)
             assert v.certificate["method"] == "torus-slice+kernel-levelset"
-            assert v.certificate["level1_memberships"] >= 1
+            assert v.certificate["cell_memberships"] >= 1
     # with a large tol, a slice just outside the class has its values in
     # [-tol, guard], so membership_single decides it; decided In, the pair
     # cells prove every slice's disk minimum at or above -tol instead
@@ -1278,7 +1301,7 @@ def test_out_witness_falls_back_to_membership_single():
             a = OperatorTuple((_random_matrix(rng, d), _random_matrix(rng, d)))
             a = a.scale(1.001 / w_rho_tuple(a, rho).lo)
             v = membership_tuple(a, rho, tol)
-            assert v.certificate["level1_memberships"] >= 1, (d, rho, v.certificate)
+            assert v.certificate["cell_memberships"] >= 1, (d, rho, v.certificate)
             assert (v.decision, v.certificate.get("slice_w")) == _first_grid_reference(a, rho, tol), (d, rho)
             if v.decision == IN:
                 assert (v.exactness, v.margin, v.certificate["cells_unproven"]) == (CERTIFIED, -tol, 0), (d, rho)
@@ -1449,7 +1472,7 @@ def test_kernel_margin_never_crosses_certified_level():
             if rho <= 2:
                 assert abs(witness) == pytest.approx(1.0, abs=1e-15)
                 assert margin - stats["certified_level"] <= 1.01 * radii.KERNEL_GAP * scale
-                assert stats["levelset_iterations"] <= 5
+                assert stats["crossing_solves"] <= 5
 
 
 def test_radius_never_crossed_above_certified_level():
@@ -1591,7 +1614,7 @@ def test_disk_minimum_closed_form_inside_disk():
                 margin, witness, stats = radii._kernel_disk_min(a, rho)
                 assert margin == -1 / (rho - 2), (rho, c)
                 assert witness == pytest.approx(beta / c, abs=1e-15) and abs(witness) <= 1 + 1e-15
-                assert stats["certified_level"] == margin and stats["levelset_iterations"] == 0
+                assert stats["certified_level"] == margin and stats["crossing_solves"] == 0
                 assert stats["spectral_radius"] == pytest.approx(abs(c), rel=1e-15)
                 assert radii._kernel_lambda_min(a, rho, np.array([witness]))[0] == pytest.approx(
                     margin, abs=1e-13 * _scale(a, rho))

@@ -8,7 +8,7 @@ import pytest
 
 from rho_radii.errors import InputError
 from rho_radii.linalg import Embedding
-from rho_radii.pencil import MatrixPolynomial, OperatorTuple
+from rho_radii.pencil import OperatorTuple
 from rho_radii.serialize import (
     embedding_from_json,
     embedding_to_json,
@@ -16,8 +16,6 @@ from rho_radii.serialize import (
     load_operator_input,
     matrix_from_json,
     matrix_to_json,
-    polynomial_from_json,
-    polynomial_to_json,
     tuple_from_json,
     tuple_to_json,
 )
@@ -46,15 +44,6 @@ def test_tuple_count_mismatch_rejected():
     obj["n_vars"] = 2
     with pytest.raises(InputError):
         tuple_from_json(obj)
-
-
-def test_polynomial_round_trip():
-    f = MatrixPolynomial(2, {(1, 0): np.array([[2.0]]), (0, 3): np.array([[1j]])})
-    f2 = polynomial_from_json(polynomial_to_json(f))
-    assert f2.n_vars == 2
-    assert set(f2.terms) == set(f.terms)
-    for idx in f.terms:
-        np.testing.assert_array_equal(f.terms[idx], f2.terms[idx])
 
 
 def test_embedding_round_trip():
@@ -139,10 +128,6 @@ def test_boolean_counts_rejected(value):
         tuple_from_json({**tuple_to_json(OperatorTuple((np.eye(1),))), "n_vars": value})
     with pytest.raises(InputError, match="integer"):
         embedding_from_json({**embedding_to_json(Embedding(np.eye(2)[:, :1])), "ambient_dim": value})
-    with pytest.raises(InputError, match="integer"):
-        polynomial_from_json({**_polynomial_json([1]), "n_vars": value})
-    with pytest.raises(InputError, match="integer"):
-        polynomial_from_json(_polynomial_json([0, value], n_vars=2))
 
 
 def test_integral_float_counts_accepted():
@@ -157,41 +142,6 @@ def test_load_operator_input_rejects_non_object(tmp_path, text):
     p.write_text(text)
     with pytest.raises(InputError):
         load_operator_input(p)
-
-
-def _polynomial_json(*indices, n_vars=1):
-    return {"n_vars": n_vars, "terms": [{"index": idx, "coef": matrix_to_json(np.eye(2))} for idx in indices]}
-
-
-@pytest.mark.parametrize("value", [1.7, "1", None, [1], float("nan")])
-def test_polynomial_non_integral_n_vars_rejected(value):
-    with pytest.raises(InputError):
-        polynomial_from_json({**_polynomial_json([1]), "n_vars": value})
-
-
-@pytest.mark.parametrize("entry", [1.5, "a", "1", None, [1], float("inf")])
-def test_polynomial_non_integral_index_entry_rejected(entry):
-    with pytest.raises(InputError):
-        polynomial_from_json(_polynomial_json([0, entry], n_vars=2))
-
-
-@pytest.mark.parametrize("term", [{"coef": matrix_to_json(np.eye(2))}, {"index": [1]},
-                                  {"index": 1, "coef": matrix_to_json(np.eye(2))}, [1], "index", None])
-def test_polynomial_malformed_term_rejected(term):
-    with pytest.raises(InputError):
-        polynomial_from_json({"n_vars": 1, "terms": [term]})
-
-
-def test_polynomial_duplicate_index_rejected():
-    for first, second in (([1], [1]), ([1], [1.0]), ([0, 2.0], [0, 2])):
-        with pytest.raises(InputError, match="duplicate"):
-            polynomial_from_json(_polynomial_json(first, second, n_vars=len(first)))
-
-
-def test_polynomial_integral_float_counts_accepted():
-    f = polynomial_from_json(_polynomial_json([1.0, 0], [0, 2], n_vars=2.0))
-    assert f.n_vars == 2 and set(f.terms) == {(1, 0), (0, 2)}
-    assert all(type(x) is int for idx in f.terms for x in idx)
 
 
 def _collections_during(fn):
